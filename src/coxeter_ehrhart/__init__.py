@@ -20,6 +20,7 @@ All arithmetic is exact (integers and :class:`fractions.Fraction`).
 from .egf import (
     SEQUENCE_KINDS,
     component_egfs,
+    egf_ehrhart_quasipolynomial,
     egf_ehrhart_standard_odd,
     egf_ehrhart_values,
     structure_counts,
@@ -111,6 +112,7 @@ __all__ = [
     "coxeter_zonotope",
     "determinant",
     "dot",
+    "egf_ehrhart_quasipolynomial",
     "egf_ehrhart_standard_odd",
     "egf_ehrhart_values",
     "ehrhart_almost_integral",

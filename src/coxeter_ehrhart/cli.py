@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .egf import SEQUENCE_KINDS, egf_ehrhart_standard_odd, egf_ehrhart_values, structure_counts
+from .egf import SEQUENCE_KINDS, egf_ehrhart_quasipolynomial, structure_counts
 from .ehrhart import (
     EnumerationLimitError,
     ZonotopeFormatError,
@@ -180,18 +180,15 @@ def _flatten(value, prefix: str, out: List[Tuple[str, str]]) -> None:
         out.append((prefix, "" if value is None else str(value)))
 
 
-def _constituent_payload(period: int, coeff_lists, interpolated: bool = False) -> List[Dict]:
-    out = []
-    for r, coeffs in enumerate(coeff_lists):
-        entry = {
+def _constituent_payload(period: int, coeff_lists) -> List[Dict]:
+    return [
+        {
             "residue": r,
             "label": residue_name(r, period),
             "coefficients": [rational_str(c) for c in coeffs],
         }
-        if interpolated:
-            entry["interpolated"] = True
-        out.append(entry)
-    return out
+        for r, coeffs in enumerate(coeff_lists)
+    ]
 
 
 def render_human(doc: ResultDocument) -> str:
@@ -219,8 +216,7 @@ def render_human(doc: ResultDocument) -> str:
         width = max(len(c["label"]) for c in doc.constituents)
         for c in doc.constituents:
             poly = format_polynomial([Fraction(x) for x in c["coefficients"]])
-            marker = "  [interpolated]" if c.get("interpolated") else ""
-            lines.append(f"  {c['label']:<{width}}  {poly}{marker}")
+            lines.append(f"  {c['label']:<{width}}  {poly}")
     if doc.evaluations:
         for e in doc.evaluations:
             line = f"ehr({e['t']}) = {e['value']}"
@@ -273,36 +269,21 @@ def emit(doc: ResultDocument, fmt: str) -> None:
         print(render_human(doc))
 
 
-def _lagrange(points: Sequence[Tuple[int, int]]) -> List[Fraction]:
-    """Exact interpolating polynomial through the given (x, y) points."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denominator = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            extended = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                extended[k] -= c * xj
-                extended[k + 1] += c
-            basis = extended
-            denominator *= xi - xj
-        scale = yi / denominator
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    return coeffs
+_ROUTE_NAMES = {"forest": "forest census", "generic": "independent-subset", "egf": "generating function"}
 
 
-def _egf_single_value(family: str, n: int, variant: str, t: int) -> int:
-    if variant == "integral" or is_integral(family, n) or t % 2 == 0:
-        return egf_ehrhart_values(family, t, n)[n]
-    return egf_ehrhart_standard_odd(family, t, n)[n]
+def _route_quasipolynomial(route: str, family: str, n: int, variant: str):
+    if route == "generic":
+        return ehrhart_almost_integral(coxeter_zonotope(family, n, variant))
+    if route == "egf":
+        return egf_ehrhart_quasipolynomial(family, n, variant)
+    if variant == "standard":
+        return ehrhart_standard_coxeter(family, n)
+    return ehrhart_integral_coxeter(family, n)
 
 
 def cmd_ehrhart(args) -> int:
     family, n = args.family, args.n
-    rs = positive_roots(family, n)
     request = {
         "command": "ehrhart",
         "family": family,
@@ -315,84 +296,25 @@ def cmd_ehrhart(args) -> int:
     ts = sorted(set(args.t)) if args.t else []
     if ts:
         request["t"] = ts
-    doc = ResultDocument(request=request)
-    if args.route == "egf":
-        if not ts:
-            raise UsageError("the egf route produces values per dilation; pass --t")
-        if args.order is not None and args.order < n:
-            raise UsageError(f"--order must be at least {n}")
-        doc.provenance = "generating function route (evaluations)"
-        doc.evaluations = [
-            {"t": t, "value": _egf_single_value(family, n, args.variant, t)} for t in ts
-        ]
-        expected_period = 1 if (args.variant == "integral" or is_integral(family, n)) else 2
-        degree = rs.rank
-        classes = []
-        for r in range(expected_period):
-            points = [(e["t"], e["value"]) for e in doc.evaluations if e["t"] % expected_period == r]
-            if len(points) <= degree:
-                classes = None
-                break
-            classes.append(_lagrange(points[: degree + 1]))
-        if classes is not None:
-            doc.period = expected_period
-            doc.constituents = _constituent_payload(expected_period, classes, interpolated=True)
-            doc.provenance = "generating function route (evaluations, interpolated constituents)"
-        else:
-            doc.notes.append(
-                f"pass at least {degree + 1} dilations per residue class to interpolate constituents"
-            )
-        ok = True
-        if args.verify:
-            ok = _verify_evaluations_against_forest(doc, family, n, args.variant)
-        emit(doc, args.format)
-        return EXIT_OK if ok else EXIT_MISMATCH
-    if args.route == "generic":
-        qp = ehrhart_almost_integral(coxeter_zonotope(family, n, args.variant))
-        doc.provenance = "independent-subset route"
-    else:
-        qp = (
-            ehrhart_standard_coxeter(family, n)
-            if args.variant == "standard"
-            else ehrhart_integral_coxeter(family, n)
-        )
-        doc.provenance = "forest census route"
-    doc.period = qp.period
-    doc.constituents = _constituent_payload(qp.period, qp.constituents)
+    qp = _route_quasipolynomial(args.route, family, n, args.variant)
+    doc = ResultDocument(
+        request=request,
+        provenance=f"{_ROUTE_NAMES[args.route]} route",
+        period=qp.period,
+        constituents=_constituent_payload(qp.period, qp.constituents),
+    )
     if ts:
         doc.evaluations = [{"t": t, "value": qp.evaluate(t)} for t in ts]
+    agree = True
     if args.verify:
-        other = (
-            ehrhart_standard_coxeter(family, n)
-            if args.variant == "standard"
-            else ehrhart_integral_coxeter(family, n)
-        ) if args.route == "generic" else ehrhart_almost_integral(
-            coxeter_zonotope(family, n, args.variant)
-        )
-        agree = other == qp
+        partner = "generic" if args.route == "forest" else "forest"
+        agree = _route_quasipolynomial(partner, family, n, args.variant) == qp
         doc.notes.append(
-            "cross-route check (forest vs independent-subset): "
+            f"cross-route check ({_ROUTE_NAMES[args.route]} vs {_ROUTE_NAMES[partner]}): "
             + ("agree" if agree else "MISMATCH")
         )
-        emit(doc, args.format)
-        return EXIT_OK if agree else EXIT_MISMATCH
     emit(doc, args.format)
-    return EXIT_OK
-
-
-def _verify_evaluations_against_forest(doc: ResultDocument, family: str, n: int, variant: str) -> bool:
-    qp = (
-        ehrhart_standard_coxeter(family, n)
-        if variant == "standard"
-        else ehrhart_integral_coxeter(family, n)
-    )
-    ok = True
-    for e in doc.evaluations:
-        e["oracle"] = qp.evaluate(e["t"])
-        e["match"] = e["oracle"] == e["value"]
-        ok = ok and e["match"]
-    doc.notes.append("verification compares against the forest census route")
-    return ok
+    return EXIT_OK if agree else EXIT_MISMATCH
 
 
 def cmd_tables(args) -> int:
@@ -491,8 +413,6 @@ def cmd_zonotope(args) -> int:
 
 
 def cmd_sequences(args) -> int:
-    if args.order is not None and args.order < args.nmax:
-        raise UsageError(f"--order must be at least {args.nmax}")
     values = structure_counts(args.kind, args.nmax)
     bound = SIGNED_STRUCTURE_MAX if args.kind.startswith("signed_") else UNSIGNED_STRUCTURE_MAX
     rows = []
@@ -515,11 +435,7 @@ def cmd_sequences(args) -> int:
 
 def cmd_count(args) -> int:
     family, n, t = args.family, args.n, args.t
-    qp = (
-        ehrhart_standard_coxeter(family, n)
-        if args.variant == "standard"
-        else ehrhart_integral_coxeter(family, n)
-    )
+    qp = _route_quasipolynomial("forest", family, n, args.variant)
     entry = {"t": t, "value": qp.evaluate(t)}
     ok = True
     if args.oracle or args.verify:
@@ -590,9 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_MAX_BOX,
         help=f"bounding-box point ceiling for oracle scans (default {DEFAULT_MAX_BOX})",
-    )
-    common.add_argument(
-        "--order", type=int, default=None, help="series truncation order override (egf routes)"
     )
 
     parser = argparse.ArgumentParser(

@@ -1,5 +1,6 @@
 """Exponential generating functions for the labeled structures behind the
-permutahedron Ehrhart formulas, and the value-by-dimension assemblies.
+permutahedron Ehrhart formulas, the value-by-dimension assemblies, and the
+whole quasipolynomial read off with a marker on tree components.
 
 The connected building blocks, with x marking labeled vertices:
 
@@ -18,8 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List
+from math import comb
+from typing import List, Tuple
 
+from .ehrhart import QuasiPolynomial
+from .roots import is_integral
 from .series import RatSeries, lambert_w
 
 SEQUENCE_KINDS = (
@@ -76,19 +80,53 @@ def _as_int(value: Fraction) -> int:
     return int(value)
 
 
+def _integer_coefficients(series: RatSeries) -> List[int]:
+    """m! [x^m] for m = 0..order: the labeled counts of an EGF."""
+    return [_as_int(series.egf_value(m)) for m in range(series.order + 1)]
+
+
 def structure_counts(kind: str, nmax: int) -> List[int]:
     """Counts of connected structures on 1..nmax labeled vertices."""
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    series = component_egfs(nmax).for_kind(kind)
-    return [_as_int(series.egf_value(n)) for n in range(1, nmax + 1)]
+    return _integer_coefficients(component_egfs(nmax).for_kind(kind))[1:]
 
 
-def _check_family_t(family: str, t: int) -> None:
+def _exponent_parts(family: str, order: int, odd: bool) -> Tuple[RatSeries, RatSeries]:
+    """The family's tree series T and the rest R of its exponent.
+
+    The t-th dilate of the integral permutahedron on n coordinates has
+    n! [x^n] exp(T(tx)/t + R(tx)) lattice points: a tree component weighs
+    1/t, an unbalanced pseudotree 2, a halfedge-tree 1 (family B), a
+    loop-tree 2 (family C).
+    With ``odd`` the tree series keeps only even vertex counts, which is
+    the parity obstruction of odd dilates in the half-integral cases.
+    """
     if family not in ("A", "B", "C", "D"):
         raise ValueError(f"unknown family {family!r}")
+    comps = component_egfs(order)
+    if family == "A":
+        tree, rest = comps.tree, RatSeries.zero(order)
+    else:
+        tree, rest = comps.signed_tree, 2 * comps.signed_pseudotree
+        if family == "B":
+            rest = rest + comps.signed_halfedge_tree
+        elif family == "C":
+            rest = rest + 2 * comps.signed_halfedge_tree
+    return (tree.even_part() if odd else tree), rest
+
+
+def _check_dilation(t: int, nmax: int) -> None:
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {t!r}")
+    if nmax < 1:
+        raise ValueError("nmax must be at least 1")
+
+
+def _dilated_counts(family: str, t: int, nmax: int, odd: bool) -> List[int]:
+    tree, rest = _exponent_parts(family, nmax, odd)
+    ts = Fraction(t)
+    return _integer_coefficients(((1 / ts) * tree.scale_arg(ts) + rest.scale_arg(ts)).exp())
 
 
 def egf_ehrhart_values(family: str, t: int, nmax: int) -> List[int]:
@@ -96,26 +134,11 @@ def egf_ehrhart_values(family: str, t: int, nmax: int) -> List[int]:
 
     Entry n (for n = 0..nmax) is the count for the family's integral
     permutahedron on n coordinates, dilated by t.  The whole list comes
-    from one exponential of weighted component series: trees weigh 1/t per
-    component (after substituting x -> t x), unbalanced pseudotrees weigh
-    2, halfedge-trees weigh 1 (family B), loop-trees weigh 2 (family C).
+    from one exponential of weighted component series (see
+    :func:`_exponent_parts`).
     """
-    _check_family_t(family, t)
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
-    comps = component_egfs(nmax)
-    ts = Fraction(t)
-    inv = 1 / ts
-    if family == "A":
-        exponent = inv * comps.tree.scale_arg(ts)
-    else:
-        exponent = 2 * comps.signed_pseudotree.scale_arg(ts) + inv * comps.signed_tree.scale_arg(ts)
-        if family == "B":
-            exponent = exponent + comps.signed_halfedge_tree.scale_arg(ts)
-        elif family == "C":
-            exponent = exponent + 2 * comps.signed_halfedge_tree.scale_arg(ts)
-    series = exponent.exp()
-    return [_as_int(series.egf_value(n)) for n in range(nmax + 1)]
+    _check_dilation(t, nmax)
+    return _dilated_counts(family, t, nmax, odd=False)
 
 
 def egf_ehrhart_standard_odd(family: str, t: int, nmax: int) -> List[int]:
@@ -129,23 +152,63 @@ def egf_ehrhart_standard_odd(family: str, t: int, nmax: int) -> List[int]:
     For family A every structure is a forest of trees, so odd entries of
     the returned list are zero; only the even entries are meaningful.
     """
-    _check_family_t(family, t)
+    _check_dilation(t, nmax)
     if t % 2 == 0:
         raise ValueError("this route only covers odd dilation factors")
-    if family not in ("A", "B"):
+    if family in ("C", "D"):
         raise ValueError("families C and D are integral; the single constituent covers all t")
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
-    comps = component_egfs(nmax)
-    ts = Fraction(t)
-    inv = 1 / ts
-    if family == "A":
-        exponent = inv * comps.tree.even_part().scale_arg(ts)
-    else:
-        exponent = (
-            2 * comps.signed_pseudotree.scale_arg(ts)
-            + inv * comps.signed_tree.even_part().scale_arg(ts)
-            + comps.signed_halfedge_tree.scale_arg(ts)
-        )
-    series = exponent.exp()
-    return [_as_int(series.egf_value(n)) for n in range(nmax + 1)]
+    return _dilated_counts(family, t, nmax, odd=True)
+
+
+def _polynomial_by_tree_count(family: str, n: int, odd: bool) -> List[int]:
+    """Ascending coefficients of the count on n coordinates as a polynomial
+    in t: the coefficient of t^(n-k) is n! [x^n] T^k/k! exp(R).
+
+    Works on integer EGF coefficients.  ``forests[m]`` is m! [x^m] T^k/k!,
+    the number of ways to cover m labeled vertices by k trees.  Multiplying
+    by T adds one more tree, which counts each forest of k + 1 trees k + 1
+    times, so the division by k + 1 is exact.
+    """
+    tree_series, rest_series = _exponent_parts(family, n, odd)
+    tree = _integer_coefficients(tree_series)
+    rest = _integer_coefficients(rest_series)
+    binom = [[comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
+    # exp(R) by the integer form of the recurrence E' = R' E
+    rest_exp = [1] + [0] * n
+    for m in range(1, n + 1):
+        row = binom[m - 1]
+        rest_exp[m] = sum(row[s - 1] * rest[s] * rest_exp[m - s] for s in range(1, m + 1) if rest[s])
+    coeffs = [0] * (n + 1)
+    forests = [1] + [0] * n
+    for k in range(n + 1):
+        row = binom[n]
+        coeffs[n - k] = sum(row[j] * forests[j] * rest_exp[n - j] for j in range(k, n + 1))
+        if k == n:
+            break
+        grown = [0] * (n + 1)
+        for m in range(k + 1, n + 1):
+            row = binom[m]
+            total = sum(row[s] * tree[s] * forests[m - s] for s in range(1, m - k + 1) if tree[s])
+            grown[m], remainder = divmod(total, k + 1)
+            if remainder:
+                raise ArithmeticError(f"forest count {total} is not divisible by {k + 1}")
+        forests = grown
+    return coeffs
+
+
+def egf_ehrhart_quasipolynomial(family: str, n: int, variant: str = "standard") -> QuasiPolynomial:
+    """Ehrhart quasipolynomial of the family's permutahedron on n
+    coordinates, every coefficient at once.
+
+    Marking tree components by y turns the count into n! [x^n]
+    exp(y T(x) + R(x)), so the coefficient of t^(n-k) is n! [x^n]
+    T^k/k! exp(R).  The odd constituent of a half-integral standard
+    permutahedron uses the even part of T.
+    """
+    if variant not in ("standard", "integral"):
+        raise ValueError(f"unknown variant {variant!r}")
+    half_integral = not is_integral(family, n) and variant == "standard"
+    parities = (False, True) if half_integral else (False,)
+    return QuasiPolynomial.from_residue_polys(
+        [_polynomial_by_tree_count(family, n, odd) for odd in parities]
+    )

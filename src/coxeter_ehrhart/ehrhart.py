@@ -331,10 +331,9 @@ def parse_zonotope_document(text: str) -> ZonotopeSpec:
             raise ZonotopeFormatError(
                 f"generators[{idx}]: expected {len(generators[0])} entries, got {len(raw)}"
             )
-        try:
-            vec = int_vector(raw)
-        except (ValueError, TypeError) as exc:
-            raise ZonotopeFormatError(f"generators[{idx}]: {exc}") from exc
+        if any(isinstance(e, bool) or not isinstance(e, int) for e in raw):
+            raise ZonotopeFormatError(f"generators[{idx}]: expected integer entries")
+        vec = tuple(raw)
         if not any(vec):
             raise ZonotopeFormatError(f"generators[{idx}]: the zero vector is not a generator")
         generators.append(vec)
@@ -349,8 +348,10 @@ def parse_zonotope_document(text: str) -> ZonotopeSpec:
                 raise ZonotopeFormatError(f"shift[{idx}]: expected an integer or a 'p/q' string")
             try:
                 shift.append(Fraction(raw))
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ZonotopeFormatError(f"shift[{idx}]: {exc}") from exc
+            except ZeroDivisionError as exc:
+                raise ZonotopeFormatError(f"shift[{idx}]: zero denominator") from exc
     try:
         return ZonotopeSpec.make(generators, shift)
     except ValueError as exc:

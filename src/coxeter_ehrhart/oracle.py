@@ -16,6 +16,7 @@ from itertools import combinations, product
 from math import ceil, floor, lcm
 from typing import Optional, Tuple
 
+from .egf import SEQUENCE_KINDS
 from .ehrhart import EnumerationLimitError, ZonotopeSpec
 from .linalg import dot, int_vector, integer_kernel_basis, rank
 from .signed_graphs import (
@@ -197,16 +198,6 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
 UNSIGNED_STRUCTURE_MAX = 5
 SIGNED_STRUCTURE_MAX = 4
 
-STRUCTURE_KINDS = (
-    "tree",
-    "pseudotree",
-    "signed_tree",
-    "signed_pseudotree",
-    "signed_halfedge_tree",
-    "signed_loop_tree",
-)
-
-
 def brute_force_structures(kind: str, n: int) -> int:
     """Count connected structures on n labeled vertices by enumeration.
 
@@ -219,7 +210,7 @@ def brute_force_structures(kind: str, n: int) -> int:
     feasible size are enumerated: n-1 items for trees, n items for the
     one-extra-feature kinds.
     """
-    if kind not in STRUCTURE_KINDS:
+    if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown structure kind {kind!r}")
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")

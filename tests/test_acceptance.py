@@ -15,6 +15,7 @@ from math import lcm
 
 from coxeter_ehrhart.cli import main as cli_main
 from coxeter_ehrhart.egf import (
+    egf_ehrhart_quasipolynomial,
     egf_ehrhart_standard_odd,
     egf_ehrhart_values,
     structure_counts,
@@ -145,6 +146,8 @@ def test_criterion_4_three_routes_agree():
                     )
                     subset = ehrhart_almost_integral(coxeter_zonotope(family, n, variant))
                     assert census == subset, (family, n, variant)
+                    series = egf_ehrhart_quasipolynomial(family, n, variant)
+                    assert series == census, (family, n, variant)
                     for t in (1, 2, 3, 4):
                         if variant == "integral" or is_integral(family, n) or t % 2 == 0:
                             series_value = egf_ehrhart_values(family, t, n)[n]

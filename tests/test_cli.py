@@ -88,26 +88,32 @@ def test_ehrhart_route_agreement_flag(capsys):
 
 
 def test_ehrhart_egf_route(capsys):
-    code, out = run(
-        capsys,
-        ["ehrhart", "B", "2", "--route", "egf", "--t", "1", "2", "3", "4", "5", "6", "--verify"],
-    )
+    code, out = run(capsys, ["ehrhart", "B", "2", "--route", "egf", "--t", "1", "3", "--verify"])
     assert code == 0
-    assert "interpolated" in out
+    assert "period: 2" in out
     assert "1 + 4t + 7t²" in out
-    assert "match" in out
+    assert "2t + 7t²" in out
+    assert "ehr(3) = 69" in out
+    assert "cross-route check (generating function vs forest census): agree" in out
 
 
-def test_ehrhart_egf_needs_dilations(capsys):
-    code = main(["ehrhart", "A", "3", "--route", "egf"])
-    assert code == 2
+def test_ehrhart_egf_without_dilations_prints_constituents(capsys):
+    code, out = run(capsys, ["ehrhart", "B", "40", "--route", "egf", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["period"] == 2
+    assert [c["label"] for c in data["constituents"]] == ["t even", "t odd"]
+    assert all(len(c["coefficients"]) == 41 for c in data["constituents"])
+    assert "evaluations" not in data
 
 
 def test_ehrhart_egf_without_enough_points_reports_values(capsys):
     code, out = run(capsys, ["ehrhart", "B", "2", "--route", "egf", "--t", "2"])
     assert code == 0
     assert "ehr(2) = 37" in out
-    assert "period" not in out
+    assert "period: 2" in out
+    assert "2t + 7t²" in out
+    assert "interpolated" not in out
 
 
 def test_census_limit_exit_code(capsys):
@@ -177,6 +183,21 @@ def test_zonotope_bad_file_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ('{"generators": [[true, 0], [0, 1]]}', "generators[0]"),
+        ('{"generators": [[1.0, 0], [0, 1]]}', "generators[0]"),
+        ('{"generators": [[1, 0]], "shift": ["1/0", 0]}', "shift[0]: zero denominator"),
+    ],
+)
+def test_zonotope_rejects_non_integer_entries(tmp_path, capsys, document, message):
+    path = tmp_path / "z.json"
+    path.write_text(document)
+    assert main(["zonotope", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_zonotope_verify_requires_dilations(tmp_path):
     path = tmp_path / "z.json"
     path.write_text('{"generators": [[1, 0]]}')
@@ -192,8 +213,11 @@ def test_sequences_command(capsys):
     assert all(row["match"] for row in data["rows"] if "match" in row)
 
 
-def test_sequences_order_must_cover_nmax():
-    assert main(["sequences", "tree", "5", "--order", "3"]) == 2
+def test_order_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sequences", "tree", "5", "--order", "3"])
+    assert err.value.code == 2
+    assert "--order" in capsys.readouterr().err
 
 
 def test_count_command(capsys):

@@ -7,6 +7,7 @@ import pytest
 from coxeter_ehrhart.egf import (
     SEQUENCE_KINDS,
     component_egfs,
+    egf_ehrhart_quasipolynomial,
     egf_ehrhart_standard_odd,
     egf_ehrhart_values,
     structure_counts,
@@ -56,11 +57,13 @@ def test_component_series_have_integer_counts():
 
 def test_integral_values_match_forest_census():
     for family in "ABCD":
-        for t in (1, 2, 3, 4):
-            values = egf_ehrhart_values(family, t, 5)
-            assert values[0] == 1
-            for n in range(1, 6):
-                assert values[n] == ehrhart_integral_coxeter(family, n).evaluate(t)
+        values = {t: egf_ehrhart_values(family, t, 5) for t in (1, 2, 3, 4)}
+        assert all(row[0] == 1 for row in values.values())
+        for n in range(1, 6):
+            census = ehrhart_integral_coxeter(family, n)
+            assert egf_ehrhart_quasipolynomial(family, n, "integral") == census
+            for t, row in values.items():
+                assert row[n] == census.evaluate(t)
 
 
 def test_type_a_values_count_forests():
@@ -92,12 +95,27 @@ def test_integral_closed_forms():
 
 def test_odd_dilation_values_match_forest_census():
     for family in ("A", "B"):
-        for t in (1, 3, 5):
-            values = egf_ehrhart_standard_odd(family, t, 4)
-            for n in range(1, 5):
-                if is_integral(family, n):
-                    continue
-                assert values[n] == ehrhart_standard_coxeter(family, n).evaluate(t)
+        values = {t: egf_ehrhart_standard_odd(family, t, 4) for t in (1, 3, 5)}
+        for n in range(1, 5):
+            if is_integral(family, n):
+                continue
+            census = ehrhart_standard_coxeter(family, n)
+            assert egf_ehrhart_quasipolynomial(family, n) == census
+            for t, row in values.items():
+                assert row[n] == census.evaluate(t)
+
+
+def test_quasipolynomial_beyond_census_matches_values():
+    n = 30
+    for family in "ABCD":
+        qp = egf_ehrhart_quasipolynomial(family, n)
+        assert qp.period == (2 if family in "AB" else 1)
+        for t in range(1, 6):
+            if qp.period == 1 or t % 2 == 0:
+                expected = egf_ehrhart_values(family, t, n)[n]
+            else:
+                expected = egf_ehrhart_standard_odd(family, t, n)[n]
+            assert qp.evaluate(t) == expected, (family, t)
 
 
 def test_odd_dilation_type_a_vanishes_in_odd_sizes():
