@@ -438,7 +438,7 @@ def cmd_count(args) -> int:
     qp = _route_quasipolynomial("forest", family, n, args.variant)
     entry = {"t": t, "value": qp.evaluate(t)}
     ok = True
-    if args.oracle or args.verify:
+    if args.oracle:
         spec = coxeter_zonotope(family, n, args.variant)
         entry["oracle"] = count_points(spec, t, max_box=args.max_box)
         entry["match"] = entry["oracle"] == entry["value"]
@@ -497,13 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("human", "json", "csv"), default="human", help="output encoding"
     )
-    common.add_argument(
+    verifying = argparse.ArgumentParser(add_help=False)
+    verifying.add_argument(
         "--verify", action="store_true", help="cross-check against an independent route"
     )
-    common.add_argument(
+    boxed = argparse.ArgumentParser(add_help=False)
+    boxed.add_argument(
         "--max-box",
         dest="max_box",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_BOX,
         help=f"bounding-box point ceiling for oracle scans (default {DEFAULT_MAX_BOX})",
     )
@@ -518,7 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    pe = sub.add_parser("ehrhart", parents=[common], help="quasipolynomial of a permutahedron")
+    pe = sub.add_parser(
+        "ehrhart", parents=[common, verifying], help="quasipolynomial of a permutahedron"
+    )
     pe.add_argument("family", type=_family_arg, choices=("A", "B", "C", "D"))
     pe.add_argument("n", type=_positive_int, help="number of ambient coordinates")
     pe.add_argument("--variant", choices=("standard", "integral"), default="standard")
@@ -528,7 +532,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("tables", parents=[common], help="recompute the reference tables")
     pt.add_argument("table", choices=("table1", "table2"))
 
-    pz = sub.add_parser("zonotope", parents=[common], help="quasipolynomial of a zonotope file")
+    pz = sub.add_parser(
+        "zonotope", parents=[common, verifying, boxed], help="quasipolynomial of a zonotope file"
+    )
     pz.add_argument("file", help="JSON document with 'generators' and optional 'shift'")
     pz.add_argument("--t", type=_positive_int, nargs="+", help="dilations to evaluate")
 
@@ -536,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("kind", choices=SEQUENCE_KINDS)
     ps.add_argument("nmax", type=_positive_int)
 
-    pc = sub.add_parser("count", parents=[common], help="lattice points of one dilate")
+    pc = sub.add_parser("count", parents=[common, boxed], help="lattice points of one dilate")
     pc.add_argument("family", type=_family_arg, choices=("A", "B", "C", "D"))
     pc.add_argument("n", type=_positive_int)
     pc.add_argument("--t", type=_positive_int, default=1)

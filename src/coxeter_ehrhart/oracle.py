@@ -29,6 +29,8 @@ from .signed_graphs import (
 )
 
 DEFAULT_MAX_BOX = 10_000_000
+# Zonotopes whose facet data stay cached; one CLI run needs a single entry.
+GEOMETRY_CACHE_SIZE = 128
 
 
 class BoxLimitError(RuntimeError):
@@ -40,8 +42,8 @@ class MembershipCertificate:
     """Outcome of a point membership test.
 
     A negative verdict always carries a witness: the violated affine-hull
-    functional, segment range, or facet inequality, together with the two
-    sides of the failed comparison.
+    functional or facet inequality, together with the two sides of the
+    failed comparison.
     """
 
     verdict: bool
@@ -51,29 +53,24 @@ class MembershipCertificate:
         return self.verdict
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _geometry(zonotope: ZonotopeSpec):
     """Shift-independent facial data of the generator configuration.
 
-    Returns ``(kernel, mode, data)`` where kernel is a saturated basis of
-    the integer vectors orthogonal to all generators; mode is "point",
-    "segment" (data: primitive direction and the integer multiples giving
-    each generator), or "full" (data: deduplicated facet normals, each with
-    its positive generator sum).
+    Returns ``(kernel, facets)``: kernel is a saturated basis of the integer
+    vectors orthogonal to all generators, and facets lists the primitive
+    normals h of hyperplanes spanned by (rank-1)-subsets of the generators,
+    within their span and in both orientations, each with its positive
+    generator sum ``sum_g max(<h, g>, 0)``.  At rank 1 the only subset is
+    the empty one and its normal line is the span itself; at rank 0 there
+    are no generators and no facets.
     """
     gens = zonotope.generators
     d = zonotope.dim
     kernel = tuple(integer_kernel_basis(gens, dim=d))
     r = rank(gens, dim=d)
-    if r == 0:
-        return kernel, "point", None
-    if r == 1:
-        direction = _primitive(gens[0])
-        pivot = next(i for i, e in enumerate(direction) if e)
-        multiples = tuple(g[pivot] // direction[pivot] for g in gens)
-        return kernel, "segment", (direction, multiples)
     normals = {}
-    for picked in combinations(range(len(gens)), r - 1):
+    for picked in combinations(range(len(gens)), r - 1) if r else ():
         subset = [gens[i] for i in picked]
         if rank(subset, dim=d) != r - 1:
             continue
@@ -81,60 +78,36 @@ def _geometry(zonotope: ZonotopeSpec):
         if len(line) != 1:
             raise AssertionError("hyperplane normal is not one-dimensional")
         normals[line[0]] = None
-    oriented = []
+    facets = []
     for h in normals:
         for sign in (1, -1):
             vec = tuple(sign * e for e in h)
-            oriented.append((vec, sum(max(dot(vec, g), 0) for g in gens)))
-    return kernel, "full", tuple(oriented)
-
-
-def _primitive(vector):
-    from math import gcd
-
-    g = 0
-    for e in vector:
-        g = gcd(g, e)
-    vec = [e // g for e in vector]
-    lead = next(e for e in vec if e)
-    if lead < 0:
-        vec = [-e for e in vec]
-    return tuple(vec)
+            facets.append((vec, sum(max(dot(vec, g), 0) for g in gens)))
+    return kernel, tuple(facets)
 
 
 def zonotope_contains(zonotope: ZonotopeSpec, t: int, point) -> MembershipCertificate:
     """Whether an integer point lies in the t-th dilate of the zonotope.
 
-    The test is geometric: the point must lie on the affine hull (checked
-    against the integer kernel of the generators) and satisfy every facet
-    inequality ``<h, p - t*shift> <= t * sum_g max(<h, g>, 0)`` for the
-    primitive normals h of hyperplanes spanned by (rank-1)-subsets of the
-    generators, in both orientations.  Rank 0 and 1 degenerate to a point
-    comparison and an interval check.
+    The test is geometric and exact over the rationals: the point must lie
+    on the affine hull (checked against the integer kernel of the
+    generators) and satisfy every facet inequality ``<h, p - t*shift> <= t *
+    sum_g max(<h, g>, 0)`` for the facet normals of :func:`_geometry`.
+    This is the reference that the integer scan of :func:`count_points` is
+    tested against.
     """
     if not isinstance(t, int) or t < 1:
         raise ValueError(f"dilation factor must be a positive integer, got {t!r}")
     p = int_vector(point)
     if len(p) != zonotope.dim:
         raise ValueError(f"point has dimension {len(p)}, expected {zonotope.dim}")
-    kernel, mode, data = _geometry(zonotope)
+    kernel, facets = _geometry(zonotope)
     target = tuple(Fraction(a) - t * b for a, b in zip(p, zonotope.shift))
     for f in kernel:
         value = dot(f, target)
         if value != 0:
             return MembershipCertificate(False, ("affine-hull", f, value))
-    if mode == "point":
-        return MembershipCertificate(True)
-    if mode == "segment":
-        direction, multiples = data
-        pivot = next(i for i, e in enumerate(direction) if e)
-        coordinate = target[pivot] / direction[pivot]
-        low = t * sum(min(m, 0) for m in multiples)
-        high = t * sum(max(m, 0) for m in multiples)
-        if not low <= coordinate <= high:
-            return MembershipCertificate(False, ("segment-range", coordinate, low, high))
-        return MembershipCertificate(True)
-    for h, positive_sum in data:
+    for h, positive_sum in facets:
         lhs = dot(h, target)
         rhs = t * positive_sum
         if lhs > rhs:
@@ -147,7 +120,9 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
 
     Every point of the dilate satisfies, coordinate by coordinate,
     ``t*shift_i + t*sum_g min(g_i, 0) <= x_i <= t*shift_i + t*sum_g
-    max(g_i, 0)``, so scanning that box is exhaustive.  Aborts with
+    max(g_i, 0)``, so scanning that box is exhaustive.  Each point gets the
+    membership test of :func:`zonotope_contains` in integer form: the
+    affine data are scaled by the denominator of ``t*shift``.  Aborts with
     :class:`BoxLimitError` when the box holds more than ``max_box`` points.
     """
     if not isinstance(t, int) or t < 1:
@@ -166,31 +141,24 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
             raise BoxLimitError(
                 f"bounding box holds {volume}+ points, above the limit of {max_box}"
             )
-    kernel, mode, data = _geometry(zonotope)
-    # Integer-only fast path: scale the affine data by the denominator of
-    # t*shift so the scan avoids Fraction arithmetic per point.
+    kernel, facets = _geometry(zonotope)
     den = lcm(*((t * s).denominator for s in zonotope.shift))
     shifted = tuple(int(den * t * s) for s in zonotope.shift)
-    kernel_rhs = [(f, dot(f, shifted)) for f in kernel]
+    kernel_rows = [(f, dot(f, shifted)) for f in kernel]
+    facet_rows = [(h, dot(h, shifted) + den * t * s) for h, s in facets]
     count = 0
-    if mode == "full":
-        facet_rows = [(h, dot(h, shifted) + den * t * s) for h, s in data]
-        for p in product(*ranges):
-            ok = True
-            for f, rhs in kernel_rhs:
-                if den * dot(f, p) != rhs:
+    for p in product(*ranges):
+        ok = True
+        for f, rhs in kernel_rows:
+            if den * dot(f, p) != rhs:
+                ok = False
+                break
+        if ok:
+            for h, bound in facet_rows:
+                if den * dot(h, p) > bound:
                     ok = False
                     break
-            if ok:
-                for h, bound in facet_rows:
-                    if den * dot(h, p) > bound:
-                        ok = False
-                        break
-            if ok:
-                count += 1
-        return count
-    for p in product(*ranges):
-        if zonotope_contains(zonotope, t, p):
+        if ok:
             count += 1
     return count
 

@@ -232,6 +232,34 @@ def test_count_box_guard_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_box_must_be_positive(capsys, value):
+    with pytest.raises(SystemExit) as err:
+        main(["count", "B", "2", "--oracle", "--max-box", value])
+    assert err.value.code == 2
+    assert "--max-box" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "table1", "--verify"],
+        ["tables", "table1", "--max-box", "5"],
+        ["roots", "B", "2", "--verify"],
+        ["roots", "B", "2", "--max-box", "5"],
+        ["sequences", "tree", "4", "--verify"],
+        ["sequences", "tree", "4", "--max-box", "5"],
+        ["ehrhart", "B", "2", "--max-box", "5"],
+        ["count", "B", "2", "--verify"],
+    ],
+)
+def test_flags_only_on_verbs_that_read_them(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_roots_command(capsys):
     code, out = run(capsys, ["roots", "D", "3", "--format", "json"])
     assert code == 0

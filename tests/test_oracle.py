@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from coxeter_ehrhart.ehrhart import (
     EnumerationLimitError,
     ZonotopeSpec,
     coxeter_zonotope,
+    ehrhart_almost_integral,
     ehrhart_standard_coxeter,
 )
 from coxeter_ehrhart.oracle import (
@@ -53,7 +55,9 @@ def test_membership_certificates_segment():
     off_line = zonotope_contains(spec, 1, (1, 1))
     assert not off_line and off_line.witness[0] == "affine-hull"
     past_end = zonotope_contains(spec, 1, (3, 6))
-    assert not past_end and past_end.witness[0] == "segment-range"
+    assert not past_end and past_end.witness[0] == "facet"
+    _, _, lhs, rhs = past_end.witness
+    assert lhs > rhs
 
 
 def test_membership_certificates_point():
@@ -64,31 +68,59 @@ def test_membership_certificates_point():
     assert count_points(spec, 2) == 1
 
 
+def _membership_scan(spec, t):
+    """Points of the bounding box that the rational membership test accepts."""
+    low = [
+        math.ceil(t * s + t * sum(min(g[i], 0) for g in spec.generators))
+        for i, s in enumerate(spec.shift)
+    ]
+    high = [
+        math.floor(t * s + t * sum(max(g[i], 0) for g in spec.generators))
+        for i, s in enumerate(spec.shift)
+    ]
+    return sum(
+        1
+        for point in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(low, high)))
+        if zonotope_contains(spec, t, point)
+    )
+
+
 def test_count_agrees_with_membership_scan():
     specs = [
         coxeter_zonotope("B", 2, "standard"),
         ZonotopeSpec.make([(1, 1, 0), (0, 0, 2)]),
         ZonotopeSpec.make([(2,)], shift=("1/3",)),
         ZonotopeSpec.make([(1, 0), (1, 2), (0, 1)], shift=("1/2", "1/3")),
+        ZonotopeSpec.make([], shift=("1/3", 2), dim=2),
+        ZonotopeSpec.make([(2, 4), (-1, -2), (1, 2)], shift=("1/2", 1)),
     ]
     for spec in specs:
         for t in (1, 2, 3):
-            low = [
-                math.ceil(t * s + t * sum(min(g[i], 0) for g in spec.generators))
-                for i, s in enumerate(spec.shift)
-            ]
-            high = [
-                math.floor(t * s + t * sum(max(g[i], 0) for g in spec.generators))
-                for i, s in enumerate(spec.shift)
-            ]
-            by_scan = sum(
-                1
-                for point in itertools.product(
-                    *(range(lo, hi + 1) for lo, hi in zip(low, high))
-                )
-                if zonotope_contains(spec, t, point)
-            )
-            assert count_points(spec, t) == by_scan, (spec, t)
+            assert count_points(spec, t) == _membership_scan(spec, t), (spec, t)
+
+
+def test_count_matches_membership_and_formula_on_random_zonotopes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def zonotopes(draw):
+        d = draw(st.integers(1, 3))
+        entry = st.integers(-2, 2)
+        generator = st.tuples(*[entry] * d).filter(any)
+        gens = draw(st.lists(generator, max_size=4))
+        shift = [
+            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) for _ in range(d)
+        ]
+        return ZonotopeSpec.make(gens, shift=shift, dim=d)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(zonotopes(), st.integers(1, 3))
+    def check(spec, t):
+        expected = ehrhart_almost_integral(spec).evaluate(t)
+        assert count_points(spec, t) == _membership_scan(spec, t) == expected
+
+    check()
 
 
 def test_box_limit_guard():
