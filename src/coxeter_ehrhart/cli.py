@@ -389,6 +389,7 @@ def cmd_zonotope(args) -> int:
         request["t"] = ts
     if args.verify and not ts:
         raise UsageError("--verify needs at least one dilation; pass --t")
+    max_box = _max_box(args, "verify")
     qp = ehrhart_almost_integral(spec)
     doc = ResultDocument(
         request=request,
@@ -402,7 +403,7 @@ def cmd_zonotope(args) -> int:
         for t in ts:
             entry = {"t": t, "value": qp.evaluate(t)}
             if args.verify:
-                entry["oracle"] = count_points(spec, t, max_box=args.max_box)
+                entry["oracle"] = count_points(spec, t, max_box=max_box)
                 entry["match"] = entry["oracle"] == entry["value"]
                 ok = ok and entry["match"]
             doc.evaluations.append(entry)
@@ -435,12 +436,13 @@ def cmd_sequences(args) -> int:
 
 def cmd_count(args) -> int:
     family, n, t = args.family, args.n, args.t
+    max_box = _max_box(args, "oracle")
     qp = _route_quasipolynomial("forest", family, n, args.variant)
     entry = {"t": t, "value": qp.evaluate(t)}
     ok = True
     if args.oracle:
         spec = coxeter_zonotope(family, n, args.variant)
-        entry["oracle"] = count_points(spec, t, max_box=args.max_box)
+        entry["oracle"] = count_points(spec, t, max_box=max_box)
         entry["match"] = entry["oracle"] == entry["value"]
         ok = entry["match"]
     doc = ResultDocument(
@@ -481,6 +483,15 @@ def cmd_roots(args) -> int:
     return EXIT_OK
 
 
+def _max_box(args, scan_flag: str) -> int:
+    """The oracle's box ceiling; ``--max-box`` without a scan is a usage error."""
+    if args.max_box is None:
+        return DEFAULT_MAX_BOX
+    if not getattr(args, scan_flag):
+        raise UsageError(f"--max-box limits the box scan, which runs only with --{scan_flag}")
+    return args.max_box
+
+
 def _family_arg(value: str) -> str:
     return value.upper()
 
@@ -506,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-box",
         dest="max_box",
         type=_positive_int,
-        default=DEFAULT_MAX_BOX,
+        default=None,
         help=f"bounding-box point ceiling for oracle scans (default {DEFAULT_MAX_BOX})",
     )
 

@@ -29,7 +29,7 @@ from .linalg import (
     relative_volume,
 )
 from .roots import is_integral, positive_roots
-from .signed_graphs import classify, graph_from_roots
+from .signed_graphs import forest_key, forest_start, forest_step, root_item
 
 
 class EnumerationLimitError(RuntimeError):
@@ -38,8 +38,10 @@ class EnumerationLimitError(RuntimeError):
 
 # Hard ceilings for the subset-enumeration routes.  The EGF route covers
 # larger instances; these only gate the exhaustive ones.
-CENSUS_LIMITS = {"A": 8, "B": 7, "C": 7, "D": 7}
+CENSUS_LIMITS = {"A": 8, "B": 6, "C": 6, "D": 6}
 GENERIC_GENERATOR_LIMIT = 28
+# Censuses that stay cached; every (family, n) within CENSUS_LIMITS fits.
+CENSUS_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -217,8 +219,8 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
 class ForestCensus:
     """Counts of forest shapes among independent subsets of positive roots.
 
-    Keys are ``(edge_count, tc, hc, lc, pc, all_trees_even)`` tuples as
-    produced by the signed-graph classifier.
+    Keys are ``(edge_count, tc, hc, lc, pc, all_trees_even)`` tuples, the
+    component census ``signed_graphs.classify`` gives for each subset.
     """
 
     family: str
@@ -230,22 +232,28 @@ class ForestCensus:
         return sum(self.counts.values())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def forest_census(family: str, n: int) -> ForestCensus:
-    """Classify every independent subset of the family's positive roots."""
+    """Classify every independent subset of the family's positive roots, in
+    one depth-first walk that carries the subset's signed-graph components."""
     limit = CENSUS_LIMITS.get(family, 0)
     rs = positive_roots(family, n)
     if n > limit:
         raise EnumerationLimitError(
             f"family {family} on {n} coordinates exceeds the enumeration limit ({limit})"
         )
+    items = [root_item(r) for r in rs.roots]
     counts: Dict[Tuple[int, int, int, int, int, bool], int] = {}
-    for subset in independent_subsets(rs.roots, dim=n):
-        stats = classify(graph_from_roots(subset, n))
-        if stats is None:
-            raise RuntimeError("independent root subset did not encode a pseudoforest")
-        key = (stats.edge_count, stats.tc, stats.hc, stats.lc, stats.pc, stats.all_trees_even)
+
+    def walk(start: int, state: Tuple) -> None:
+        key = forest_key(state)
         counts[key] = counts.get(key, 0) + 1
+        for i in range(start, len(items)):
+            extended = forest_step(state, items[i])
+            if extended is not None:
+                walk(i + 1, extended)
+
+    walk(0, forest_start(n))
     return ForestCensus(family, n, counts)
 
 

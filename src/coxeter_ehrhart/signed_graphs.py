@@ -114,14 +114,15 @@ def graph_from_roots(roots: Sequence[IntVector], n: Optional[int] = None) -> Sig
     for vec in vecs:
         if len(vec) != n:
             raise ValueError(f"dimension mismatch: {len(vec)} vs {n}")
-        items.append(_root_item(vec))
+        items.append(root_item(vec))
     edges = frozenset(items)
     if len(edges) != len(items):
         raise ValueError("duplicate roots in input")
     return SignedGraph(n, edges)
 
 
-def _root_item(vec) -> Tuple:
+def root_item(vec) -> Tuple:
+    """The signed-graph item of one classical positive root."""
     support = [(i, e) for i, e in enumerate(vec, start=1) if e]
     if len(support) == 2:
         (i, a), (j, b) = support
@@ -136,6 +137,67 @@ def _root_item(vec) -> Tuple:
         if a == 2:
             return negative_loop(j)
     raise ValueError(f"{vec!r} is not a classical positive root")
+
+
+# Pseudoforest states for a depth-first walk over root items, a tuple
+#     (comp, pot, size, extra, edges, hc, lc, pc, odd_trees)
+# on vertices 1..n (slot 0 unused).  comp[v] labels v's component and
+# pot[v] = ±1 is its switching potential: pot[u] * pot[v] is the sign of
+# every spanning-tree edge uv.  size[c] counts the vertices of component c
+# and extra[c] says whether it already has its one halfedge, loop or
+# unbalanced cycle.  The rest are running totals; every tree component has
+# no extra, so tc = n - edges.  A step never mutates its input, and lists it
+# does not change are shared with the child state.
+
+
+def forest_start(n: int) -> Tuple:
+    """The state of the empty subset: n single-vertex trees."""
+    return (list(range(n + 1)), [1] * (n + 1), [1] * (n + 1), [False] * (n + 1), 0, 0, 0, 0, n)
+
+
+def forest_key(state: Tuple) -> Tuple[int, int, int, int, int, bool]:
+    """``(edge_count, tc, hc, lc, pc, all_trees_even)``, as ``classify`` reports it."""
+    comp, _, _, _, edges, hc, lc, pc, odd = state
+    return (edges, len(comp) - 1 - edges, hc, lc, pc, odd == 0)
+
+
+def forest_step(state: Tuple, item: Tuple) -> Optional[Tuple]:
+    """The state after adding one root item, or None when the item depends
+    on the ones present: it would close a balanced cycle or give a component
+    a second halfedge, loop or unbalanced cycle (signed-graphic matroid)."""
+    comp, pot, size, extra, edges, hc, lc, pc, odd = state
+    kind, u, v = item[0], item[1], item[-1]  # u == v for a halfedge or loop
+    sign = -1 if kind == NEG else 1
+    cu, cv = comp[u], comp[v]
+    if cu == cv:
+        if extra[cu] or (u != v and pot[u] * pot[v] == sign):
+            return None
+        extra = extra[:]
+        extra[cu] = True
+        if kind == HALF:
+            hc += 1
+        elif kind == LOOP:
+            lc += 1
+        else:
+            pc += 1
+        return (comp, pot, size, extra, edges + 1, hc, lc, pc, odd - (size[cu] & 1))
+    if extra[cu] and extra[cv]:
+        return None
+    a, b = size[cu], size[cv]
+    if extra[cu]:
+        odd -= b & 1
+    elif extra[cv]:
+        odd -= a & 1
+        extra = extra[:]
+        extra[cu] = True
+    else:
+        odd += ((a + b) & 1) - (a & 1) - (b & 1)
+    if pot[u] * pot[v] != sign:  # switch v's side so the new edge is a tree edge
+        pot = [-p if c == cv else p for c, p in zip(comp, pot)]
+    comp = [cu if c == cv else c for c in comp]
+    size = size[:]
+    size[cu] = a + b
+    return (comp, pot, size, extra, edges + 1, hc, lc, pc, odd)
 
 
 _KIND_ORDER = {POS: 0, NEG: 1, HALF: 2, LOOP: 2}

@@ -3,7 +3,10 @@
 import itertools
 from fractions import Fraction
 
+from coxeter_ehrhart.ehrhart import independent_subsets
 from coxeter_ehrhart.linalg import determinant, dot
+from coxeter_ehrhart.roots import positive_roots
+from coxeter_ehrhart.signed_graphs import classify, graph_from_roots
 
 
 def acyclic(n, edges):
@@ -65,3 +68,19 @@ def count_parallelepiped_points(vectors):
         ):
             count += 1
     return count
+
+
+def classify_key(roots, n):
+    """Census key of a root subset, by classifying its signed graph from scratch."""
+    stats = classify(graph_from_roots(roots, n))
+    return (stats.edge_count, stats.tc, stats.hc, stats.lc, stats.pc, stats.all_trees_even)
+
+
+def reference_census(family, n):
+    """Forest census counts the direct way: every echelon-independent root
+    subset, encoded as a signed graph and classified from scratch."""
+    counts = {}
+    for subset in independent_subsets(positive_roots(family, n).roots, dim=n):
+        key = classify_key(subset, n)
+        counts[key] = counts.get(key, 0) + 1
+    return counts

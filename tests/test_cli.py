@@ -241,6 +241,22 @@ def test_max_box_must_be_positive(capsys, value):
 
 
 @pytest.mark.parametrize(
+    "argv, scan_flag",
+    [
+        (["zonotope", "{file}", "--t", "2", "--max-box", "5"], "--verify"),
+        (["count", "B", "2", "--max-box", "5"], "--oracle"),
+    ],
+)
+def test_max_box_without_a_scan_is_a_usage_error(tmp_path, capsys, argv, scan_flag):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"generators": [[1, 0], [0, 1]]}))
+    code = main([str(path) if arg == "{file}" else arg for arg in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--max-box" in err and scan_flag in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["tables", "table1", "--verify"],

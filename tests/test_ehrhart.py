@@ -19,7 +19,11 @@ from coxeter_ehrhart.ehrhart import (
     parse_zonotope_document,
     load_zonotope_file,
 )
+from coxeter_ehrhart.egf import component_egfs
+from coxeter_ehrhart.linalg import IntegerEchelon
 from coxeter_ehrhart.roots import positive_roots
+from coxeter_ehrhart.signed_graphs import forest_key, forest_start, forest_step, root_item
+from helpers import classify_key, reference_census
 
 
 def test_independent_subsets_distinguishes_repeated_generators():
@@ -118,6 +122,46 @@ def test_forest_census_totals():
 
 def test_forest_census_is_cached():
     assert forest_census("C", 3) is forest_census("C", 3)
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("A", n) for n in range(1, 7)]
+    + [(f, n) for f in "BC" for n in range(1, 5)]
+    + [("D", n) for n in range(1, 6)],
+)
+def test_forest_census_matches_classify_reference(family, n):
+    assert forest_census(family, n).counts == reference_census(family, n)
+
+
+def test_forest_step_agrees_with_echelon_and_classify():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.sampled_from("ABCD"), st.integers(1, 5), st.data())
+    def check(family, n, data):
+        roots = data.draw(st.permutations(positive_roots(family, n).roots))
+        roots = roots[: data.draw(st.integers(0, len(roots)))]
+        state, echelon, accepted = forest_start(n), IntegerEchelon(n), []
+        for root in roots:
+            stepped = forest_step(state, root_item(root))
+            extended = echelon.try_add(root)
+            assert (stepped is None) == (extended is None)
+            if stepped is not None:
+                state, echelon = stepped, extended
+                accepted.append(root)
+        assert forest_key(state) == classify_key(accepted, n)
+
+    check()
+
+
+def test_forest_census_total_beyond_reference_range():
+    # a type-D independent subset is a forest of signed trees and unbalanced
+    # pseudotrees, so there are 6! [x^6] exp(signed trees + pseudotrees)
+    comps = component_egfs(6)
+    total = (comps.signed_tree + comps.signed_pseudotree).exp().egf_value(6)
+    assert forest_census("D", 6).total == total == 360280
 
 
 def test_census_limit_guard():
