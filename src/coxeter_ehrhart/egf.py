@@ -35,6 +35,9 @@ SEQUENCE_KINDS = (
     "signed_loop_tree",
 )
 
+# Series orders whose component series stay cached.
+COMPONENT_CACHE_SIZE = 16
+
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
 
@@ -58,7 +61,7 @@ class ComponentEgfs:
         return getattr(self, kind)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=COMPONENT_CACHE_SIZE)
 def component_egfs(order: int) -> ComponentEgfs:
     """All component series truncated at the given order."""
     if order < 1:

@@ -3,9 +3,13 @@
 Two formula routes live here.  The generic route works for any
 almost-integral zonotope: sum, over linearly independent subsets W of the
 generators, of ``vol(W) * t^|W|`` gated by whether the shifted span of W
-meets the lattice at dilation t.  The census route is specific to the
+meets the lattice at dilation t.  It is one depth-first walk over the
+generators that carries, for the subset so far, a saturated integer basis
+of ``span(W)^perp``, the shift's pairings with that basis (as integers mod
+the shift denominator) and ``vol(W)``.  The census route is specific to the
 classical permutahedra: it tabulates the signed-graph forest census of the
-positive roots and reads the coefficients off the component counts.
+positive roots and reads the coefficients off the component counts, in one
+depth-first walk that carries the subset's signed-graph components.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import (
@@ -22,11 +27,9 @@ from .linalg import (
     IntVector,
     RatVector,
     common_dim,
-    dot,
     int_vector,
-    integer_kernel_basis,
+    kernel_step,
     rat_vector,
-    relative_volume,
 )
 from .roots import is_integral, positive_roots
 from .signed_graphs import forest_key, forest_start, forest_step, root_item
@@ -180,10 +183,20 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
 
     Each independent generator subset W contributes ``vol(W) * t^|W|`` to
     the constituents of exactly those residue classes where the dilated
-    shift keeps the affine span of W on the lattice.  The lattice test uses
-    the saturated integer kernel of W: the flat ``t*shift + span(W)`` meets
-    Z^d exactly when every kernel basis vector pairs integrally with
-    ``t*shift``, and the pairing only matters mod 1.
+    shift keeps the affine span of W on the lattice.  One depth-first walk
+    over the generators, in index order, carries for the subset W so far:
+
+    - ``kernel``: a saturated integer basis f_1..f_m of ``span(W)^perp``
+      (the identity basis of Z^d at the empty subset);
+    - ``residues``: ``q_i = c*<f_i, shift> mod c``, with c the shift
+      denominator;
+    - ``volume``: ``vol(W)``, the gcd of the maximal minors of W.
+
+    ``linalg.kernel_step`` extends all three by one generator, or reports
+    it dependent.  The flat ``t*shift + span(W)`` meets Z^d exactly when
+    every ``t*q_i/c`` is an integer, that is when ``D | t`` for
+    ``D = c / gcd(c, q_1, ..., q_m)``, so volumes are summed per
+    ``(D, |W|)`` and spread over the residue classes once at the end.
     """
     if len(zonotope.generators) > GENERIC_GENERATOR_LIMIT:
         raise EnumerationLimitError(
@@ -192,26 +205,28 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
         )
     d = zonotope.dim
     c = zonotope.shift_denominator
-    reps = [c if r == 0 else r for r in range(c)]
+    gens = zonotope.generators
+    volumes: Dict[Tuple[int, int], int] = {}
+
+    def walk(start: int, size: int, kernel: Tuple, residues: Tuple, volume: int) -> None:
+        key = (c // gcd(c, *residues), size)
+        volumes[key] = volumes.get(key, 0) + volume
+        if not kernel:
+            return
+        for i in range(start, len(gens)):
+            step = kernel_step(kernel, residues, c, gens[i])
+            if step is not None:
+                factor, extended, extended_residues = step
+                walk(i + 1, size + 1, extended, extended_residues, volume * factor)
+
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    residues = tuple(s.numerator * (c // s.denominator) % c for s in zonotope.shift)
+    walk(0, 0, identity, residues, 1)
     coeffs = [[0] * (d + 1) for _ in range(c)]
-    flag_cache: Dict[Tuple[Fraction, ...], Tuple[int, ...]] = {}
-    for subset in independent_subsets(zonotope.generators, dim=d):
-        size = len(subset)
-        volume = relative_volume(subset) if subset else 1
-        if c == 1:
-            coeffs[0][size] += volume
-            continue
-        kernel = integer_kernel_basis(subset, dim=d)
-        pairings = tuple(dot(f, zonotope.shift) % 1 for f in kernel)
-        flags = flag_cache.get(pairings)
-        if flags is None:
-            flags = tuple(
-                1 if all((t * p).denominator == 1 for p in pairings) else 0 for t in reps
-            )
-            flag_cache[pairings] = flags
-        for r, flag in enumerate(flags):
-            if flag:
-                coeffs[r][size] += volume
+    for (period, size), volume in volumes.items():
+        # D divides c, so the class r (t = c when r = 0) is gated in when D | r.
+        for r in range(0, c, period):
+            coeffs[r][size] += volume
     return QuasiPolynomial.from_residue_polys(coeffs)
 
 
@@ -221,11 +236,16 @@ class ForestCensus:
 
     Keys are ``(edge_count, tc, hc, lc, pc, all_trees_even)`` tuples, the
     component census ``signed_graphs.classify`` gives for each subset.
+    ``counts`` is a read-only copy, so a cached census cannot be altered
+    through the object its callers receive.
     """
 
     family: str
     n: int
     counts: Mapping[Tuple[int, int, int, int, int, bool], int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
 
     @property
     def total(self) -> int:

@@ -3,8 +3,8 @@
 import itertools
 from fractions import Fraction
 
-from coxeter_ehrhart.ehrhart import independent_subsets
-from coxeter_ehrhart.linalg import determinant, dot
+from coxeter_ehrhart.ehrhart import QuasiPolynomial, independent_subsets
+from coxeter_ehrhart.linalg import chi, determinant, dot, relative_volume
 from coxeter_ehrhart.roots import positive_roots
 from coxeter_ehrhart.signed_graphs import classify, graph_from_roots
 
@@ -84,3 +84,18 @@ def reference_census(family, n):
         key = classify_key(subset, n)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def reference_almost_integral(zonotope):
+    """Ehrhart quasipolynomial of a shifted zonotope the direct way: every
+    echelon-independent generator subset, its volume from the maximal
+    minors, and the lattice test ``chi`` (a fresh saturated kernel) at one
+    dilation per residue class of the shift denominator."""
+    c = zonotope.shift_denominator
+    coeffs = [[0] * (zonotope.dim + 1) for _ in range(c)]
+    for subset in independent_subsets(zonotope.generators, dim=zonotope.dim):
+        volume = relative_volume(subset) if subset else 1
+        for r in range(c):
+            if chi(zonotope.shift, subset, r or c):
+                coeffs[r][len(subset)] += volume
+    return QuasiPolynomial.from_residue_polys(coeffs)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coxeter_ehrhart.egf import (
+    COMPONENT_CACHE_SIZE,
     SEQUENCE_KINDS,
     component_egfs,
     egf_ehrhart_quasipolynomial,
@@ -44,6 +45,11 @@ def test_signed_pseudotree_identity():
     w2 = lambert_w(order).scale_arg(-2)
     rhs = Fraction(1, 2) * comps.pseudotree.scale_arg(2) + Fraction(1, 8) * (w2 * w2)
     assert comps.signed_pseudotree.coeffs == rhs.coeffs
+
+
+def test_component_cache_is_bounded():
+    assert component_egfs.cache_info().maxsize == COMPONENT_CACHE_SIZE
+    assert 0 < COMPONENT_CACHE_SIZE < 1000
 
 
 def test_component_series_have_integer_counts():

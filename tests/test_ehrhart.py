@@ -7,6 +7,7 @@ import pytest
 from coxeter_ehrhart.ehrhart import (
     CENSUS_LIMITS,
     EnumerationLimitError,
+    ForestCensus,
     QuasiPolynomial,
     ZonotopeFormatError,
     ZonotopeSpec,
@@ -23,7 +24,7 @@ from coxeter_ehrhart.egf import component_egfs
 from coxeter_ehrhart.linalg import IntegerEchelon
 from coxeter_ehrhart.roots import positive_roots
 from coxeter_ehrhart.signed_graphs import forest_key, forest_start, forest_step, root_item
-from helpers import classify_key, reference_census
+from helpers import classify_key, reference_almost_integral, reference_census
 
 
 def test_independent_subsets_distinguishes_repeated_generators():
@@ -122,6 +123,22 @@ def test_forest_census_totals():
 
 def test_forest_census_is_cached():
     assert forest_census("C", 3) is forest_census("C", 3)
+
+
+def test_forest_census_counts_are_read_only():
+    census = forest_census("C", 3)
+    key = next(iter(census.counts))
+    with pytest.raises(TypeError):
+        census.counts[key] = 0
+    with pytest.raises(AttributeError):
+        census.counts.clear()
+    assert forest_census("C", 3).counts == reference_census("C", 3)
+    assert ehrhart_integral_coxeter("C", 3).constituents == ((1, 12, 66, 172),)
+    # the census keeps a copy, not the dict it was built from
+    source = {key: 1}
+    built = ForestCensus("C", 3, source)
+    source[key] = 2
+    assert built.counts == {key: 1}
 
 
 @pytest.mark.parametrize(
@@ -229,7 +246,7 @@ def test_coxeter_zonotope_variants():
 
 def test_generic_route_agrees_with_census():
     for family in "ABCD":
-        for n in range(1, 5):
+        for n in range(1, 6):
             for variant in ("standard", "integral"):
                 census = (
                     ehrhart_standard_coxeter(family, n)
@@ -238,6 +255,44 @@ def test_generic_route_agrees_with_census():
                 )
                 generic = ehrhart_almost_integral(coxeter_zonotope(family, n, variant))
                 assert census == generic, (family, n, variant)
+
+
+def test_generic_walk_matches_subset_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def shifted_zonotopes(draw):
+        d = draw(st.integers(1, 5))
+        entries = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        # combinations of at most `rank` spanning vectors: often rank-deficient
+        rank = draw(st.integers(1, d))
+        spanning = draw(st.lists(entries, min_size=rank, max_size=rank))
+        mix = st.lists(st.integers(-1, 1), min_size=rank, max_size=rank)
+        gens = [
+            tuple(sum(m * v[j] for m, v in zip(coeffs, spanning)) for j in range(d))
+            for coeffs in draw(st.lists(mix, max_size=7))
+        ]
+        gens = [g for g in gens if any(g)]
+        if gens:
+            # repeated (factor 1) and parallel copies of drawn generators
+            copy = st.tuples(st.integers(0, len(gens) - 1), st.sampled_from([-2, -1, 1, 2]))
+            copies = draw(st.lists(copy, max_size=2))
+            gens += [tuple(k * x for x in gens[i]) for i, k in copies]
+        den = draw(st.integers(1, 6))
+        shift = [Fraction(draw(st.integers(-2 * den, 2 * den)), den) for _ in range(d)]
+        return ZonotopeSpec.make(gens, shift, dim=d)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(shifted_zonotopes())
+    @hypothesis.example(ZonotopeSpec.make([(1, 0), (1, 0), (-2, 0)], ("1/2", "1/3")))
+    @hypothesis.example(
+        ZonotopeSpec.make([(2, 0, 2), (0, 2, 0), (1, 1, 1), (1, 1, 1)], ("1/6", "1/2", "1/3"))
+    )
+    def check(zonotope):
+        assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope)
+
+    check()
 
 
 def test_period_matches_integrality():

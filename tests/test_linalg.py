@@ -13,6 +13,7 @@ from coxeter_ehrhart.linalg import (
     dot,
     int_vector,
     integer_kernel_basis,
+    kernel_step,
     rank,
     rat_vector,
     relative_volume,
@@ -172,6 +173,40 @@ def test_kernel_basis_orthogonal_and_saturated():
             assert rank(basis, dim=d) == len(basis)
             # saturated: the basis spans the full integer kernel lattice
             assert relative_volume(basis) == 1
+
+
+def test_kernel_step_folds_to_volume_and_saturated_kernel():
+    rng = random.Random(5151)
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        c = rng.randint(1, 6)
+        shift = [Fraction(rng.randint(-2 * c, 2 * c), c) for _ in range(d)]
+        pool = [v for v in (tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(4)) if any(v)]
+        if not pool:
+            continue
+        # parallel and repeated draws make many steps dependent
+        vectors = [tuple(rng.choice((-2, -1, 1, 2)) * x for x in rng.choice(pool)) for _ in range(6)]
+        kernel = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        residues = tuple(int(c * s) % c for s in shift)
+        echelon, chosen, volume = IntegerEchelon(d), [], 1
+        for v in vectors:
+            step = kernel_step(kernel, residues, c, v)
+            extended = echelon.try_add(v)
+            assert (step is None) == (extended is None)
+            if step is None:
+                continue
+            factor, kernel, residues = step
+            echelon, volume = extended, volume * factor
+            chosen.append(v)
+            assert volume == relative_volume(chosen)
+            reference = integer_kernel_basis(chosen, dim=d)
+            assert len(kernel) == len(reference)
+            assert residues == tuple(int(c * dot(f, shift)) % c for f in kernel)
+            if kernel:
+                # both bases lie in the same rational space and both are
+                # saturated, so they span the same lattice
+                assert rank(list(kernel) + reference, dim=d) == len(reference)
+                assert relative_volume(kernel) == 1
 
 
 def test_kernel_basis_of_empty_input_spans_everything():
