@@ -9,8 +9,9 @@ exactly, in three mutually independent ways:
 
 * a census of the pseudoforests hiding inside the root configuration
   (:mod:`~coxeter_ehrhart.ehrhart`),
-* coefficient extraction from exponential generating functions built out
-  of the Lambert W series (:mod:`~coxeter_ehrhart.egf`),
+* coefficient extraction from the exponential generating functions of
+  the connected components, whose counts come in closed form from Cayley's
+  rooted-forest formula (:mod:`~coxeter_ehrhart.egf`),
 * brute-force enumeration of lattice points in a bounding box
   (:mod:`~coxeter_ehrhart.oracle`).
 
@@ -19,10 +20,8 @@ All arithmetic is exact (integers and :class:`fractions.Fraction`).
 
 from .egf import (
     SEQUENCE_KINDS,
-    component_egfs,
+    component_counts,
     egf_ehrhart_quasipolynomial,
-    egf_ehrhart_standard_odd,
-    egf_ehrhart_values,
     structure_counts,
 )
 from .ehrhart import (
@@ -69,7 +68,6 @@ from .roots import (
     standard_shift,
     table_label,
 )
-from .series import RatSeries, lambert_w
 from .signed_graphs import (
     ComponentStats,
     SignedGraph,
@@ -98,7 +96,6 @@ __all__ = [
     "MembershipCertificate",
     "PositiveRootSet",
     "QuasiPolynomial",
-    "RatSeries",
     "SEQUENCE_KINDS",
     "SignedGraph",
     "ZonotopeFormatError",
@@ -107,14 +104,12 @@ __all__ = [
     "brute_force_structures",
     "chi",
     "classify",
-    "component_egfs",
+    "component_counts",
     "count_points",
     "coxeter_zonotope",
     "determinant",
     "dot",
     "egf_ehrhart_quasipolynomial",
-    "egf_ehrhart_standard_odd",
-    "egf_ehrhart_values",
     "ehrhart_almost_integral",
     "ehrhart_integral_coxeter",
     "ehrhart_standard_coxeter",
@@ -125,7 +120,6 @@ __all__ = [
     "int_vector",
     "integer_kernel_basis",
     "is_integral",
-    "lambert_w",
     "load_zonotope_file",
     "negative_edge",
     "negative_loop",

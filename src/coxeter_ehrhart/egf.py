@@ -1,30 +1,36 @@
 """Exponential generating functions for the labeled structures behind the
-permutahedron Ehrhart formulas, the value-by-dimension assemblies, and the
-whole quasipolynomial read off with a marker on tree components.
+permutahedron Ehrhart formulas, and the whole quasipolynomial read off with
+a marker on tree components.
 
-The connected building blocks, with x marking labeled vertices:
+The connected building blocks, with x marking labeled vertices, are counted
+in closed form.  By Cayley's formula rho(n, k) = k n^(n-k-1) forests on n
+labeled vertices are rooted at k given vertices (rho(n, n) = 1), so
 
     tree                   t_n = n^(n-2)
-    pseudotree             connected, one cycle of length >= 3
+    pseudotree             p_n = 1/2 sum_{k>=3} C(n,k) (k-1)! rho(n,k)
     signed tree            st_n = 2^(n-1) n^(n-2)
-    signed pseudotree      connected signed graph, one unbalanced cycle
+    signed pseudotree      sp_n = 2^(n-2) sum_{k>=2} C(n,k) (k-1)! rho(n,k)
     signed halfedge-tree   sh_n = (2n)^(n-1); also counts loop-trees
 
-All formulas are algebraic expressions in the Lambert W series, evaluated
-with exact rational coefficients.
+A pseudotree is a cycle on k >= 3 of its vertices, (k-1)!/2 ways, with a
+forest rooted on the cycle.  A signed pseudotree has one unbalanced cycle
+on k >= 2 vertices (a pair of opposite edges when k = 2).  For k >= 3 half
+of the 2^n signings of its n edges unbalance the cycle, and the two
+directions of the cycle halve that again; for k = 2 the pair's signs are
+fixed and the n - 2 forest edges take any signs.  Either way a directed
+cycle carries 2^(n-2) signings.  The paper writes the same series through
+the Lambert W function; the test suite checks the counts against those
+expressions.  Everything is integer arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import List, Tuple
+from math import comb, factorial
+from typing import List, Sequence, Tuple
 
 from .ehrhart import QuasiPolynomial
 from .roots import is_integral
-from .series import RatSeries, lambert_w
 
 SEQUENCE_KINDS = (
     "tree",
@@ -35,146 +41,100 @@ SEQUENCE_KINDS = (
     "signed_loop_tree",
 )
 
-# Series orders whose component series stay cached.
+# (kind, order) pairs whose component counts stay cached.
 COMPONENT_CACHE_SIZE = 16
 
-_HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
+
+def _rooted_cycles(n: int, shortest: int) -> int:
+    """Directed cycles on k >= shortest of n labeled vertices with a forest
+    rooted on the cycle: sum_k C(n,k) (k-1)! rho(n,k)."""
+    if n < shortest:
+        return 0
+    total = factorial(n - 1)  # k = n, where rho(n, n) = 1
+    for k in range(shortest, n):
+        total += comb(n, k) * factorial(k - 1) * k * n ** (n - k - 1)
+    return total
 
 
-@dataclass(frozen=True)
-class ComponentEgfs:
-    """The five distinct component series (loop-trees share the halfedge
-    series, since a loop-tree is a halfedge-tree with the halfedge doubled)."""
-
-    tree: RatSeries
-    pseudotree: RatSeries
-    signed_tree: RatSeries
-    signed_pseudotree: RatSeries
-    signed_halfedge_tree: RatSeries
-
-    def for_kind(self, kind: str) -> RatSeries:
-        if kind not in SEQUENCE_KINDS:
-            raise ValueError(f"unknown structure kind {kind!r}")
-        if kind == "signed_loop_tree":
-            return self.signed_halfedge_tree
-        return getattr(self, kind)
+def _connected_count(kind: str, n: int) -> int:
+    """Connected structures of the kind on n >= 1 labeled vertices."""
+    if kind in ("tree", "signed_tree"):
+        trees = n ** (n - 2) if n > 1 else 1
+        return trees << (n - 1) if kind == "signed_tree" else trees
+    if kind in ("signed_halfedge_tree", "signed_loop_tree"):
+        return (2 * n) ** (n - 1)
+    if kind == "pseudotree":
+        # each undirected cycle of length >= 3 has two directions
+        directed = _rooted_cycles(n, 3)
+        half, remainder = divmod(directed, 2)
+        if remainder:
+            raise ArithmeticError(f"directed cycle count {directed} on {n} vertices is odd")
+        return half
+    return _rooted_cycles(n, 2) << (n - 2) if n > 1 else 0
 
 
 @lru_cache(maxsize=COMPONENT_CACHE_SIZE)
-def component_egfs(order: int) -> ComponentEgfs:
-    """All component series truncated at the given order."""
+def component_counts(kind: str, order: int) -> Tuple[int, ...]:
+    """m! [x^m] of the kind's component EGF for m = 0..order: the number of
+    connected structures on m labeled vertices (none on zero vertices)."""
+    if kind not in SEQUENCE_KINDS:
+        raise ValueError(f"unknown structure kind {kind!r}")
     if order < 1:
         raise ValueError("order must be at least 1")
-    w = lambert_w(order)
-    wm = w.scale_arg(-1)  # W(-x), with -W(-x) the rooted tree series
-    w2 = w.scale_arg(-2)  # W(-2x)
-    tree = -wm - _HALF * (wm * wm)
-    pseudotree = _HALF * wm - _QUARTER * (wm * wm) - _HALF * wm.log1p()
-    signed_tree = -_HALF * w2 - _QUARTER * (w2 * w2)
-    signed_pseudotree = _QUARTER * (w2 - w2.log1p())
-    signed_halfedge_tree = -_HALF * w2
-    return ComponentEgfs(tree, pseudotree, signed_tree, signed_pseudotree, signed_halfedge_tree)
-
-
-def _as_int(value: Fraction) -> int:
-    if value.denominator != 1:
-        raise ArithmeticError(f"expected an integer value, got {value}")
-    return int(value)
-
-
-def _integer_coefficients(series: RatSeries) -> List[int]:
-    """m! [x^m] for m = 0..order: the labeled counts of an EGF."""
-    return [_as_int(series.egf_value(m)) for m in range(series.order + 1)]
+    return (0,) + tuple(_connected_count(kind, n) for n in range(1, order + 1))
 
 
 def structure_counts(kind: str, nmax: int) -> List[int]:
     """Counts of connected structures on 1..nmax labeled vertices."""
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
-    return _integer_coefficients(component_egfs(nmax).for_kind(kind))[1:]
+    return list(component_counts(kind, nmax)[1:])
 
 
-def _exponent_parts(family: str, order: int, odd: bool) -> Tuple[RatSeries, RatSeries]:
-    """The family's tree series T and the rest R of its exponent.
+# Weight of a halfedge-tree (family B) or loop-tree (family C) component.
+_HALFEDGE_WEIGHT = {"B": 1, "C": 2, "D": 0}
+
+
+def _exponent_parts(family: str, order: int, odd: bool) -> Tuple[Sequence[int], Sequence[int]]:
+    """Counts m! [x^m], m = 0..order, of the family's tree series T and of
+    the rest R of its exponent.
 
     The t-th dilate of the integral permutahedron on n coordinates has
     n! [x^n] exp(T(tx)/t + R(tx)) lattice points: a tree component weighs
     1/t, an unbalanced pseudotree 2, a halfedge-tree 1 (family B), a
     loop-tree 2 (family C).
-    With ``odd`` the tree series keeps only even vertex counts, which is
+    With ``odd`` the tree counts keep only even vertex counts, which is
     the parity obstruction of odd dilates in the half-integral cases.
     """
     if family not in ("A", "B", "C", "D"):
         raise ValueError(f"unknown family {family!r}")
-    comps = component_egfs(order)
     if family == "A":
-        tree, rest = comps.tree, RatSeries.zero(order)
+        tree, rest = component_counts("tree", order), [0] * (order + 1)
     else:
-        tree, rest = comps.signed_tree, 2 * comps.signed_pseudotree
-        if family == "B":
-            rest = rest + comps.signed_halfedge_tree
-        elif family == "C":
-            rest = rest + 2 * comps.signed_halfedge_tree
-    return (tree.even_part() if odd else tree), rest
-
-
-def _check_dilation(t: int, nmax: int) -> None:
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"dilation factor must be a positive integer, got {t!r}")
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
-
-
-def _dilated_counts(family: str, t: int, nmax: int, odd: bool) -> List[int]:
-    tree, rest = _exponent_parts(family, nmax, odd)
-    ts = Fraction(t)
-    return _integer_coefficients(((1 / ts) * tree.scale_arg(ts) + rest.scale_arg(ts)).exp())
-
-
-def egf_ehrhart_values(family: str, t: int, nmax: int) -> List[int]:
-    """Lattice point counts of the dilated integral permutahedra.
-
-    Entry n (for n = 0..nmax) is the count for the family's integral
-    permutahedron on n coordinates, dilated by t.  The whole list comes
-    from one exponential of weighted component series (see
-    :func:`_exponent_parts`).
-    """
-    _check_dilation(t, nmax)
-    return _dilated_counts(family, t, nmax, odd=False)
-
-
-def egf_ehrhart_standard_odd(family: str, t: int, nmax: int) -> List[int]:
-    """Lattice point counts of odd dilates of the standard permutahedra in
-    the half-integral cases (family B, and family A on even coordinate
-    counts).
-
-    Entry n is the count for n coordinates.  Restricting the tree series to
-    even vertex counts implements the parity obstruction: a tree component
-    with an odd vertex count pushes the half-integral shift off the lattice.
-    For family A every structure is a forest of trees, so odd entries of
-    the returned list are zero; only the even entries are meaningful.
-    """
-    _check_dilation(t, nmax)
-    if t % 2 == 0:
-        raise ValueError("this route only covers odd dilation factors")
-    if family in ("C", "D"):
-        raise ValueError("families C and D are integral; the single constituent covers all t")
-    return _dilated_counts(family, t, nmax, odd=True)
+        tree = component_counts("signed_tree", order)
+        weight = _HALFEDGE_WEIGHT[family]
+        rest = [
+            2 * p + weight * h
+            for p, h in zip(
+                component_counts("signed_pseudotree", order),
+                component_counts("signed_halfedge_tree", order),
+            )
+        ]
+    if odd:
+        tree = [c if m % 2 == 0 else 0 for m, c in enumerate(tree)]
+    return tree, rest
 
 
 def _polynomial_by_tree_count(family: str, n: int, odd: bool) -> List[int]:
     """Ascending coefficients of the count on n coordinates as a polynomial
     in t: the coefficient of t^(n-k) is n! [x^n] T^k/k! exp(R).
 
-    Works on integer EGF coefficients.  ``forests[m]`` is m! [x^m] T^k/k!,
-    the number of ways to cover m labeled vertices by k trees.  Multiplying
-    by T adds one more tree, which counts each forest of k + 1 trees k + 1
-    times, so the division by k + 1 is exact.
+    ``forests[m]`` is m! [x^m] T^k/k!, the number of ways to cover m
+    labeled vertices by k trees.  Multiplying by T adds one more tree, which
+    counts each forest of k + 1 trees k + 1 times, so the division by k + 1
+    is exact.
     """
-    tree_series, rest_series = _exponent_parts(family, n, odd)
-    tree = _integer_coefficients(tree_series)
-    rest = _integer_coefficients(rest_series)
+    tree, rest = _exponent_parts(family, n, odd)
     binom = [[comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
     # exp(R) by the integer form of the recurrence E' = R' E
     rest_exp = [1] + [0] * n

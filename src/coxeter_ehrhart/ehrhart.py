@@ -113,6 +113,8 @@ class QuasiPolynomial:
     def from_residue_polys(polys: Sequence[Sequence[int]]) -> "QuasiPolynomial":
         """Build from one coefficient list per residue class, minimizing the
         period by folding equal constituents."""
+        if not polys:
+            raise ValueError("no constituents: need one coefficient list per residue class")
         length = max(1, max(_trimmed_len(p) for p in polys))
         padded = [tuple(p) + (0,) * (length - len(p)) if len(p) < length else tuple(p[:length]) for p in polys]
         c = len(padded)

@@ -14,12 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from coxeter_ehrhart.cli import main as cli_main
-from coxeter_ehrhart.egf import (
-    egf_ehrhart_quasipolynomial,
-    egf_ehrhart_standard_odd,
-    egf_ehrhart_values,
-    structure_counts,
-)
+from coxeter_ehrhart.egf import egf_ehrhart_quasipolynomial, structure_counts
 from coxeter_ehrhart.ehrhart import (
     ZonotopeSpec,
     coxeter_zonotope,
@@ -30,13 +25,18 @@ from coxeter_ehrhart.ehrhart import (
 from coxeter_ehrhart.linalg import chi, rank, relative_volume
 from coxeter_ehrhart.oracle import brute_force_structures, count_points
 from coxeter_ehrhart.roots import is_integral, positive_roots
-from coxeter_ehrhart.series import RatSeries, lambert_w
 from coxeter_ehrhart.signed_graphs import (
     all_tree_components_even,
     classify,
     graph_from_roots,
 )
 from helpers import forest_counts_by_edges
+from series_reference import (
+    RatSeries,
+    egf_ehrhart_standard_odd,
+    egf_ehrhart_values,
+    lambert_w,
+)
 
 
 class _criterion:

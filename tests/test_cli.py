@@ -137,6 +137,23 @@ def test_tables_catch_disagreement(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("table, label", [("table1", "C_3"), ("table2", "B_3")])
+def test_tables_catch_egf_disagreement(capsys, monkeypatch, table, label):
+    real = cli.egf_ehrhart_quasipolynomial
+
+    def skewed(family, n, variant):
+        qp = real(family, n, variant)
+        if f"{family}_{n}" != label:
+            return qp
+        return type(qp).from_residue_polys([c[:-1] + (c[-1] + 1,) for c in qp.constituents])
+
+    monkeypatch.setattr(cli, "egf_ehrhart_quasipolynomial", skewed)
+    code, out = run(capsys, ["tables", table, "--format", "json"])
+    assert code == 1
+    rows = {row["label"]: row["match"] for row in json.loads(out)["rows"]}
+    assert [name for name, match in rows.items() if not match] == [label]
+
+
 def test_zonotope_command(tmp_path, capsys):
     path = tmp_path / "z.json"
     path.write_text('{"generators": [[1, 0], [0, 1], [1, 1]], "shift": ["1/2", 0]}')

@@ -7,15 +7,20 @@ import pytest
 from coxeter_ehrhart.egf import (
     COMPONENT_CACHE_SIZE,
     SEQUENCE_KINDS,
-    component_egfs,
+    component_counts,
     egf_ehrhart_quasipolynomial,
-    egf_ehrhart_standard_odd,
-    egf_ehrhart_values,
     structure_counts,
 )
 from coxeter_ehrhart.ehrhart import ehrhart_integral_coxeter, ehrhart_standard_coxeter
 from coxeter_ehrhart.roots import is_integral
-from coxeter_ehrhart.series import RatSeries, lambert_w
+from series_reference import (
+    RatSeries,
+    _integer_coefficients,
+    component_egfs,
+    egf_ehrhart_standard_odd,
+    egf_ehrhart_values,
+    lambert_w,
+)
 
 
 def one(order):
@@ -47,8 +52,17 @@ def test_signed_pseudotree_identity():
     assert comps.signed_pseudotree.coeffs == rhs.coeffs
 
 
+def test_closed_form_counts_match_lambert_w_series():
+    # the paper's Lambert W expressions, evaluated as rational series, give
+    # the same component counts as the package's closed forms
+    order = 60
+    comps = component_egfs(order)
+    for kind in SEQUENCE_KINDS:
+        assert list(component_counts(kind, order)) == _integer_coefficients(comps.for_kind(kind)), kind
+
+
 def test_component_cache_is_bounded():
-    assert component_egfs.cache_info().maxsize == COMPONENT_CACHE_SIZE
+    assert component_counts.cache_info().maxsize == COMPONENT_CACHE_SIZE
     assert 0 < COMPONENT_CACHE_SIZE < 1000
 
 

@@ -20,11 +20,11 @@ from coxeter_ehrhart.ehrhart import (
     parse_zonotope_document,
     load_zonotope_file,
 )
-from coxeter_ehrhart.egf import component_egfs
 from coxeter_ehrhart.linalg import IntegerEchelon
 from coxeter_ehrhart.roots import positive_roots
 from coxeter_ehrhart.signed_graphs import forest_key, forest_start, forest_step, root_item
 from helpers import classify_key, reference_almost_integral, reference_census
+from series_reference import component_egfs
 
 
 def test_independent_subsets_distinguishes_repeated_generators():
@@ -53,6 +53,47 @@ def test_quasipolynomial_folding():
     assert qp.period == 2
     qp = QuasiPolynomial.from_residue_polys([(1, 2), (0, 2), (0, 2), (1, 2), (0, 2), (0, 2)])
     assert qp.period == 3
+
+
+def test_quasipolynomial_needs_constituents():
+    with pytest.raises(ValueError, match="no constituents"):
+        QuasiPolynomial.from_residue_polys([])
+
+
+def test_quasipolynomial_folding_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def trim(coeffs):
+        coeffs = list(coeffs)
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return coeffs
+
+    def direct(polys, t):
+        return sum(c * t**k for k, c in enumerate(polys[t % len(polys)]))
+
+    constituents = st.lists(st.lists(st.integers(-3, 3), max_size=4), min_size=1, max_size=6)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(constituents, st.integers(0, 3), st.integers(2, 3))
+    def check(polys, zeros, repeats):
+        qp = QuasiPolynomial.from_residue_polys(polys)
+        c = len(polys)
+        # the period is the smallest divisor of c at which the residue
+        # polynomials repeat
+        assert c % qp.period == 0
+        assert all(trim(polys[r]) == trim(qp.constituents[r % qp.period]) for r in range(c))
+        for p in range(1, qp.period):
+            if qp.period % p == 0:
+                assert any(qp.constituents[r] != qp.constituents[r % p] for r in range(qp.period))
+        padded = QuasiPolynomial.from_residue_polys([list(p) + [0] * zeros for p in polys])
+        repeated = QuasiPolynomial.from_residue_polys(polys * repeats)
+        assert padded == repeated == qp
+        for t in range(1, 2 * c * repeats + 1):
+            assert qp.evaluate(t) == padded.evaluate(t) == repeated.evaluate(t) == direct(polys, t)
+
+    check()
 
 
 def test_quasipolynomial_evaluation():

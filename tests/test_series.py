@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from coxeter_ehrhart.series import RatSeries, lambert_w
+from series_reference import RatSeries, lambert_w
 
 
 def one(order):
