@@ -25,7 +25,6 @@ from .egf import (
     structure_counts,
 )
 from .ehrhart import (
-    CENSUS_LIMITS,
     EnumerationLimitError,
     ForestCensus,
     QuasiPolynomial,
@@ -36,20 +35,16 @@ from .ehrhart import (
     ehrhart_integral_coxeter,
     ehrhart_standard_coxeter,
     forest_census,
-    independent_subsets,
     load_zonotope_file,
     parse_zonotope_document,
 )
 from .linalg import (
     IntegerEchelon,
-    chi,
-    determinant,
     dot,
     int_vector,
     integer_kernel_basis,
     rank,
     rat_vector,
-    relative_volume,
 )
 from .oracle import (
     BoxLimitError,
@@ -71,21 +66,16 @@ from .roots import (
 from .signed_graphs import (
     ComponentStats,
     SignedGraph,
-    all_tree_components_even,
     classify,
-    graph_from_roots,
     halfedge,
     negative_edge,
     negative_loop,
     positive_edge,
-    roots_from_graph,
-    vertex_switch,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CENSUS_LIMITS",
     "ComponentStats",
     "DEFAULT_MAX_BOX",
     "BoxLimitError",
@@ -100,23 +90,18 @@ __all__ = [
     "SignedGraph",
     "ZonotopeFormatError",
     "ZonotopeSpec",
-    "all_tree_components_even",
     "brute_force_structures",
-    "chi",
     "classify",
     "component_counts",
     "count_points",
     "coxeter_zonotope",
-    "determinant",
     "dot",
     "egf_ehrhart_quasipolynomial",
     "ehrhart_almost_integral",
     "ehrhart_integral_coxeter",
     "ehrhart_standard_coxeter",
     "forest_census",
-    "graph_from_roots",
     "halfedge",
-    "independent_subsets",
     "int_vector",
     "integer_kernel_basis",
     "is_integral",
@@ -129,11 +114,8 @@ __all__ = [
     "rank",
     "rank_label",
     "rat_vector",
-    "relative_volume",
-    "roots_from_graph",
     "standard_shift",
     "structure_counts",
     "table_label",
-    "vertex_switch",
     "zonotope_contains",
 ]

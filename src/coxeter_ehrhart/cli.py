@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .egf import SEQUENCE_KINDS, egf_ehrhart_quasipolynomial, structure_counts
 from .ehrhart import (
     EnumerationLimitError,
+    QuasiPolynomial,
     ZonotopeFormatError,
     coxeter_zonotope,
     ehrhart_almost_integral,
@@ -324,9 +325,9 @@ def cmd_tables(args) -> int:
         for label, family, n, expected in TABLE1:
             qp = ehrhart_integral_coxeter(family, n)
             match = (
-                qp.period == 1
-                and _same_poly(qp.constituents[0], expected)
-                and egf_ehrhart_quasipolynomial(family, n, "integral") == qp
+                qp
+                == QuasiPolynomial.from_residue_polys([expected])
+                == egf_ehrhart_quasipolynomial(family, n, "integral")
             )
             all_match = all_match and match
             rows.append(
@@ -343,10 +344,9 @@ def cmd_tables(args) -> int:
         for label, family, n, even, odd in TABLE2:
             qp = ehrhart_standard_coxeter(family, n)
             match = (
-                qp.period == 2
-                and _same_poly(qp.constituents[0], even)
-                and _same_poly(qp.constituents[1], odd)
-                and egf_ehrhart_quasipolynomial(family, n, "standard") == qp
+                qp
+                == QuasiPolynomial.from_residue_polys([even, odd])
+                == egf_ehrhart_quasipolynomial(family, n, "standard")
             )
             all_match = all_match and match
             rows.append(
@@ -369,16 +369,6 @@ def cmd_tables(args) -> int:
     )
     emit(doc, args.format)
     return EXIT_OK if all_match else EXIT_MISMATCH
-
-
-def _same_poly(a: Sequence[int], b: Sequence[int]) -> bool:
-    def trim(c):
-        c = list(c)
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    return trim(a) == trim(b)
 
 
 def cmd_zonotope(args) -> int:

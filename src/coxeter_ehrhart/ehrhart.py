@@ -18,19 +18,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from types import MappingProxyType
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import (
-    IntegerEchelon,
-    IntVector,
-    RatVector,
-    common_dim,
-    int_vector,
-    kernel_step,
-    rat_vector,
-)
+from .linalg import IntVector, RatVector, int_vector, kernel_step, rank, rat_vector
 from .roots import is_integral, positive_roots
 from .signed_graphs import forest_key, forest_start, forest_step, root_item
 
@@ -39,12 +31,23 @@ class EnumerationLimitError(RuntimeError):
     """Raised when an exhaustive enumeration would be infeasibly large."""
 
 
-# Hard ceilings for the subset-enumeration routes.  The EGF route covers
-# larger instances; these only gate the exhaustive ones.
-CENSUS_LIMITS = {"A": 8, "B": 6, "C": 6, "D": 6}
-GENERIC_GENERATOR_LIMIT = 28
-# Censuses that stay cached; every (family, n) within CENSUS_LIMITS fits.
+# Ceiling for both subset walks, checked against sum_{k <= rank} C(m, k),
+# which bounds the independent subsets of m generators.  It admits the
+# permutahedra up to A8, B6, C6 and D6; the EGF route covers larger ones.
+SUBSET_BOUND = 2_500_000
+# Censuses that stay cached; the 26 (family, n) within SUBSET_BOUND fit.
 CENSUS_CACHE_SIZE = 32
+
+
+def _check_subset_bound(generators: Sequence[Sequence[int]], dim: int) -> None:
+    """Refuse a subset walk over ``generators`` that SUBSET_BOUND does not cover."""
+    m, r = len(generators), rank(generators, dim=dim)
+    subsets = sum(comb(m, k) for k in range(r + 1))
+    if subsets > SUBSET_BOUND:
+        raise EnumerationLimitError(
+            f"{m} generators of rank {r} allow up to {subsets} independent subsets, "
+            f"above the subset bound of {SUBSET_BOUND}"
+        )
 
 
 @dataclass(frozen=True)
@@ -154,32 +157,6 @@ def _divisors(n: int) -> List[int]:
     return out
 
 
-def independent_subsets(generators: Sequence[Sequence[int]], dim: Optional[int] = None) -> Iterator[Tuple[IntVector, ...]]:
-    """All linearly independent subsets of a generator multiset, the empty
-    set included, in depth-first order of ascending generator index.
-
-    Repeated generators are treated as distinct members, so each copy shows
-    up in its own singleton (two parallel copies never appear together,
-    being dependent).
-    """
-    gens = [int_vector(g) for g in generators]
-    if not gens:
-        yield ()
-        return
-    d = common_dim(gens, dim)
-
-    def walk(start: int, chosen: List[IntVector], echelon: IntegerEchelon):
-        yield tuple(chosen)
-        for i in range(start, len(gens)):
-            extended = echelon.try_add(gens[i])
-            if extended is not None:
-                chosen.append(gens[i])
-                yield from walk(i + 1, chosen, extended)
-                chosen.pop()
-
-    yield from walk(0, [], IntegerEchelon(d))
-
-
 def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     """Ehrhart quasipolynomial of a shifted integer zonotope.
 
@@ -200,11 +177,7 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     ``D = c / gcd(c, q_1, ..., q_m)``, so volumes are summed per
     ``(D, |W|)`` and spread over the residue classes once at the end.
     """
-    if len(zonotope.generators) > GENERIC_GENERATOR_LIMIT:
-        raise EnumerationLimitError(
-            f"{len(zonotope.generators)} generators exceed the subset-enumeration "
-            f"limit of {GENERIC_GENERATOR_LIMIT}"
-        )
+    _check_subset_bound(zonotope.generators, zonotope.dim)
     d = zonotope.dim
     c = zonotope.shift_denominator
     gens = zonotope.generators
@@ -258,12 +231,8 @@ class ForestCensus:
 def forest_census(family: str, n: int) -> ForestCensus:
     """Classify every independent subset of the family's positive roots, in
     one depth-first walk that carries the subset's signed-graph components."""
-    limit = CENSUS_LIMITS.get(family, 0)
     rs = positive_roots(family, n)
-    if n > limit:
-        raise EnumerationLimitError(
-            f"family {family} on {n} coordinates exceeds the enumeration limit ({limit})"
-        )
+    _check_subset_bound(rs.roots, n)
     items = [root_item(r) for r in rs.roots]
     counts: Dict[Tuple[int, int, int, int, int, bool], int] = {}
 

@@ -9,7 +9,6 @@ point.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -133,55 +132,6 @@ def rank(vectors: Sequence[Sequence[int]], dim: Optional[int] = None) -> int:
     return ech.rank
 
 
-def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def relative_volume(vectors: Sequence[Sequence[int]]) -> int:
-    """gcd of the maximal minors of the matrix whose columns are ``vectors``.
-
-    For linearly independent integer vectors this equals the number of
-    lattice points in the half-open parallelepiped they span, counted in
-    the lattice of their linear span.  The empty set is rejected; callers
-    treat it as contributing 1 to Ehrhart sums.
-    """
-    vecs = [int_vector(v) for v in vectors]
-    if not vecs:
-        raise ValueError("relative volume of the empty set is undefined")
-    d = common_dim(vecs)
-    k = len(vecs)
-    if rank(vecs) != k:
-        raise ValueError("vectors are linearly dependent")
-    g = 0
-    for rows in combinations(range(d), k):
-        minor = determinant([[vecs[j][i] for j in range(k)] for i in rows])
-        g = gcd(g, minor)
-        if g == 1:
-            return 1
-    return g
-
-
 def integer_kernel_basis(vectors: Sequence[Sequence[int]], dim: Optional[int] = None) -> List[IntVector]:
     """Lattice basis of all integer vectors orthogonal to every input.
 
@@ -260,20 +210,3 @@ def kernel_step(
         nonzero = [i for i in nonzero if a[i]]
     p = nonzero[0]
     return abs(a[p]), tuple(basis[:p] + basis[p + 1 :]), tuple(res[:p] + res[p + 1 :])
-
-
-def chi(v: Sequence, vectors: Sequence[Sequence[int]], t: int) -> int:
-    """1 if the affine flat ``t*v + span(vectors)`` meets the integer lattice.
-
-    Decided by duality: the flat meets ``Z^d`` exactly when ``<f, t*v>`` is an
-    integer for every ``f`` in a saturated basis of the integer vectors
-    orthogonal to ``span(vectors)``.
-    """
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"dilation factor must be a positive integer, got {t!r}")
-    shift = rat_vector(v)
-    basis = integer_kernel_basis(vectors, dim=len(shift))
-    for f in basis:
-        if (t * dot(f, shift)).denominator != 1:
-            return 0
-    return 1

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 from .egf import SEQUENCE_KINDS
 from .ehrhart import EnumerationLimitError, ZonotopeSpec
-from .linalg import dot, int_vector, integer_kernel_basis, rank
+from .linalg import dot, int_vector, integer_kernel_basis
 from .signed_graphs import (
     SignedGraph,
     classify,
@@ -68,16 +68,13 @@ def _geometry(zonotope: ZonotopeSpec):
     gens = zonotope.generators
     d = zonotope.dim
     kernel = tuple(integer_kernel_basis(gens, dim=d))
-    r = rank(gens, dim=d)
+    r = d - len(kernel)
     normals = {}
     for picked in combinations(range(len(gens)), r - 1) if r else ():
-        subset = [gens[i] for i in picked]
-        if rank(subset, dim=d) != r - 1:
-            continue
-        line = integer_kernel_basis(list(subset) + list(kernel), dim=d)
-        if len(line) != 1:
-            raise AssertionError("hyperplane normal is not one-dimensional")
-        normals[line[0]] = None
+        # a dependent subset leaves a kernel of two or more vectors
+        line = integer_kernel_basis([gens[i] for i in picked] + list(kernel), dim=d)
+        if len(line) == 1:
+            normals[line[0]] = None
     facets = []
     for h in normals:
         for sign in (1, -1):

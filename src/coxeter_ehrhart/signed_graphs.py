@@ -16,9 +16,7 @@ occur because the edge container is a set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple
-
-from .linalg import IntVector
+from typing import FrozenSet, Optional, Tuple
 
 POS = "pos"
 NEG = "neg"
@@ -99,28 +97,6 @@ class ComponentStats:
         return self.tc + self.hc + self.lc + self.pc
 
 
-def graph_from_roots(roots: Sequence[IntVector], n: Optional[int] = None) -> SignedGraph:
-    """Encode a set of classical positive roots as a signed graph.
-
-    ``n`` is inferred from the vectors when any are given.  Duplicate roots
-    are rejected; they would silently collapse in the edge set.
-    """
-    vecs = [tuple(v) for v in roots]
-    if n is None:
-        if not vecs:
-            raise ValueError("vertex count is required for an empty root list")
-        n = len(vecs[0])
-    items = []
-    for vec in vecs:
-        if len(vec) != n:
-            raise ValueError(f"dimension mismatch: {len(vec)} vs {n}")
-        items.append(root_item(vec))
-    edges = frozenset(items)
-    if len(edges) != len(items):
-        raise ValueError("duplicate roots in input")
-    return SignedGraph(n, edges)
-
-
 def root_item(vec) -> Tuple:
     """The signed-graph item of one classical positive root."""
     support = [(i, e) for i, e in enumerate(vec, start=1) if e]
@@ -198,31 +174,6 @@ def forest_step(state: Tuple, item: Tuple) -> Optional[Tuple]:
     size = size[:]
     size[cu] = a + b
     return (comp, pot, size, extra, edges + 1, hc, lc, pc, odd)
-
-
-_KIND_ORDER = {POS: 0, NEG: 1, HALF: 2, LOOP: 2}
-
-
-def roots_from_graph(graph: SignedGraph) -> Tuple[IntVector, ...]:
-    """Decode a signed graph back to positive root vectors, in the standard
-    order (differences, then sums, then singles/doubles)."""
-    n = graph.n
-    out = []
-    for item in sorted(graph.edges, key=lambda e: (_KIND_ORDER[e[0]], e[1:])):
-        kind = item[0]
-        if kind == POS:
-            _, i, j = item
-            out.append(tuple(1 if k == i - 1 else (-1 if k == j - 1 else 0) for k in range(n)))
-        elif kind == NEG:
-            _, i, j = item
-            out.append(tuple(1 if k in (i - 1, j - 1) else 0 for k in range(n)))
-        elif kind == HALF:
-            _, j = item
-            out.append(tuple(1 if k == j - 1 else 0 for k in range(n)))
-        else:
-            _, j = item
-            out.append(tuple(2 if k == j - 1 else 0 for k in range(n)))
-    return tuple(out)
 
 
 def classify(graph: SignedGraph) -> Optional[ComponentStats]:
@@ -319,35 +270,3 @@ def _unique_cycle_is_balanced(vertices, edges) -> bool:
     extra = next(i for i in range(len(edges)) if i not in used)
     u, v, sign = edges[extra]
     return potential[u] * potential[v] * sign == 1
-
-
-def all_tree_components_even(graph: SignedGraph) -> bool:
-    """Whether every tree component has an even number of vertices.
-
-    Components that carry a halfedge, loop, or unbalanced cycle do not
-    count as tree components; graphs that are not pseudoforests are
-    rejected.
-    """
-    stats = classify(graph)
-    if stats is None:
-        raise ValueError("graph is not a pseudoforest")
-    return stats.all_trees_even
-
-
-def vertex_switch(graph: SignedGraph, m: int) -> SignedGraph:
-    """Switch the graph at vertex ``m``: flip the sign of every ordinary
-    edge incident to ``m``.  Halfedges and loops are unchanged (in root
-    language they change sign, which does not move their spanned line).
-    Switching preserves cycle balance, so it maps pseudoforests to
-    pseudoforests with the same component census."""
-    _check_vertex(m)
-    if m > graph.n:
-        raise ValueError(f"vertex {m} out of range for n={graph.n}")
-    flipped = []
-    for item in graph.edges:
-        kind = item[0]
-        if kind in (POS, NEG) and m in item[1:]:
-            flipped.append((NEG if kind == POS else POS, item[1], item[2]))
-        else:
-            flipped.append(item)
-    return SignedGraph(graph.n, frozenset(flipped))

@@ -22,15 +22,17 @@ from coxeter_ehrhart.ehrhart import (
     ehrhart_integral_coxeter,
     ehrhart_standard_coxeter,
 )
-from coxeter_ehrhart.linalg import chi, rank, relative_volume
+from coxeter_ehrhart.linalg import rank
 from coxeter_ehrhart.oracle import brute_force_structures, count_points
 from coxeter_ehrhart.roots import is_integral, positive_roots
-from coxeter_ehrhart.signed_graphs import (
+from coxeter_ehrhart.signed_graphs import classify
+from helpers import (
     all_tree_components_even,
-    classify,
+    chi,
+    forest_counts_by_edges,
     graph_from_roots,
+    relative_volume,
 )
-from helpers import forest_counts_by_edges
 from series_reference import (
     RatSeries,
     egf_ehrhart_standard_odd,

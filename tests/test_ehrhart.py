@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from coxeter_ehrhart.ehrhart import (
-    CENSUS_LIMITS,
     EnumerationLimitError,
     ForestCensus,
     QuasiPolynomial,
@@ -16,14 +15,13 @@ from coxeter_ehrhart.ehrhart import (
     ehrhart_integral_coxeter,
     ehrhart_standard_coxeter,
     forest_census,
-    independent_subsets,
     parse_zonotope_document,
     load_zonotope_file,
 )
 from coxeter_ehrhart.linalg import IntegerEchelon
 from coxeter_ehrhart.roots import positive_roots
 from coxeter_ehrhart.signed_graphs import forest_key, forest_start, forest_step, root_item
-from helpers import classify_key, reference_almost_integral, reference_census
+from helpers import classify_key, independent_subsets, reference_almost_integral, reference_census
 from series_reference import component_egfs
 
 
@@ -223,10 +221,11 @@ def test_forest_census_total_beyond_reference_range():
 
 
 def test_census_limit_guard():
+    # B7 allows up to 102,022,810 independent subsets and A9 40,999,516
     with pytest.raises(EnumerationLimitError):
-        forest_census("B", CENSUS_LIMITS["B"] + 1)
+        forest_census("B", 7)
     with pytest.raises(EnumerationLimitError):
-        ehrhart_integral_coxeter("A", CENSUS_LIMITS["A"] + 1)
+        ehrhart_integral_coxeter("A", 9)
 
 
 def test_integral_census_matches_reference_rows():
@@ -406,6 +405,9 @@ def test_load_zonotope_file(tmp_path):
 
 
 def test_generator_count_guard():
-    generators = [(1, 0)] * 29
+    # the bound counts subsets up to the rank: 28 unit vectors allow 2^28
+    units = [tuple(int(i == j) for j in range(28)) for i in range(28)]
     with pytest.raises(EnumerationLimitError):
-        ehrhart_almost_integral(ZonotopeSpec.make(generators))
+        ehrhart_almost_integral(ZonotopeSpec.make(units))
+    # while 29 parallel copies allow only the empty set and 29 singletons
+    assert ehrhart_almost_integral(ZonotopeSpec.make([(1, 0)] * 29)).constituents == ((1, 29),)

@@ -8,17 +8,14 @@ import pytest
 
 from coxeter_ehrhart.linalg import (
     IntegerEchelon,
-    chi,
-    determinant,
     dot,
     int_vector,
     integer_kernel_basis,
     kernel_step,
     rank,
     rat_vector,
-    relative_volume,
 )
-from helpers import count_parallelepiped_points
+from helpers import chi, count_parallelepiped_points, determinant, relative_volume
 
 
 def test_int_vector_rejects_fractions():

@@ -93,10 +93,14 @@ def test_count_agrees_with_membership_scan():
         ZonotopeSpec.make([(1, 0), (1, 2), (0, 1)], shift=("1/2", "1/3")),
         ZonotopeSpec.make([], shift=("1/3", 2), dim=2),
         ZonotopeSpec.make([(2, 4), (-1, -2), (1, 2)], shift=("1/2", 1)),
+        # the (rank-1)-subset {(1,0,0), (2,0,0)} spans no hyperplane
+        ZonotopeSpec.make([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)], shift=("1/2", 0, "1/3")),
     ]
     for spec in specs:
         for t in (1, 2, 3):
             assert count_points(spec, t) == _membership_scan(spec, t), (spec, t)
+            # both scans read the facets of _geometry; the formula does not
+            assert count_points(spec, t) == ehrhart_almost_integral(spec).evaluate(t), (spec, t)
 
 
 def test_count_matches_membership_and_formula_on_random_zonotopes():

@@ -5,17 +5,21 @@ import random
 
 import pytest
 
-from coxeter_ehrhart.linalg import chi, rank, relative_volume
+from coxeter_ehrhart.linalg import rank
 from coxeter_ehrhart.roots import is_integral, positive_roots
 from coxeter_ehrhart.signed_graphs import (
     SignedGraph,
-    all_tree_components_even,
     classify,
-    graph_from_roots,
     halfedge,
     negative_edge,
     negative_loop,
     positive_edge,
+)
+from helpers import (
+    all_tree_components_even,
+    chi,
+    graph_from_roots,
+    relative_volume,
     roots_from_graph,
     vertex_switch,
 )
