@@ -131,7 +131,7 @@ class QuasiPolynomial:
         return len(self.constituents[0]) - 1
 
     def constituent_for(self, t: int) -> Tuple[int, ...]:
-        if not isinstance(t, int) or t < 1:
+        if isinstance(t, bool) or not isinstance(t, int) or t < 1:
             raise ValueError(f"dilation factor must be a positive integer, got {t!r}")
         return self.constituents[t % self.period]
 

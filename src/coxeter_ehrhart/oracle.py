@@ -1,10 +1,10 @@
 """Brute-force ground truth, kept independent of the formula routes.
 
 Membership in a dilated zonotope is decided from first principles (affine
-hull plus facet inequalities), lattice points are counted by scanning a
-bounding box, and small labeled structures are counted by direct
-enumeration.  These are the oracles the closed-form routes are tested
-against; none of them consult the Ehrhart formulas.
+hull plus facet inequalities), lattice points are counted by scanning the
+free coordinates a line at a time, and small labeled structures are
+counted by direct enumeration.  These are the oracles the closed-form
+routes are tested against; none of them consult the Ehrhart formulas.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import ceil, floor, lcm
+from itertools import combinations
+from math import ceil, floor, gcd, lcm
 from typing import Optional, Tuple
 
 from .egf import SEQUENCE_KINDS
 from .ehrhart import EnumerationLimitError, ZonotopeSpec
-from .linalg import dot, int_vector, integer_kernel_basis
+from .linalg import IntegerEchelon, dot, int_vector, integer_kernel_basis
 from .signed_graphs import (
     SignedGraph,
     classify,
@@ -29,7 +29,8 @@ from .signed_graphs import (
 )
 
 DEFAULT_MAX_BOX = 10_000_000
-# Zonotopes whose facet data stay cached; one CLI run needs a single entry.
+# Zonotopes whose facet data stay cached; one count needs one entry per
+# free coordinate (the zonotope and its projections).
 GEOMETRY_CACHE_SIZE = 128
 
 
@@ -83,6 +84,11 @@ def _geometry(zonotope: ZonotopeSpec):
     return kernel, tuple(facets)
 
 
+def _check_dilation(t) -> None:
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
+        raise ValueError(f"dilation factor must be a positive integer, got {t!r}")
+
+
 def zonotope_contains(zonotope: ZonotopeSpec, t: int, point) -> MembershipCertificate:
     """Whether an integer point lies in the t-th dilate of the zonotope.
 
@@ -93,8 +99,7 @@ def zonotope_contains(zonotope: ZonotopeSpec, t: int, point) -> MembershipCertif
     This is the reference that the integer scan of :func:`count_points` is
     tested against.
     """
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"dilation factor must be a positive integer, got {t!r}")
+    _check_dilation(t)
     p = int_vector(point)
     if len(p) != zonotope.dim:
         raise ValueError(f"point has dimension {len(p)}, expected {zonotope.dim}")
@@ -113,18 +118,27 @@ def zonotope_contains(zonotope: ZonotopeSpec, t: int, point) -> MembershipCertif
 
 
 def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX) -> int:
-    """Number of lattice points in the t-th dilate, by exhaustive scan.
+    """Number of lattice points in the t-th dilate, counted line by line.
 
     Every point of the dilate satisfies, coordinate by coordinate,
     ``t*shift_i + t*sum_g min(g_i, 0) <= x_i <= t*shift_i + t*sum_g
-    max(g_i, 0)``, so scanning that box is exhaustive.  Each point gets the
-    membership test of :func:`zonotope_contains` in integer form: the
-    affine data are scaled by the denominator of ``t*shift``.  Aborts with
-    :class:`BoxLimitError` when the box holds more than ``max_box`` points.
+    max(g_i, 0)``.  Aborts with :class:`BoxLimitError` when that bounding box
+    holds more than ``max_box`` points, although the scan visits far fewer.
+
+    The kernel rows of :func:`_geometry` fix ``d - rank`` dependent
+    coordinates as an integer affine function of the ``rank`` free ones
+    (over one common denominator), so only free coordinates are scanned.
+    All free coordinates but the widest, the line coordinate, run over the
+    lattice points of the projections of the dilate onto their prefixes.
+    On each line, integrality of the dependent coordinates is a congruence
+    on the line coordinate and every facet inequality bounds it from one
+    side, so the line adds the number of terms of an arithmetic progression
+    in an interval.  All arithmetic is exact ``int``;
+    :func:`zonotope_contains` is the rational reference for the same
+    membership test.
     """
-    if not isinstance(t, int) or t < 1:
-        raise ValueError(f"dilation factor must be a positive integer, got {t!r}")
-    ranges = []
+    _check_dilation(t)
+    lows, highs = [], []
     volume = 1
     for i in range(zonotope.dim):
         base = t * zonotope.shift[i]
@@ -132,32 +146,154 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
         high = floor(base + t * sum(max(g[i], 0) for g in zonotope.generators))
         if low > high:
             return 0
-        ranges.append(range(low, high + 1))
+        lows.append(low)
+        highs.append(high)
         volume *= high - low + 1
         if volume > max_box:
             raise BoxLimitError(
                 f"bounding box holds {volume}+ points, above the limit of {max_box}"
             )
     kernel, facets = _geometry(zonotope)
-    den = lcm(*((t * s).denominator for s in zonotope.shift))
-    shifted = tuple(int(den * t * s) for s in zonotope.shift)
-    kernel_rows = [(f, dot(f, shifted)) for f in kernel]
-    facet_rows = [(h, dot(h, shifted) + den * t * s) for h, s in facets]
-    count = 0
-    for p in product(*ranges):
-        ok = True
-        for f, rhs in kernel_rows:
-            if den * dot(f, p) != rhs:
-                ok = False
-                break
-        if ok:
-            for h, bound in facet_rows:
-                if den * dot(h, p) > bound:
-                    ok = False
-                    break
-        if ok:
-            count += 1
-    return count
+    if len(kernel) == zonotope.dim:
+        # no generators: the box is the single point t*shift, and it is integral
+        return 1
+    target = tuple(t * s for s in zonotope.shift)
+    dependent, outer, line = _pivot_coordinates(kernel, [h - l + 1 for l, h in zip(lows, highs)])
+    free = outer + [line]
+    den, solved = _solve_dependent(kernel, dependent, free, target)
+
+    # Scan level i runs x_free[i] between the bounds of its rows, each an
+    # inequality "coeffs . x_free <= rhs" whose last nonzero coefficient is
+    # on free[i].  An outer level reads the facets of the projection of the
+    # dilate onto free[:i+1]; the line reads the facets of the dilate, with
+    # x_J solved and scaled by den.  The projections are exact, so a row
+    # without weight on its level's coordinate never cuts and is dropped.
+    levels = []
+    for i in range(len(outer)):
+        coords = free[: i + 1]
+        shadow = [tuple(g[c] for c in coords) for g in zonotope.generators]
+        shadow_facets = _geometry(ZonotopeSpec.make([g for g in shadow if any(g)], dim=i + 1))[1]
+        padding = (0,) * (len(free) - i - 1)
+        levels.append(
+            [
+                (h + padding, floor(dot(h, [target[c] for c in coords]) + t * positive_sum))
+                for h, positive_sum in shadow_facets
+            ]
+        )
+    line_rows = []
+    for h, positive_sum in facets:
+        coeffs = tuple(
+            den * h[f] + sum(h[j] * row[c] for j, row in zip(dependent, solved))
+            for c, f in enumerate(free)
+        )
+        constant = sum(h[j] * row[-1] for j, row in zip(dependent, solved))
+        line_rows.append((coeffs, floor(den * (dot(h, target) + t * positive_sum)) - constant))
+    levels.append(line_rows)
+    # x_J is integral when "solved . (x_free, 1) == 0 (mod den)"; its value
+    # carries -(constant + outer part) for the congruence on the line.
+    congruences = [(row[:-1], -row[-1]) for row in solved] if den > 1 else []
+
+    # One list of right-hand sides, level by level with upper bounds first:
+    # each level reads its own rows and subtracts its coordinate from the rest.
+    bounds, rows = [], []
+    for i, level in enumerate(levels):
+        ups = [row for row in level if row[0][i] > 0]
+        downs = [row for row in level if row[0][i] < 0]
+        bounds.append((len(ups) + len(downs), [row[0][i] for row in ups], [-row[0][i] for row in downs]))
+        rows += ups + downs
+    rows += congruences
+    start = [rhs for _, rhs in rows]
+    steps = []
+    for i in range(len(outer)):
+        rows = rows[bounds[i][0] :]
+        steps.append([row[0][i] for row in rows])
+    solvers = []
+    for coeffs, _ in congruences:
+        g = gcd(coeffs[-1], den)
+        solvers.append((g, pow(coeffs[-1] // g, -1, den // g), den // g))
+
+    def scan(level, values):
+        used, ups, downs = bounds[level]
+        coordinate = free[level]
+        hi = min([highs[coordinate]] + [v // c for v, c in zip(values, ups)])
+        lo = max([lows[coordinate]] + [-(v // c) for v, c in zip(values[len(ups) :], downs)])
+        values = values[used:]
+        if level < len(outer):
+            step = steps[level]
+            return sum(
+                scan(level + 1, [v - s * y for v, s in zip(values, step)])
+                for y in range(lo, hi + 1)
+            )
+        if lo > hi:
+            return 0
+        a, m = 0, 1
+        for v, (g, inverse, n) in zip(values, solvers):
+            if v % g:
+                return 0
+            met = _meet(a, m, v // g * inverse % n, n)
+            if met is None:
+                return 0
+            a, m = met
+        return (hi - a) // m - (lo - 1 - a) // m
+
+    return scan(0, start)
+
+
+def _pivot_coordinates(kernel, widths):
+    """Dependent coordinates J, outer free coordinates and the line coordinate.
+
+    J indexes kernel columns with a nonzero minor, so the kernel equations
+    solve for x_J.  Taking columns greedily from the widest range down gives
+    the basis J of the column matroid with the largest product of ranges;
+    the line is then the widest free coordinate.  Together they leave outer
+    coordinates with the smallest product of ranges: the outer coordinates
+    are an independent set of the dual matroid, the lightest of their size
+    by log-range, and greedy finds those too.
+    """
+    k = len(kernel)
+    echelon, dependent, free = IntegerEchelon(k), [], []
+    for i in sorted(range(len(widths)), key=lambda i: -widths[i]):
+        grown = echelon.try_add([f[i] for f in kernel]) if echelon.rank < k else None
+        if grown is None:
+            free.append(i)
+        else:
+            echelon = grown
+            dependent.append(i)
+    return dependent, free[1:], free[0]
+
+
+def _solve_dependent(kernel, dependent, free, target):
+    """The kernel equations ``<f, x> = <f, target>`` solved for x_J.
+
+    Returns ``(den, rows)`` with ``den * x_J[i] = sum_c rows[i][c] *
+    x_free[c] + rows[i][-1]``: one Gauss-Jordan elimination over
+    ``Fraction``, cleared to the common denominator ``den``.
+    """
+    k = len(dependent)
+    rows = [
+        [Fraction(f[j]) for j in dependent] + [Fraction(-f[i]) for i in free] + [dot(f, target)]
+        for f in kernel
+    ]
+    for col in range(k):
+        p = next(i for i in range(col, k) if rows[i][col])
+        rows[col], rows[p] = rows[p], rows[col]
+        rows[col] = [e / rows[col][col] for e in rows[col]]
+        for i in range(k):
+            if i != col and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[col])]
+    den = lcm(1, *(e.denominator for row in rows for e in row[k:]))
+    return den, [[int(e * den) for e in row[k:]] for row in rows]
+
+
+def _meet(a: int, m: int, b: int, n: int) -> Optional[Tuple[int, int]]:
+    """The class ``x = a (mod m)`` and ``x = b (mod n)`` as one, or None."""
+    g = gcd(m, n)
+    if (b - a) % g:
+        return None
+    step = n // g
+    a += m * ((b - a) // g * pow(m // g, -1, step) % step)
+    return a % (m * step), m * step
 
 
 UNSIGNED_STRUCTURE_MAX = 5

@@ -95,6 +95,14 @@ def test_count_agrees_with_membership_scan():
         ZonotopeSpec.make([(2, 4), (-1, -2), (1, 2)], shift=("1/2", 1)),
         # the (rank-1)-subset {(1,0,0), (2,0,0)} spans no hyperplane
         ZonotopeSpec.make([(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)], shift=("1/2", 0, "1/3")),
+        # rank 2 in Z^4 and rank 1 in Z^3: two dependent coordinates
+        ZonotopeSpec.make([(1, 1, 0, 0), (0, 1, 1, 2)], shift=("1/2", 0, 0, "1/3")),
+        ZonotopeSpec.make([(1, 2, -1)], shift=(0, "1/2", 0)),
+        # kernel (2, 4, -1): the dependent coordinate's minor is 4, so the
+        # line coordinate must satisfy a congruence mod 4 that some lines miss
+        ZonotopeSpec.make([(-2, 1, 0), (-1, 1, 2)]),
+        # the facets with normals e_0 and e_1 have zero weight on the line x_2
+        ZonotopeSpec.make([(1, 0, 0), (0, 1, 0), (0, 0, 3), (1, 1, 0)], shift=("1/2", 0, "1/3")),
     ]
     for spec in specs:
         for t in (1, 2, 3):
@@ -125,6 +133,45 @@ def test_count_matches_membership_and_formula_on_random_zonotopes():
         assert count_points(spec, t) == _membership_scan(spec, t) == expected
 
     check()
+
+
+def test_count_matches_formula_in_dimensions_four_and_five():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def zonotopes(draw):
+        d = draw(st.integers(4, 5))
+        entry = st.integers(-2, 2)
+        generator = st.tuples(*[entry] * d).filter(any)
+        gens = draw(st.lists(generator, max_size=6))
+        shift = [
+            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in range(d)
+        ]
+        return ZonotopeSpec.make(gens, shift=shift, dim=d)
+
+    # the rational membership scan is too slow here; the formula is not
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(zonotopes(), st.integers(1, 3))
+    def check(spec, t):
+        assert count_points(spec, t) == ehrhart_almost_integral(spec).evaluate(t)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: count_points(spec, True),
+        lambda spec: zonotope_contains(spec, True, (0, 0)),
+        lambda spec: ehrhart_standard_coxeter("B", 2).evaluate(True),
+    ],
+    ids=["count_points", "zonotope_contains", "QuasiPolynomial.evaluate"],
+)
+def test_bool_dilation_is_rejected(call):
+    spec = coxeter_zonotope("B", 2, "standard")
+    with pytest.raises(ValueError, match="dilation factor must be a positive integer, got True"):
+        call(spec)
 
 
 def test_box_limit_guard():
