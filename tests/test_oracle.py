@@ -150,11 +150,14 @@ def test_count_matches_formula_in_dimensions_four_and_five():
         ]
         return ZonotopeSpec.make(gens, shift=shift, dim=d)
 
-    # the rational membership scan is too slow here; the formula is not
+    # The rational membership scan is too slow here; the formula is not.
+    # Bounding boxes reach 37^5 points, above the default guard, but the
+    # line scan visits only the lattice points of the projections.
     @hypothesis.settings(max_examples=30, deadline=None)
     @hypothesis.given(zonotopes(), st.integers(1, 3))
     def check(spec, t):
-        assert count_points(spec, t) == ehrhart_almost_integral(spec).evaluate(t)
+        expected = ehrhart_almost_integral(spec).evaluate(t)
+        assert count_points(spec, t, max_box=37**5) == expected
 
     check()
 
