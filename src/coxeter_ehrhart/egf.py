@@ -26,7 +26,7 @@ expressions.  Everything is integer arithmetic.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, perm
 from typing import List, Sequence, Tuple
 
 from .ehrhart import QuasiPolynomial
@@ -47,13 +47,13 @@ COMPONENT_CACHE_SIZE = 16
 
 def _rooted_cycles(n: int, shortest: int) -> int:
     """Directed cycles on k >= shortest of n labeled vertices with a forest
-    rooted on the cycle: sum_k C(n,k) (k-1)! rho(n,k)."""
-    if n < shortest:
-        return 0
-    total = factorial(n - 1)  # k = n, where rho(n, n) = 1
-    for k in range(shortest, n):
-        total += comb(n, k) * factorial(k - 1) * k * n ** (n - k - 1)
-    return total
+    rooted on the cycle: sum_k C(n,k) (k-1)! rho(n,k), whose terms are
+    n!/(n-k)! n^(n-k-1).  Horner's rule in n sums the falling factorials."""
+    total, falling = 0, perm(n, shortest - 1)
+    for k in range(shortest, n + 1):
+        falling *= n - k + 1
+        total = total * n + falling
+    return total // n
 
 
 def _connected_count(kind: str, n: int) -> int:

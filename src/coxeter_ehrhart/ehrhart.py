@@ -9,7 +9,8 @@ of ``span(W)^perp``, the shift's pairings with that basis (as integers mod
 the shift denominator) and ``vol(W)``.  The census route is specific to the
 classical permutahedra: it tabulates the signed-graph forest census of the
 positive roots and reads the coefficients off the component counts, in one
-depth-first walk that carries the subset's signed-graph components.
+depth-first walk that carries the subset's signed-graph components.  Both
+walks score the bases from the ``rank - 1`` level instead of building them.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import IntVector, RatVector, int_vector, kernel_step, rank, rat_vector
+from .linalg import IntVector, RatVector, int_vector, integer_kernel_basis, kernel_step, rank, rat_vector
 from .roots import is_integral, positive_roots
-from .signed_graphs import forest_key, forest_start, forest_step, root_item
+from .signed_graphs import forest_key, forest_start, forest_step, forest_step_key, root_item
 
 
 class EnumerationLimitError(RuntimeError):
@@ -39,8 +41,9 @@ SUBSET_BOUND = 2_500_000
 CENSUS_CACHE_SIZE = 32
 
 
-def _check_subset_bound(generators: Sequence[Sequence[int]], dim: int) -> None:
-    """Refuse a subset walk over ``generators`` that SUBSET_BOUND does not cover."""
+def _check_subset_bound(generators: Sequence[Sequence[int]], dim: int) -> int:
+    """Refuse a subset walk over ``generators`` that SUBSET_BOUND does not
+    cover; return their rank."""
     m, r = len(generators), rank(generators, dim=dim)
     subsets = sum(comb(m, k) for k in range(r + 1))
     if subsets > SUBSET_BOUND:
@@ -48,6 +51,7 @@ def _check_subset_bound(generators: Sequence[Sequence[int]], dim: int) -> None:
             f"{m} generators of rank {r} allow up to {subsets} independent subsets, "
             f"above the subset bound of {SUBSET_BOUND}"
         )
+    return r
 
 
 @dataclass(frozen=True)
@@ -175,18 +179,24 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     it dependent.  The flat ``t*shift + span(W)`` meets Z^d exactly when
     every ``t*q_i/c`` is an integer, that is when ``D | t`` for
     ``D = c / gcd(c, q_1, ..., q_m)``, so volumes are summed per
-    ``(D, |W|)`` and spread over the residue classes once at the end.
+    ``(D, |W|)`` and spread over the residue classes once at the end.  At
+    ``|W| = rank - 1`` a generator with pairings ``a_i = <f_i, g>`` not all
+    0 completes a basis of volume ``vol(W) * gcd(a)``, and every basis has
+    the gate D of the generators' full span, so bases are never built.
     """
-    _check_subset_bound(zonotope.generators, zonotope.dim)
-    d = zonotope.dim
+    gens, d = zonotope.generators, zonotope.dim
+    last = _check_subset_bound(gens, d) - 1
     c = zonotope.shift_denominator
-    gens = zonotope.generators
+    residues = tuple(s.numerator * (c // s.denominator) % c for s in zonotope.shift)
+    full = (c // gcd(c, *(sum(map(mul, f, residues)) for f in integer_kernel_basis(gens, d))), last + 1)
     volumes: Dict[Tuple[int, int], int] = {}
 
     def walk(start: int, size: int, kernel: Tuple, residues: Tuple, volume: int) -> None:
         key = (c // gcd(c, *residues), size)
         volumes[key] = volumes.get(key, 0) + volume
-        if not kernel:
+        if size == last:
+            gcds = (gcd(*(sum(map(mul, f, g)) for f in kernel)) for g in gens[start:])
+            volumes[full] = volumes.get(full, 0) + volume * sum(gcds)
             return
         for i in range(start, len(gens)):
             step = kernel_step(kernel, residues, c, gens[i])
@@ -195,7 +205,6 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
                 walk(i + 1, size + 1, extended, extended_residues, volume * factor)
 
     identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    residues = tuple(s.numerator * (c // s.denominator) % c for s in zonotope.shift)
     walk(0, 0, identity, residues, 1)
     coeffs = [[0] * (d + 1) for _ in range(c)]
     for (period, size), volume in volumes.items():
@@ -230,15 +239,23 @@ class ForestCensus:
 @lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def forest_census(family: str, n: int) -> ForestCensus:
     """Classify every independent subset of the family's positive roots, in
-    one depth-first walk that carries the subset's signed-graph components."""
+    one depth-first walk that carries the subset's signed-graph components.
+    A subset of ``rank - 1`` roots scores each later root with
+    ``forest_step_key``, so bases are counted but never built."""
     rs = positive_roots(family, n)
-    _check_subset_bound(rs.roots, n)
+    last = _check_subset_bound(rs.roots, n) - 1
     items = [root_item(r) for r in rs.roots]
     counts: Dict[Tuple[int, int, int, int, int, bool], int] = {}
 
     def walk(start: int, state: Tuple) -> None:
         key = forest_key(state)
         counts[key] = counts.get(key, 0) + 1
+        if key[0] == last:
+            for i in range(start, len(items)):
+                key = forest_step_key(state, items[i])
+                if key is not None:
+                    counts[key] = counts.get(key, 0) + 1
+            return
         for i in range(start, len(items)):
             extended = forest_step(state, items[i])
             if extended is not None:

@@ -137,26 +137,24 @@ def forest_key(state: Tuple) -> Tuple[int, int, int, int, int, bool]:
     return (edges, len(comp) - 1 - edges, hc, lc, pc, odd == 0)
 
 
-def forest_step(state: Tuple, item: Tuple) -> Optional[Tuple]:
-    """The state after adding one root item, or None when the item depends
-    on the ones present: it would close a balanced cycle or give a component
-    a second halfedge, loop or unbalanced cycle (signed-graphic matroid)."""
+def _step_totals(state: Tuple, item: Tuple) -> Optional[Tuple[int, int, int, int, int]]:
+    """The rule both steps share: None when the item would close a balanced
+    cycle or give a component a second halfedge, loop or unbalanced cycle
+    (signed-graphic matroid), else the totals ``(edges, hc, lc, pc, odd)``
+    of the extended subset."""
     comp, pot, size, extra, edges, hc, lc, pc, odd = state
     kind, u, v = item[0], item[1], item[-1]  # u == v for a halfedge or loop
-    sign = -1 if kind == NEG else 1
     cu, cv = comp[u], comp[v]
     if cu == cv:
-        if extra[cu] or (u != v and pot[u] * pot[v] == sign):
+        if extra[cu] or (u != v and pot[u] * pot[v] == (-1 if kind == NEG else 1)):
             return None
-        extra = extra[:]
-        extra[cu] = True
         if kind == HALF:
             hc += 1
         elif kind == LOOP:
             lc += 1
         else:
             pc += 1
-        return (comp, pot, size, extra, edges + 1, hc, lc, pc, odd - (size[cu] & 1))
+        return edges + 1, hc, lc, pc, odd - (size[cu] & 1)
     if extra[cu] and extra[cv]:
         return None
     a, b = size[cu], size[cv]
@@ -164,16 +162,39 @@ def forest_step(state: Tuple, item: Tuple) -> Optional[Tuple]:
         odd -= b & 1
     elif extra[cv]:
         odd -= a & 1
-        extra = extra[:]
-        extra[cu] = True
     else:
         odd += ((a + b) & 1) - (a & 1) - (b & 1)
-    if pot[u] * pot[v] != sign:  # switch v's side so the new edge is a tree edge
-        pot = [-p if c == cv else p for c, p in zip(comp, pot)]
-    comp = [cu if c == cv else c for c in comp]
-    size = size[:]
-    size[cu] = a + b
-    return (comp, pot, size, extra, edges + 1, hc, lc, pc, odd)
+    return edges + 1, hc, lc, pc, odd
+
+
+def forest_step_key(state: Tuple, item: Tuple) -> Optional[Tuple[int, int, int, int, int, bool]]:
+    """``forest_key(forest_step(state, item))`` without building the state;
+    None when the item is dependent."""
+    totals = _step_totals(state, item)
+    if totals is None:
+        return None
+    edges, hc, lc, pc, odd = totals
+    return (edges, len(state[0]) - 1 - edges, hc, lc, pc, odd == 0)
+
+
+def forest_step(state: Tuple, item: Tuple) -> Optional[Tuple]:
+    """The state after adding one root item, or None when it is dependent."""
+    totals = _step_totals(state, item)
+    if totals is None:
+        return None
+    comp, pot, size, extra = state[:4]
+    u, v = item[1], item[-1]
+    cu, cv = comp[u], comp[v]
+    if cu == cv or (extra[cv] and not extra[cu]):
+        extra = extra[:]
+        extra[cu] = True
+    if cu != cv:
+        if pot[u] * pot[v] != (-1 if item[0] == NEG else 1):  # switch v's side: uv joins the tree
+            pot = [-p if c == cv else p for c, p in zip(comp, pot)]
+        comp = [cu if c == cv else c for c in comp]
+        size = size[:]
+        size[cu] += size[cv]
+    return (comp, pot, size, extra) + totals
 
 
 def classify(graph: SignedGraph) -> Optional[ComponentStats]:

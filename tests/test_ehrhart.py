@@ -1,6 +1,7 @@
 """Tests for quasipolynomials, subset enumeration, and the census routes."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,9 +19,10 @@ from coxeter_ehrhart.ehrhart import (
     parse_zonotope_document,
     load_zonotope_file,
 )
+from coxeter_ehrhart.egf import component_counts
 from coxeter_ehrhart.linalg import IntegerEchelon
 from coxeter_ehrhart.roots import positive_roots
-from coxeter_ehrhart.signed_graphs import forest_key, forest_start, forest_step, root_item
+from coxeter_ehrhart.signed_graphs import forest_key, forest_start, forest_step, forest_step_key, root_item
 from helpers import classify_key, independent_subsets, reference_almost_integral, reference_census
 from series_reference import component_egfs
 
@@ -204,6 +206,9 @@ def test_forest_step_agrees_with_echelon_and_classify():
             stepped = forest_step(state, root_item(root))
             extended = echelon.try_add(root)
             assert (stepped is None) == (extended is None)
+            # the key-only step shares the rule and the totals with forest_step
+            key = forest_step_key(state, root_item(root))
+            assert key == (None if stepped is None else forest_key(stepped))
             if stepped is not None:
                 state, echelon = stepped, extended
                 accepted.append(root)
@@ -218,6 +223,25 @@ def test_forest_census_total_beyond_reference_range():
     comps = component_egfs(6)
     total = (comps.signed_tree + comps.signed_pseudotree).exp().egf_value(6)
     assert forest_census("D", 6).total == total == 360280
+
+
+@pytest.mark.parametrize(
+    "family, n, kinds, total",
+    [
+        ("A", 7, ("tree",), 36961),
+        ("B", 5, ("signed_tree", "signed_pseudotree", "signed_halfedge_tree"), 38174),
+        ("C", 5, ("signed_tree", "signed_pseudotree", "signed_loop_tree"), 38174),
+        ("D", 5, ("signed_tree", "signed_pseudotree"), 13038),
+    ],
+)
+def test_forest_census_total_matches_component_counts(family, n, kinds, total):
+    # an independent subset is a forest of the family's components, so there
+    # are n! [x^n] exp(A) of them for A the sum of the component series
+    counts = [sum(column) for column in zip(*(component_counts(kind, n) for kind in kinds))]
+    exp = [1]  # m! [x^m] exp(A) by E_m = sum_s C(m-1, s-1) A_s E_(m-s)
+    for m in range(1, n + 1):
+        exp.append(sum(comb(m - 1, s - 1) * counts[s] * exp[m - s] for s in range(1, m + 1)))
+    assert forest_census(family, n).total == exp[n] == total
 
 
 def test_census_limit_guard():
@@ -329,6 +353,16 @@ def test_generic_walk_matches_subset_reference():
     @hypothesis.example(
         ZonotopeSpec.make([(2, 0, 2), (0, 2, 0), (1, 1, 1), (1, 1, 1)], ("1/6", "1/2", "1/3"))
     )
+    # the walk scores bases at |W| = rank - 1: d = 1 makes that the empty subset
+    @hypothesis.example(ZonotopeSpec.make([(2,), (-3,), (1,)], ("1/2",)))
+    # rank 2 in Z^3 (the plane x - y + z = 0): two kernel vectors at that level
+    @hypothesis.example(
+        ZonotopeSpec.make([(1, 1, 0), (0, 1, 1), (1, 2, 1), (2, 0, -2)], ("1/2", "1/3", "1/6"))
+    )
+    # (2, 0) pairs to 0 with the kernel of (1, 0), so it completes no basis
+    @hypothesis.example(ZonotopeSpec.make([(1, 0), (2, 0), (0, 1)], ("1/2", "1/4")))
+    # (0, 4, 2) pairs to (4, 2) with the kernel e_2, e_3 of (1, 0, 0): factor 2
+    @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 4, 2), (1, 2, 4)], ("1/3", "1/2", 0)))
     def check(zonotope):
         assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope)
 
