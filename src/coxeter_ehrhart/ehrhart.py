@@ -6,11 +6,12 @@ generators, of ``vol(W) * t^|W|`` gated by whether the shifted span of W
 meets the lattice at dilation t.  It is one depth-first walk over the
 generators that carries, for the subset so far, a saturated integer basis
 of ``span(W)^perp``, the shift's pairings with that basis (as integers mod
-the shift denominator) and ``vol(W)``.  The census route is specific to the
-classical permutahedra: it tabulates the signed-graph forest census of the
-positive roots and reads the coefficients off the component counts, in one
-depth-first walk that carries the subset's signed-graph components.  Both
-walks score the bases from the ``rank - 1`` level instead of building them.
+the shift denominator) and ``vol(W)``; it scores the bases from the
+``rank - 1`` level instead of building them.  The census route is specific
+to the classical permutahedra: it tabulates the signed-graph forest census
+of the positive roots and reads the coefficients off the component counts.
+It counts the independent subsets per signed-graph component state in one
+pass over the roots, so it never visits a subset on its own.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import IntVector, RatVector, int_vector, integer_kernel_basis, kernel_step, rank, rat_vector
 from .roots import is_integral, positive_roots
-from .signed_graphs import forest_key, forest_start, forest_step, forest_step_key, root_item
+from .signed_graphs import empty_state, extend_state, root_item, state_key
 
 
 class EnumerationLimitError(RuntimeError):
     """Raised when an exhaustive enumeration would be infeasibly large."""
 
 
-# Ceiling for both subset walks, checked against sum_{k <= rank} C(m, k),
+# Ceiling for both subset routes, checked against sum_{k <= rank} C(m, k),
 # which bounds the independent subsets of m generators.  It admits the
 # permutahedra up to A8, B6, C6 and D6; the EGF route covers larger ones.
 SUBSET_BOUND = 2_500_000
@@ -42,7 +43,7 @@ CENSUS_CACHE_SIZE = 32
 
 
 def _check_subset_bound(generators: Sequence[Sequence[int]], dim: int) -> int:
-    """Refuse a subset walk over ``generators`` that SUBSET_BOUND does not
+    """Refuse a subset count over ``generators`` that SUBSET_BOUND does not
     cover; return their rank."""
     m, r = len(generators), rank(generators, dim=dim)
     subsets = sum(comb(m, k) for k in range(r + 1))
@@ -236,33 +237,39 @@ class ForestCensus:
         return sum(self.counts.values())
 
 
+def census_counts(roots: Sequence[Sequence[int]], n: int) -> Dict[Tuple[int, int, int, int, int, bool], int]:
+    """Census keys of the independent subsets of classical roots on n
+    coordinates, counted per component state (transfer-matrix method).
+
+    One pass over the roots keeps, for the roots seen so far, the number of
+    independent subsets that reach each ``signed_graphs`` component state.
+    Each root leaves every state as it is (the root is skipped) and adds
+    the state's count to ``extend_state`` of it where the root is
+    independent.  The key is read once per final state, so the work follows
+    the number of states, not the number of subsets."""
+    frontier: Dict[Tuple[int, ...], int] = {empty_state(n): 1}
+    for item in map(root_item, roots):
+        added: Dict[Tuple[int, ...], int] = {}
+        for state, count in frontier.items():
+            extended = extend_state(state, item)
+            if extended is not None:
+                added[extended] = added.get(extended, 0) + count
+        for state, count in added.items():
+            frontier[state] = frontier.get(state, 0) + count
+    counts: Dict[Tuple[int, int, int, int, int, bool], int] = {}
+    for state, count in frontier.items():
+        key = state_key(state)
+        counts[key] = counts.get(key, 0) + count
+    return counts
+
+
 @lru_cache(maxsize=CENSUS_CACHE_SIZE)
 def forest_census(family: str, n: int) -> ForestCensus:
-    """Classify every independent subset of the family's positive roots, in
-    one depth-first walk that carries the subset's signed-graph components.
-    A subset of ``rank - 1`` roots scores each later root with
-    ``forest_step_key``, so bases are counted but never built."""
+    """Classify every independent subset of the family's positive roots
+    (``census_counts`` in root order), within SUBSET_BOUND."""
     rs = positive_roots(family, n)
-    last = _check_subset_bound(rs.roots, n) - 1
-    items = [root_item(r) for r in rs.roots]
-    counts: Dict[Tuple[int, int, int, int, int, bool], int] = {}
-
-    def walk(start: int, state: Tuple) -> None:
-        key = forest_key(state)
-        counts[key] = counts.get(key, 0) + 1
-        if key[0] == last:
-            for i in range(start, len(items)):
-                key = forest_step_key(state, items[i])
-                if key is not None:
-                    counts[key] = counts.get(key, 0) + 1
-            return
-        for i in range(start, len(items)):
-            extended = forest_step(state, items[i])
-            if extended is not None:
-                walk(i + 1, extended)
-
-    walk(0, forest_start(n))
-    return ForestCensus(family, n, counts)
+    _check_subset_bound(rs.roots, n)
+    return ForestCensus(family, n, census_counts(rs.roots, n))
 
 
 def ehrhart_integral_coxeter(family: str, n: int) -> QuasiPolynomial:

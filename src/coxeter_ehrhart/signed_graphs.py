@@ -115,86 +115,68 @@ def root_item(vec) -> Tuple:
     raise ValueError(f"{vec!r} is not a classical positive root")
 
 
-# Pseudoforest states for a depth-first walk over root items, a tuple
-#     (comp, pot, size, extra, edges, hc, lc, pc, odd_trees)
-# on vertices 1..n (slot 0 unused).  comp[v] labels v's component and
-# pot[v] = ±1 is its switching potential: pot[u] * pot[v] is the sign of
-# every spanning-tree edge uv.  size[c] counts the vertices of component c
-# and extra[c] says whether it already has its one halfedge, loop or
-# unbalanced cycle.  The rest are running totals; every tree component has
-# no extra, so tc = n - edges.  A step never mutates its input, and lists it
-# does not change are shared with the child state.
+# Component states of root subsets, for counting subsets per state.  A state
+# is a tuple with one code per vertex 1..n (index 0 is vertex 1):
+#     first << 3 | flipped << 2 | extra
+# where ``first`` is the lowest vertex index of the vertex's component,
+# ``flipped`` its switching potential relative to that vertex (every
+# spanning-tree edge uv of sign s has flipped[u] ^ flipped[v] == (s < 0)),
+# and ``extra`` its component's one halfedge (1), negative loop (2) or
+# unbalanced cycle (3), 0 for a tree.  Potentials only matter in trees, so
+# a component with an extra keeps flipped = 0.  The code is a function of
+# the subset's signed graph, so subsets that reach one state in any order
+# share it, and the independence of a further root depends on nothing else.
+
+_EXTRA = {HALF: 1, LOOP: 2, POS: 3, NEG: 3}
 
 
-def forest_start(n: int) -> Tuple:
+def empty_state(n: int) -> Tuple[int, ...]:
     """The state of the empty subset: n single-vertex trees."""
-    return (list(range(n + 1)), [1] * (n + 1), [1] * (n + 1), [False] * (n + 1), 0, 0, 0, 0, n)
+    return tuple(v << 3 for v in range(n))
 
 
-def forest_key(state: Tuple) -> Tuple[int, int, int, int, int, bool]:
-    """``(edge_count, tc, hc, lc, pc, all_trees_even)``, as ``classify`` reports it."""
-    comp, _, _, _, edges, hc, lc, pc, odd = state
-    return (edges, len(comp) - 1 - edges, hc, lc, pc, odd == 0)
-
-
-def _step_totals(state: Tuple, item: Tuple) -> Optional[Tuple[int, int, int, int, int]]:
-    """The rule both steps share: None when the item would close a balanced
-    cycle or give a component a second halfedge, loop or unbalanced cycle
-    (signed-graphic matroid), else the totals ``(edges, hc, lc, pc, odd)``
-    of the extended subset."""
-    comp, pot, size, extra, edges, hc, lc, pc, odd = state
-    kind, u, v = item[0], item[1], item[-1]  # u == v for a halfedge or loop
-    cu, cv = comp[u], comp[v]
-    if cu == cv:
-        if extra[cu] or (u != v and pot[u] * pot[v] == (-1 if kind == NEG else 1)):
+def extend_state(state: Tuple[int, ...], item: Tuple) -> Optional[Tuple[int, ...]]:
+    """The state after adding one root item, or None when the item is
+    dependent: it closes a balanced cycle or gives a component a second
+    halfedge, loop or unbalanced cycle (signed-graphic matroid)."""
+    u, v = item[1] - 1, item[-1] - 1  # u == v for a halfedge or loop
+    cu, cv = state[u], state[v]
+    fu, fv = cu >> 3, cv >> 3
+    if fu == fv:
+        if cu & 3 or (u != v and (cu ^ cv) >> 2 & 1 == (item[0] == NEG)):
             return None
-        if kind == HALF:
-            hc += 1
-        elif kind == LOOP:
-            lc += 1
-        else:
-            pc += 1
-        return edges + 1, hc, lc, pc, odd - (size[cu] & 1)
-    if extra[cu] and extra[cv]:
+        code = fu << 3 | _EXTRA[item[0]]
+        return tuple([code if c >> 3 == fu else c for c in state])
+    if cu & 3 and cv & 3:
         return None
-    a, b = size[cu], size[cv]
-    if extra[cu]:
-        odd -= b & 1
-    elif extra[cv]:
-        odd -= a & 1
-    else:
-        odd += ((a + b) & 1) - (a & 1) - (b & 1)
-    return edges + 1, hc, lc, pc, odd
+    lo, hi = (fu, fv) if fu < fv else (fv, fu)
+    if cu & 3 or cv & 3:
+        code = lo << 3 | (cu | cv) & 3
+        return tuple([code if c >> 3 == fu or c >> 3 == fv else c for c in state])
+    # relabel the higher tree into the lower one, switching it when the
+    # potentials do not already fit uv's sign
+    switch = ((cu ^ cv) >> 2 & 1) ^ (item[0] == NEG)
+    delta = (hi ^ lo) << 3 | switch << 2
+    return tuple([c ^ delta if c >> 3 == hi else c for c in state])
 
 
-def forest_step_key(state: Tuple, item: Tuple) -> Optional[Tuple[int, int, int, int, int, bool]]:
-    """``forest_key(forest_step(state, item))`` without building the state;
-    None when the item is dependent."""
-    totals = _step_totals(state, item)
-    if totals is None:
-        return None
-    edges, hc, lc, pc, odd = totals
-    return (edges, len(state[0]) - 1 - edges, hc, lc, pc, odd == 0)
+def state_key(state: Tuple[int, ...]) -> Tuple[int, int, int, int, int, bool]:
+    """``(edge_count, tc, hc, lc, pc, all_trees_even)``, as ``classify``
+    reports it for every subset that reaches ``state``.
 
-
-def forest_step(state: Tuple, item: Tuple) -> Optional[Tuple]:
-    """The state after adding one root item, or None when it is dependent."""
-    totals = _step_totals(state, item)
-    if totals is None:
-        return None
-    comp, pot, size, extra = state[:4]
-    u, v = item[1], item[-1]
-    cu, cv = comp[u], comp[v]
-    if cu == cv or (extra[cv] and not extra[cu]):
-        extra = extra[:]
-        extra[cu] = True
-    if cu != cv:
-        if pot[u] * pot[v] != (-1 if item[0] == NEG else 1):  # switch v's side: uv joins the tree
-            pot = [-p if c == cv else p for c, p in zip(comp, pot)]
-        comp = [cu if c == cv else c for c in comp]
-        size = size[:]
-        size[cu] += size[cv]
-    return (comp, pot, size, extra) + totals
+    A component with an extra has one code, ``first << 3 | extra``, and a
+    tree has ``first << 3`` and maybe ``first << 3 | 4``, so each component
+    shows up once among the distinct codes with ``flipped`` = 0.  Only a
+    tree has fewer items than vertices, by one, so edge_count = n - tc."""
+    codes = set(state)
+    kinds = [c & 7 for c in codes]
+    tc = kinds.count(0)
+    even = True
+    for c in codes:
+        if not c & 7 and (state.count(c) + state.count(c | 4)) & 1:
+            even = False
+            break
+    return (len(state) - tc, tc, kinds.count(1), kinds.count(2), kinds.count(3), even)
 
 
 def classify(graph: SignedGraph) -> Optional[ComponentStats]:

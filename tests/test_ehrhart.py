@@ -11,6 +11,7 @@ from coxeter_ehrhart.ehrhart import (
     QuasiPolynomial,
     ZonotopeFormatError,
     ZonotopeSpec,
+    census_counts,
     coxeter_zonotope,
     ehrhart_almost_integral,
     ehrhart_integral_coxeter,
@@ -22,7 +23,7 @@ from coxeter_ehrhart.ehrhart import (
 from coxeter_ehrhart.egf import component_counts
 from coxeter_ehrhart.linalg import IntegerEchelon
 from coxeter_ehrhart.roots import positive_roots
-from coxeter_ehrhart.signed_graphs import forest_key, forest_start, forest_step, forest_step_key, root_item
+from coxeter_ehrhart.signed_graphs import empty_state, extend_state, root_item, state_key
 from helpers import classify_key, independent_subsets, reference_almost_integral, reference_census
 from series_reference import component_egfs
 
@@ -192,7 +193,7 @@ def test_forest_census_matches_classify_reference(family, n):
     assert forest_census(family, n).counts == reference_census(family, n)
 
 
-def test_forest_step_agrees_with_echelon_and_classify():
+def test_extend_state_agrees_with_echelon_and_classify():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
@@ -201,18 +202,31 @@ def test_forest_step_agrees_with_echelon_and_classify():
     def check(family, n, data):
         roots = data.draw(st.permutations(positive_roots(family, n).roots))
         roots = roots[: data.draw(st.integers(0, len(roots)))]
-        state, echelon, accepted = forest_start(n), IntegerEchelon(n), []
+        state, echelon, accepted = empty_state(n), IntegerEchelon(n), []
         for root in roots:
-            stepped = forest_step(state, root_item(root))
+            stepped = extend_state(state, root_item(root))
             extended = echelon.try_add(root)
             assert (stepped is None) == (extended is None)
-            # the key-only step shares the rule and the totals with forest_step
-            key = forest_step_key(state, root_item(root))
-            assert key == (None if stepped is None else forest_key(stepped))
             if stepped is not None:
                 state, echelon = stepped, extended
                 accepted.append(root)
-        assert forest_key(state) == classify_key(accepted, n)
+        assert state_key(state) == classify_key(accepted, n)
+
+    check()
+
+
+def test_forest_census_is_independent_of_root_order():
+    # another root order merges components in another order, so a
+    # relabelling that gave two different states one code would miscount
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.sampled_from("ABCD"), st.data())
+    def check(family, data):
+        n = data.draw(st.integers(1, 5 if family == "A" else 4))
+        roots = data.draw(st.permutations(positive_roots(family, n).roots))
+        assert census_counts(roots, n) == reference_census(family, n)
 
     check()
 
@@ -232,6 +246,10 @@ def test_forest_census_total_beyond_reference_range():
         ("B", 5, ("signed_tree", "signed_pseudotree", "signed_halfedge_tree"), 38174),
         ("C", 5, ("signed_tree", "signed_pseudotree", "signed_loop_tree"), 38174),
         ("D", 5, ("signed_tree", "signed_pseudotree"), 13038),
+        ("A", 8, ("tree",), 561948),
+        ("B", 6, ("signed_tree", "signed_pseudotree", "signed_halfedge_tree"), 1023477),
+        ("C", 6, ("signed_tree", "signed_pseudotree", "signed_loop_tree"), 1023477),
+        ("D", 6, ("signed_tree", "signed_pseudotree"), 360280),
     ],
 )
 def test_forest_census_total_matches_component_counts(family, n, kinds, total):
