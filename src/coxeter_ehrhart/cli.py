@@ -143,18 +143,6 @@ class ResultDocument:
             out["notes"] = self.notes
         return out
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ResultDocument":
-        return cls(
-            request=data["request"],
-            provenance=data.get("provenance", ""),
-            period=data.get("period"),
-            constituents=data.get("constituents"),
-            evaluations=data.get("evaluations"),
-            rows=data.get("rows"),
-            notes=data.get("notes", []),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 

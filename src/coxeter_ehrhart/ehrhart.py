@@ -4,14 +4,16 @@ Two formula routes live here.  The generic route works for any
 almost-integral zonotope: sum, over linearly independent subsets W of the
 generators, of ``vol(W) * t^|W|`` gated by whether the shifted span of W
 meets the lattice at dilation t.  It is one depth-first walk over the
-generators that carries, for the subset so far, a saturated integer basis
-of ``span(W)^perp``, the shift's pairings with that basis (as integers mod
-the shift denominator) and ``vol(W)``; it scores the bases from the
-``rank - 1`` level instead of building them.  The census route is specific
-to the classical permutahedra: it tabulates the signed-graph forest census
-of the positive roots and reads the coefficients off the component counts.
-It counts the independent subsets per signed-graph component state in one
-pass over the roots, so it never visits a subset on its own.
+generators that carries, for the subset so far, the pairings of a saturated
+integer basis of ``span(W)^perp`` with the generators not yet tried, the
+shift's pairings with that basis (as integers mod the shift denominator) and
+``vol(W)``; each step reads one column of the pairings, and the walk scores
+the bases from the ``rank - 1`` level instead of building them.  The
+census route is specific to the classical permutahedra: it tabulates the
+signed-graph forest census of the positive roots and reads the coefficients
+off the component counts.  It counts the independent subsets per
+signed-graph component state in one pass over the roots, so it never visits
+a subset on its own.
 """
 
 from __future__ import annotations
@@ -168,22 +170,26 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     Each independent generator subset W contributes ``vol(W) * t^|W|`` to
     the constituents of exactly those residue classes where the dilated
     shift keeps the affine span of W on the lattice.  One depth-first walk
-    over the generators, in index order, carries for the subset W so far:
+    over the generators, in index order, carries for the subset W so far,
+    with f_1..f_k a saturated integer basis of ``span(W)^perp``:
 
-    - ``kernel``: a saturated integer basis f_1..f_m of ``span(W)^perp``
-      (the identity basis of Z^d at the empty subset);
+    - ``rows``: the pairings ``<f_i, g_j>`` with the generators not yet
+      tried, one row per f_i and one column per generator (the coordinate
+      rows of the generator matrix at the empty subset, where the f_i are
+      the unit vectors);
     - ``residues``: ``q_i = c*<f_i, shift> mod c``, with c the shift
       denominator;
     - ``volume``: ``vol(W)``, the gcd of the maximal minors of W.
 
-    ``linalg.kernel_step`` extends all three by one generator, or reports
-    it dependent.  The flat ``t*shift + span(W)`` meets Z^d exactly when
-    every ``t*q_i/c`` is an integer, that is when ``D | t`` for
-    ``D = c / gcd(c, q_1, ..., q_m)``, so volumes are summed per
-    ``(D, |W|)`` and spread over the residue classes once at the end.  At
-    ``|W| = rank - 1`` a generator with pairings ``a_i = <f_i, g>`` not all
-    0 completes a basis of volume ``vol(W) * gcd(a)``, and every basis has
-    the gate D of the generators' full span, so bases are never built.
+    ``linalg.kernel_step`` extends all three by the generator behind one
+    column, or reports it dependent; the basis itself is never formed.  The
+    flat ``t*shift + span(W)`` meets Z^d exactly when every ``t*q_i/c`` is
+    an integer, that is when ``D | t`` for ``D = c / gcd(c, q_1, ...,
+    q_k)``, so volumes are summed per ``(D, |W|)`` and spread over the
+    residue classes once at the end.  At ``|W| = rank - 1`` a remaining
+    column that is not all 0 completes a basis of volume ``vol(W) *
+    gcd(column)``, and every basis has the gate D of the generators' full
+    span, so bases are never built.
     """
     gens, d = zonotope.generators, zonotope.dim
     last = _check_subset_bound(gens, d) - 1
@@ -192,21 +198,19 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     full = (c // gcd(c, *(sum(map(mul, f, residues)) for f in integer_kernel_basis(gens, d))), last + 1)
     volumes: Dict[Tuple[int, int], int] = {}
 
-    def walk(start: int, size: int, kernel: Tuple, residues: Tuple, volume: int) -> None:
+    def walk(start: int, size: int, rows: Tuple, residues: Tuple, volume: int) -> None:
         key = (c // gcd(c, *residues), size)
         volumes[key] = volumes.get(key, 0) + volume
         if size == last:
-            gcds = (gcd(*(sum(map(mul, f, g)) for f in kernel)) for g in gens[start:])
-            volumes[full] = volumes.get(full, 0) + volume * sum(gcds)
+            volumes[full] = volumes.get(full, 0) + volume * sum(map(gcd, *rows))
             return
-        for i in range(start, len(gens)):
-            step = kernel_step(kernel, residues, c, gens[i])
+        for j in range(len(gens) - start):
+            step = kernel_step(rows, residues, c, j)
             if step is not None:
                 factor, extended, extended_residues = step
-                walk(i + 1, size + 1, extended, extended_residues, volume * factor)
+                walk(start + j + 1, size + 1, extended, extended_residues, volume * factor)
 
-    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    walk(0, 0, identity, residues, 1)
+    walk(0, 0, tuple(zip(*gens)), residues, 1)
     coeffs = [[0] * (d + 1) for _ in range(c)]
     for (period, size), volume in volumes.items():
         # D divides c, so the class r (t = c when r = 0) is gated in when D | r.

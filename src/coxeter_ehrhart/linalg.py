@@ -177,36 +177,38 @@ def integer_kernel_basis(vectors: Sequence[Sequence[int]], dim: Optional[int] = 
 
 
 def kernel_step(
-    kernel: Sequence[IntVector], residues: Sequence[int], modulus: int, vector: Sequence[int]
+    rows: Sequence[IntVector], residues: Sequence[int], modulus: int, column: int
 ) -> Optional[Tuple[int, Tuple[IntVector, ...], Tuple[int, ...]]]:
-    """Extend a subset W by ``vector``, carrying a saturated kernel of W.
+    """Extend a subset W by the generator g behind ``column`` of the pairing rows.
 
-    ``kernel`` is a saturated integer basis f_1..f_m of ``span(W)^perp`` and
-    ``residues[i]`` an integer attached to f_i modulo ``modulus`` (the walk
-    in ``ehrhart`` uses ``c*<f_i, shift> mod c``).  Returns None when
-    ``vector`` lies in ``span(W)``, that is when every ``a_i = <f_i, vector>``
-    is 0.  Otherwise returns ``(gcd(a), kernel', residues')``: pairing with
-    a saturated kernel maps Z^d onto Z^m with kernel ``Z^d ∩ span(W)``, so
-    the relative volume grows by the factor gcd(a).  Unimodular column
-    operations reduce the row a to a single nonzero entry; the same integer
-    combinations of the f_i (and of the residues, mod ``modulus``) with
-    ``a_i = 0`` form the saturated kernel of ``W + vector`` and its residues.
+    ``rows[i]`` holds the pairings ``<f_i, g_j>`` of a saturated integer
+    basis f_1..f_k of ``span(W)^perp`` with the generators still to try, one
+    column per generator, and ``residues[i]`` an integer attached to f_i
+    modulo ``modulus`` (the walk in ``ehrhart`` uses ``c*<f_i, shift> mod
+    c``).  Returns None when g lies in ``span(W)``, that is when the column
+    ``a_i = <f_i, g>`` is all 0.  Otherwise returns ``(gcd(a), rows',
+    residues')``: pairing with a saturated kernel maps Z^d onto Z^k with
+    kernel ``Z^d ∩ span(W)``, so the relative volume grows by the factor
+    gcd(a).  Unimodular operations on the rows (and on the residues, mod
+    ``modulus``) reduce the column to a single nonzero entry; the other
+    rows are the pairings of the saturated kernel of ``W + g``.  They are
+    returned cut to the columns after ``column``.
     """
-    a = [sum(x * y for x, y in zip(f, vector)) for f in kernel]
+    a = [row[column] for row in rows]
     nonzero = [i for i, e in enumerate(a) if e]
     if not nonzero:
         return None
-    basis = list(kernel)
+    tails = [row[column + 1 :] for row in rows]
     res = list(residues)
     while len(nonzero) > 1:
         p = min(nonzero, key=lambda i: abs(a[i]))
-        ap, fp, rp = a[p], basis[p], res[p]
+        ap, tp, rp = a[p], tails[p], res[p]
         for i in nonzero:
             if i != p:
                 q = a[i] // ap
                 a[i] -= q * ap
-                basis[i] = tuple(x - q * y for x, y in zip(basis[i], fp))
+                tails[i] = tuple(x - q * y for x, y in zip(tails[i], tp))
                 res[i] = (res[i] - q * rp) % modulus
         nonzero = [i for i in nonzero if a[i]]
     p = nonzero[0]
-    return abs(a[p]), tuple(basis[:p] + basis[p + 1 :]), tuple(res[:p] + res[p + 1 :])
+    return abs(a[p]), tuple(tails[:p] + tails[p + 1 :]), tuple(res[:p] + res[p + 1 :])

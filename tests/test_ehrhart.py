@@ -381,6 +381,18 @@ def test_generic_walk_matches_subset_reference():
     @hypothesis.example(ZonotopeSpec.make([(1, 0), (2, 0), (0, 1)], ("1/2", "1/4")))
     # (0, 4, 2) pairs to (4, 2) with the kernel e_2, e_3 of (1, 0, 0): factor 2
     @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 4, 2), (1, 2, 4)], ("1/3", "1/2", 0)))
+    # (2, 2, 1, 0) = 2 * (1, 0, 0, 0) + (0, 2, 1, 0) keeps a nonzero column until
+    # both are picked, then is dependent at a step below the leaf level
+    @hypothesis.example(
+        ZonotopeSpec.make(
+            [(1, 0, 0, 0), (0, 2, 1, 0), (2, 2, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2)], ("1/2", "1/3", 0, "1/2")
+        )
+    )
+    # one basis: the leaf {e_1, e_2} reads the last column, gcd 3, and the
+    # leaves that hold the last generator have rows with no columns left
+    @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 1, 0), (0, 0, 3)], ("1/2", "1/3", "1/3")))
+    # no generators: only the empty subset, gated by the shift alone
+    @hypothesis.example(ZonotopeSpec.make([], ("1/2", "1/3"), dim=2))
     def check(zonotope):
         assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope)
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -172,38 +173,74 @@ def test_kernel_basis_orthogonal_and_saturated():
             assert relative_volume(basis) == 1
 
 
-def test_kernel_step_folds_to_volume_and_saturated_kernel():
-    rng = random.Random(5151)
-    for _ in range(300):
-        d = rng.randint(1, 5)
-        c = rng.randint(1, 6)
-        shift = [Fraction(rng.randint(-2 * c, 2 * c), c) for _ in range(d)]
-        pool = [v for v in (tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(4)) if any(v)]
-        if not pool:
-            continue
-        # parallel and repeated draws make many steps dependent
-        vectors = [tuple(rng.choice((-2, -1, 1, 2)) * x for x in rng.choice(pool)) for _ in range(6)]
-        kernel = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        residues = tuple(int(c * s) % c for s in shift)
-        echelon, chosen, volume = IntegerEchelon(d), [], 1
-        for v in vectors:
-            step = kernel_step(kernel, residues, c, v)
-            extended = echelon.try_add(v)
+def test_kernel_step_carries_the_kernel_pairings_with_later_generators():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def walks(draw):
+        d = draw(st.integers(1, 5))
+        c = draw(st.integers(1, 6))
+        shift = [Fraction(draw(st.integers(-2 * c, 2 * c)), c) for _ in range(d)]
+        entries = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        pool = draw(st.lists(entries, min_size=1, max_size=4))
+        # integer combinations of a small pool: parallel, repeated and
+        # later-dependent generators are all common
+        mix = st.lists(st.integers(-2, 2), min_size=len(pool), max_size=len(pool))
+        gens = [
+            tuple(sum(k * v[j] for k, v in zip(coeffs, pool)) for j in range(d))
+            for coeffs in draw(st.lists(mix, max_size=7))
+        ]
+        gens = [g for g in gens if any(g)]
+        tried = draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+        return d, c, shift, gens, tried
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(walks())
+    # (2, 2, 0) is independent of (1, 0, 0) alone and dependent once (0, 1, 0) is in
+    @hypothesis.example(
+        (3, 2, [Fraction(1, 2), 0, Fraction(1, 2)], [(1, 0, 0), (0, 1, 0), (2, 2, 0), (0, 0, 2)], [True] * 4)
+    )
+    # skips the first column; the last pick leaves rows of no columns
+    @hypothesis.example(
+        (2, 3, [Fraction(1, 3), Fraction(2, 3)], [(1, 1), (1, -1), (2, 0)], [False, True, True])
+    )
+    @hypothesis.example((2, 2, [Fraction(1, 2), 0], [], []))
+    def check(walk):
+        d, c, shift, gens, tried = walk
+
+        def check_rows():
+            """The rows pair a saturated kernel of span(chosen) with gens[offset:]."""
+            assert len(residues) == d - len(chosen)
+            assert len(rows) == (d - len(chosen) if gens else 0)
+            for j, g in enumerate(gens[offset:]):
+                column = [row[j] for row in rows]
+                independent = echelon.try_add(g) is not None
+                assert independent == any(column)
+                if independent:
+                    assert gcd(*column) * volume == relative_volume(chosen + [g])
+            pairings = (int(c * dot(f, shift)) % c for f in integer_kernel_basis(chosen, dim=d))
+            assert c // gcd(c, *residues) == c // gcd(c, *pairings)
+
+        rows, residues = tuple(zip(*gens)), tuple(int(c * s) % c for s in shift)
+        echelon, chosen, volume, offset = IntegerEchelon(d), [], 1, 0
+        check_rows()
+        for i, g in enumerate(gens):
+            if not tried[i]:
+                continue
+            step = kernel_step(rows, residues, c, i - offset)
+            extended = echelon.try_add(g)
             assert (step is None) == (extended is None)
             if step is None:
                 continue
-            factor, kernel, residues = step
-            echelon, volume = extended, volume * factor
-            chosen.append(v)
+            factor, rows, residues = step
+            echelon, volume, offset = extended, volume * factor, i + 1
+            chosen.append(g)
             assert volume == relative_volume(chosen)
-            reference = integer_kernel_basis(chosen, dim=d)
-            assert len(kernel) == len(reference)
-            assert residues == tuple(int(c * dot(f, shift)) % c for f in kernel)
-            if kernel:
-                # both bases lie in the same rational space and both are
-                # saturated, so they span the same lattice
-                assert rank(list(kernel) + reference, dim=d) == len(reference)
-                assert relative_volume(kernel) == 1
+            assert all(len(row) == len(gens) - offset for row in rows)
+            check_rows()
+
+    check()
 
 
 def test_kernel_basis_of_empty_input_spans_everything():
