@@ -11,9 +11,9 @@ shift's pairings with that basis (as integers mod the shift denominator) and
 the bases from the ``rank - 1`` level instead of building them.  The
 census route is specific to the classical permutahedra: it tabulates the
 signed-graph forest census of the positive roots and reads the coefficients
-off the component counts.  It counts the independent subsets per
-signed-graph component state in one pass over the roots, so it never visits
-a subset on its own.
+off the component counts.  It adds the vertices one at a time and counts
+the independent subsets per multiset of component sizes and extras, so it
+never visits a subset on its own.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .linalg import IntVector, RatVector, int_vector, integer_kernel_basis, kernel_step, rank, rat_vector
 from .roots import is_integral, positive_roots
-from .signed_graphs import empty_state, extend_state, root_item, state_key
 
 
 class EnumerationLimitError(RuntimeError):
@@ -241,39 +240,69 @@ class ForestCensus:
         return sum(self.counts.values())
 
 
-def census_counts(roots: Sequence[Sequence[int]], n: int) -> Dict[Tuple[int, int, int, int, int, bool], int]:
-    """Census keys of the independent subsets of classical roots on n
-    coordinates, counted per component state (transfer-matrix method).
+# The extra a new vertex may take on its own: its halfedge (B) or its
+# negative loop (C), besides none.
+_OWN_EXTRAS = {"A": (0,), "B": (0, 1), "C": (0, 2), "D": (0,)}
 
-    One pass over the roots keeps, for the roots seen so far, the number of
-    independent subsets that reach each ``signed_graphs`` component state.
-    Each root leaves every state as it is (the root is skipped) and adds
-    the state's count to ``extend_state`` of it where the root is
-    independent.  The key is read once per final state, so the work follows
-    the number of states, not the number of subsets."""
-    frontier: Dict[Tuple[int, ...], int] = {empty_state(n): 1}
-    for item in map(root_item, roots):
-        added: Dict[Tuple[int, ...], int] = {}
+
+def _vertex_census(family: str, n: int) -> Dict[Tuple[int, int, int, int, int, bool], int]:
+    """Census keys of the independent subsets of the family's positive
+    roots on n coordinates, counted per unlabeled component state
+    (transfer-matrix method).
+
+    Vertices 1..n join one at a time, each with its roots to the earlier
+    vertices and its own halfedge or loop.  A state is the sorted multiset
+    of ``(size, extra)`` components of a subset of the roots seen so far,
+    extra 0 for a tree, 1 for a halfedge, 2 for a loop and 3 for an
+    unbalanced cycle; subsets that differ by a signed relabelling of the
+    vertices share it and extend the same number of ways.  The new vertex
+    may take its own extra, and then each component of size s is skipped,
+    joins it by one edge (s ways, 2s in the signed families) or, if it is a
+    tree in a signed family, by two edges that close an unbalanced cycle
+    (s^2 ways: s(s-1) over two endpoints and s opposite pairs at one).  The
+    merged component keeps at most one extra.  Choices that differ only in
+    which of several equal components they take reach one partial merge, so
+    their ways add up to the binomial coefficients by themselves."""
+    signed = family != "A"
+    frontier: Dict[Tuple[Tuple[int, int], ...], int] = {(): 1}
+    for _ in range(n):
+        stepped: Dict[Tuple[Tuple[int, int], ...], int] = {}
         for state, count in frontier.items():
-            extended = extend_state(state, item)
-            if extended is not None:
-                added[extended] = added.get(extended, 0) + count
-        for state, count in added.items():
-            frontier[state] = frontier.get(state, 0) + count
+            # (merged size, merged extra, components left) -> ways
+            partial = {(1, own, ()): count for own in _OWN_EXTRAS[family]}
+            for s, x in state:
+                grown: Dict[Tuple, int] = {}
+                for (size, extra, left), ways in partial.items():
+                    key = (size, extra, left + ((s, x),))
+                    grown[key] = grown.get(key, 0) + ways
+                    if not (extra and x):
+                        key = (size + s, extra or x, left)
+                        grown[key] = grown.get(key, 0) + ways * (2 * s if signed else s)
+                    if signed and not (extra or x):
+                        key = (size + s, 3, left)
+                        grown[key] = grown.get(key, 0) + ways * s * s
+                partial = grown
+            for (size, extra, left), ways in partial.items():
+                key = tuple(sorted(left + ((size, extra),)))
+                stepped[key] = stepped.get(key, 0) + ways
+        frontier = stepped
     counts: Dict[Tuple[int, int, int, int, int, bool], int] = {}
     for state, count in frontier.items():
-        key = state_key(state)
+        extras = [x for _, x in state]
+        tc = extras.count(0)
+        even = all(s % 2 == 0 for s, x in state if not x)
+        key = (n - tc, tc, extras.count(1), extras.count(2), extras.count(3), even)
         counts[key] = counts.get(key, 0) + count
     return counts
 
 
-@lru_cache(maxsize=CENSUS_CACHE_SIZE)
+@lru_cache(maxsize=CENSUS_CACHE_SIZE, typed=True)
 def forest_census(family: str, n: int) -> ForestCensus:
-    """Classify every independent subset of the family's positive roots
-    (``census_counts`` in root order), within SUBSET_BOUND."""
+    """Count every independent subset of the family's positive roots by its
+    census key (``_vertex_census``), within SUBSET_BOUND."""
     rs = positive_roots(family, n)
     _check_subset_bound(rs.roots, n)
-    return ForestCensus(family, n, census_counts(rs.roots, n))
+    return ForestCensus(family, n, _vertex_census(family, n))
 
 
 def ehrhart_integral_coxeter(family: str, n: int) -> QuasiPolynomial:

@@ -23,7 +23,7 @@ FAMILIES = ("A", "B", "C", "D")
 def _check(family: str, n: int) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
 
 

@@ -3,14 +3,17 @@
 Besides the small enumerators, this module holds the direct reference
 paths that the package's walks are checked against: the subset stream and
 the gcd of maximal minors behind the generic route, the per-subset lattice
-test, and the root-subset <-> signed-graph dictionary behind the census.
+test, the root-subset <-> signed-graph dictionary behind the census, and
+the labeled census that the package's census over unlabeled component
+multisets is checked against (``census_counts``: one pass over the roots,
+counting subsets per labeled component state).
 """
 
 import itertools
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from coxeter_ehrhart.ehrhart import QuasiPolynomial
 from coxeter_ehrhart.linalg import (
@@ -32,7 +35,10 @@ from coxeter_ehrhart.signed_graphs import (
     SignedGraph,
     _check_vertex,
     classify,
-    root_item,
+    halfedge,
+    negative_edge,
+    negative_loop,
+    positive_edge,
 )
 
 
@@ -126,6 +132,88 @@ def independent_subsets(generators: Sequence[Sequence[int]], dim: Optional[int] 
                 chosen.pop()
 
     yield from walk(0, [], IntegerEchelon(d))
+
+
+def root_item(vec) -> Tuple:
+    """The signed-graph item of one classical positive root."""
+    support = [(i, e) for i, e in enumerate(vec, start=1) if e]
+    if len(support) == 2:
+        (i, a), (j, b) = support
+        if a == 1 and b == -1:
+            return positive_edge(i, j)
+        if a == 1 and b == 1:
+            return negative_edge(i, j)
+    elif len(support) == 1:
+        ((j, a),) = support
+        if a == 1:
+            return halfedge(j)
+        if a == 2:
+            return negative_loop(j)
+    raise ValueError(f"{vec!r} is not a classical positive root")
+
+
+# Component states of root subsets, for counting subsets per state.  A state
+# is a tuple with one code per vertex 1..n (index 0 is vertex 1):
+#     first << 3 | flipped << 2 | extra
+# where ``first`` is the lowest vertex index of the vertex's component,
+# ``flipped`` its switching potential relative to that vertex (every
+# spanning-tree edge uv of sign s has flipped[u] ^ flipped[v] == (s < 0)),
+# and ``extra`` its component's one halfedge (1), negative loop (2) or
+# unbalanced cycle (3), 0 for a tree.  Potentials only matter in trees, so
+# a component with an extra keeps flipped = 0.  The code is a function of
+# the subset's signed graph, so subsets that reach one state in any order
+# share it, and the independence of a further root depends on nothing else.
+
+_EXTRA = {HALF: 1, LOOP: 2, POS: 3, NEG: 3}
+
+
+def empty_state(n: int) -> Tuple[int, ...]:
+    """The state of the empty subset: n single-vertex trees."""
+    return tuple(v << 3 for v in range(n))
+
+
+def extend_state(state: Tuple[int, ...], item: Tuple) -> Optional[Tuple[int, ...]]:
+    """The state after adding one root item, or None when the item is
+    dependent: it closes a balanced cycle or gives a component a second
+    halfedge, loop or unbalanced cycle (signed-graphic matroid)."""
+    u, v = item[1] - 1, item[-1] - 1  # u == v for a halfedge or loop
+    cu, cv = state[u], state[v]
+    fu, fv = cu >> 3, cv >> 3
+    if fu == fv:
+        if cu & 3 or (u != v and (cu ^ cv) >> 2 & 1 == (item[0] == NEG)):
+            return None
+        code = fu << 3 | _EXTRA[item[0]]
+        return tuple([code if c >> 3 == fu else c for c in state])
+    if cu & 3 and cv & 3:
+        return None
+    lo, hi = (fu, fv) if fu < fv else (fv, fu)
+    if cu & 3 or cv & 3:
+        code = lo << 3 | (cu | cv) & 3
+        return tuple([code if c >> 3 == fu or c >> 3 == fv else c for c in state])
+    # relabel the higher tree into the lower one, switching it when the
+    # potentials do not already fit uv's sign
+    switch = ((cu ^ cv) >> 2 & 1) ^ (item[0] == NEG)
+    delta = (hi ^ lo) << 3 | switch << 2
+    return tuple([c ^ delta if c >> 3 == hi else c for c in state])
+
+
+def state_key(state: Tuple[int, ...]) -> Tuple[int, int, int, int, int, bool]:
+    """``(edge_count, tc, hc, lc, pc, all_trees_even)``, as ``classify``
+    reports it for every subset that reaches ``state``.
+
+    A component with an extra has one code, ``first << 3 | extra``, and a
+    tree has ``first << 3`` and maybe ``first << 3 | 4``, so each component
+    shows up once among the distinct codes with ``flipped`` = 0.  Only a
+    tree has fewer items than vertices, by one, so edge_count = n - tc."""
+    codes = set(state)
+    kinds = [c & 7 for c in codes]
+    tc = kinds.count(0)
+    even = True
+    for c in codes:
+        if not c & 7 and (state.count(c) + state.count(c | 4)) & 1:
+            even = False
+            break
+    return (len(state) - tc, tc, kinds.count(1), kinds.count(2), kinds.count(3), even)
 
 
 def graph_from_roots(roots: Sequence[IntVector], n: Optional[int] = None) -> SignedGraph:
@@ -297,3 +385,29 @@ def reference_almost_integral(zonotope):
             if chi(zonotope.shift, subset, r or c):
                 coeffs[r][len(subset)] += volume
     return QuasiPolynomial.from_residue_polys(coeffs)
+
+
+def census_counts(roots: Sequence[Sequence[int]], n: int) -> Dict[Tuple[int, int, int, int, int, bool], int]:
+    """Census keys of the independent subsets of classical roots on n
+    coordinates, counted per component state (transfer-matrix method).
+
+    One pass over the roots keeps, for the roots seen so far, the number of
+    independent subsets that reach each labeled component state above.
+    Each root leaves every state as it is (the root is skipped) and adds
+    the state's count to ``extend_state`` of it where the root is
+    independent.  The key is read once per final state, so the work follows
+    the number of states, not the number of subsets."""
+    frontier: Dict[Tuple[int, ...], int] = {empty_state(n): 1}
+    for item in map(root_item, roots):
+        added: Dict[Tuple[int, ...], int] = {}
+        for state, count in frontier.items():
+            extended = extend_state(state, item)
+            if extended is not None:
+                added[extended] = added.get(extended, 0) + count
+        for state, count in added.items():
+            frontier[state] = frontier.get(state, 0) + count
+    counts: Dict[Tuple[int, int, int, int, int, bool], int] = {}
+    for state, count in frontier.items():
+        key = state_key(state)
+        counts[key] = counts.get(key, 0) + count
+    return counts

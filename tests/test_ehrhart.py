@@ -11,7 +11,7 @@ from coxeter_ehrhart.ehrhart import (
     QuasiPolynomial,
     ZonotopeFormatError,
     ZonotopeSpec,
-    census_counts,
+    _vertex_census,
     coxeter_zonotope,
     ehrhart_almost_integral,
     ehrhart_integral_coxeter,
@@ -20,11 +20,20 @@ from coxeter_ehrhart.ehrhart import (
     parse_zonotope_document,
     load_zonotope_file,
 )
-from coxeter_ehrhart.egf import component_counts
+from coxeter_ehrhart.egf import component_counts, egf_ehrhart_quasipolynomial
 from coxeter_ehrhart.linalg import IntegerEchelon
-from coxeter_ehrhart.roots import positive_roots
-from coxeter_ehrhart.signed_graphs import empty_state, extend_state, root_item, state_key
-from helpers import classify_key, independent_subsets, reference_almost_integral, reference_census
+from coxeter_ehrhart.roots import is_integral, positive_roots
+from helpers import (
+    census_counts,
+    classify_key,
+    empty_state,
+    extend_state,
+    independent_subsets,
+    reference_almost_integral,
+    reference_census,
+    root_item,
+    state_key,
+)
 from series_reference import component_egfs
 
 
@@ -229,6 +238,31 @@ def test_forest_census_is_independent_of_root_order():
         assert census_counts(roots, n) == reference_census(family, n)
 
     check()
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("A", n) for n in range(1, 9)] + [(f, n) for f in "BCD" for n in range(1, 7)],
+)
+def test_forest_census_matches_labeled_reference(family, n):
+    # the labeled pass tracks every vertex's component and switching
+    # potential, so it checks that a state can forget the vertex labels
+    assert forest_census(family, n).counts == census_counts(positive_roots(family, n).roots, n)
+
+
+@pytest.mark.parametrize("family, n", [("A", 12), ("B", 10), ("C", 10), ("D", 12)])
+def test_vertex_census_matches_egf_past_subset_bound(family, n):
+    with pytest.raises(EnumerationLimitError):
+        forest_census(family, n)
+    integral, even, odd = ([0] * (n + 1) for _ in range(3))
+    for (_, tc, _, lc, pc, trees_even), count in _vertex_census(family, n).items():
+        integral[n - tc] += count * 2 ** (pc + lc)
+        even[n - tc] += count * 2**pc
+        if trees_even:
+            odd[n - tc] += count * 2**pc
+    standard = [integral] if is_integral(family, n) else [even, odd]
+    assert QuasiPolynomial.from_residue_polys([integral]) == egf_ehrhart_quasipolynomial(family, n, "integral")
+    assert QuasiPolynomial.from_residue_polys(standard) == egf_ehrhart_quasipolynomial(family, n, "standard")
 
 
 def test_forest_census_total_beyond_reference_range():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from coxeter_ehrhart.ehrhart import forest_census
 from coxeter_ehrhart.linalg import rank
 from coxeter_ehrhart.roots import (
     FAMILIES,
@@ -13,6 +14,7 @@ from coxeter_ehrhart.roots import (
     standard_shift,
     table_label,
 )
+from coxeter_ehrhart.signed_graphs import SignedGraph, halfedge
 
 
 def test_root_counts():
@@ -91,6 +93,23 @@ def test_rejects_bad_arguments():
         positive_roots("E", 3)
     with pytest.raises(ValueError):
         positive_roots("A", 0)
+    # bool is an int subclass; True must not pass for a coordinate count
+    with pytest.raises(ValueError):
+        positive_roots("B", True)
+    with pytest.raises(ValueError):
+        rank_label("A", True)
+    with pytest.raises(ValueError):
+        halfedge(True)
+    with pytest.raises(ValueError):
+        SignedGraph(True, frozenset())
+    # the census validates before it reads its family table
+    with pytest.raises(ValueError):
+        forest_census("E", 3)
+    with pytest.raises(ValueError):
+        forest_census("A", 0)
+    forest_census("A", 1)
+    with pytest.raises(ValueError):
+        forest_census("A", True)  # not the cached A_1 census
 
 
 def test_roots_span_check_against_linalg_rank():
