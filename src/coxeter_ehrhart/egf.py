@@ -25,7 +25,6 @@ expressions.  Everything is integer arithmetic.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, perm
 from typing import List, Sequence, Tuple
 
@@ -40,9 +39,6 @@ SEQUENCE_KINDS = (
     "signed_halfedge_tree",
     "signed_loop_tree",
 )
-
-# (kind, order) pairs whose component counts stay cached.
-COMPONENT_CACHE_SIZE = 16
 
 
 def _rooted_cycles(n: int, shortest: int) -> int:
@@ -73,21 +69,18 @@ def _connected_count(kind: str, n: int) -> int:
     return _rooted_cycles(n, 2) << (n - 2) if n > 1 else 0
 
 
-@lru_cache(maxsize=COMPONENT_CACHE_SIZE)
 def component_counts(kind: str, order: int) -> Tuple[int, ...]:
     """m! [x^m] of the kind's component EGF for m = 0..order: the number of
     connected structures on m labeled vertices (none on zero vertices)."""
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown structure kind {kind!r}")
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    if isinstance(order, bool) or not isinstance(order, int) or order < 1:
+        raise ValueError(f"order must be a positive integer, got {order!r}")
     return (0,) + tuple(_connected_count(kind, n) for n in range(1, order + 1))
 
 
 def structure_counts(kind: str, nmax: int) -> List[int]:
     """Counts of connected structures on 1..nmax labeled vertices."""
-    if nmax < 1:
-        raise ValueError("nmax must be at least 1")
     return list(component_counts(kind, nmax)[1:])
 
 
@@ -95,7 +88,7 @@ def structure_counts(kind: str, nmax: int) -> List[int]:
 _HALFEDGE_WEIGHT = {"B": 1, "C": 2, "D": 0}
 
 
-def _exponent_parts(family: str, order: int, odd: bool) -> Tuple[Sequence[int], Sequence[int]]:
+def _exponent_parts(family: str, order: int) -> Tuple[Sequence[int], Sequence[int]]:
     """Counts m! [x^m], m = 0..order, of the family's tree series T and of
     the rest R of its exponent.
 
@@ -103,8 +96,6 @@ def _exponent_parts(family: str, order: int, odd: bool) -> Tuple[Sequence[int], 
     n! [x^n] exp(T(tx)/t + R(tx)) lattice points: a tree component weighs
     1/t, an unbalanced pseudotree 2, a halfedge-tree 1 (family B), a
     loop-tree 2 (family C).
-    With ``odd`` the tree counts keep only even vertex counts, which is
-    the parity obstruction of odd dilates in the half-integral cases.
     """
     if family not in ("A", "B", "C", "D"):
         raise ValueError(f"unknown family {family!r}")
@@ -120,12 +111,10 @@ def _exponent_parts(family: str, order: int, odd: bool) -> Tuple[Sequence[int], 
                 component_counts("signed_halfedge_tree", order),
             )
         ]
-    if odd:
-        tree = [c if m % 2 == 0 else 0 for m, c in enumerate(tree)]
     return tree, rest
 
 
-def _polynomial_by_tree_count(family: str, n: int, odd: bool) -> List[int]:
+def _polynomial_by_tree_count(tree: Sequence[int], rest: Sequence[int], n: int) -> List[int]:
     """Ascending coefficients of the count on n coordinates as a polynomial
     in t: the coefficient of t^(n-k) is n! [x^n] T^k/k! exp(R).
 
@@ -134,7 +123,6 @@ def _polynomial_by_tree_count(family: str, n: int, odd: bool) -> List[int]:
     counts each forest of k + 1 trees k + 1 times, so the division by k + 1
     is exact.
     """
-    tree, rest = _exponent_parts(family, n, odd)
     binom = [[comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
     # exp(R) by the integer form of the recurrence E' = R' E
     rest_exp = [1] + [0] * n
@@ -166,12 +154,14 @@ def egf_ehrhart_quasipolynomial(family: str, n: int, variant: str = "standard") 
     Marking tree components by y turns the count into n! [x^n]
     exp(y T(x) + R(x)), so the coefficient of t^(n-k) is n! [x^n]
     T^k/k! exp(R).  The odd constituent of a half-integral standard
-    permutahedron uses the even part of T.
+    permutahedron keeps only the trees with an even vertex count, the
+    parity obstruction of its odd dilates.
     """
     if variant not in ("standard", "integral"):
         raise ValueError(f"unknown variant {variant!r}")
     half_integral = not is_integral(family, n) and variant == "standard"
-    parities = (False, True) if half_integral else (False,)
-    return QuasiPolynomial.from_residue_polys(
-        [_polynomial_by_tree_count(family, n, odd) for odd in parities]
-    )
+    tree, rest = _exponent_parts(family, n)
+    trees = [tree]
+    if half_integral:
+        trees.append([c if m % 2 == 0 else 0 for m, c in enumerate(tree)])
+    return QuasiPolynomial.from_residue_polys([_polynomial_by_tree_count(t, rest, n) for t in trees])

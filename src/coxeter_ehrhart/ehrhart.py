@@ -13,7 +13,9 @@ census route is specific to the classical permutahedra: it tabulates the
 signed-graph forest census of the positive roots and reads the coefficients
 off the component counts.  It adds the vertices one at a time and counts
 the independent subsets per multiset of component sizes and extras, so it
-never visits a subset on its own.
+never visits a subset on its own.  Each route has its own size guard: the
+walk refuses generator sets whose subset count could pass SUBSET_BOUND, the
+census refuses once its partial merges pass MERGE_BOUND.
 """
 
 from __future__ import annotations
@@ -21,39 +23,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd, lcm
 from operator import mul
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .linalg import IntVector, RatVector, int_vector, integer_kernel_basis, kernel_step, rank, rat_vector
-from .roots import is_integral, positive_roots
+from .linalg import IntVector, RatVector, int_vector, integer_kernel_basis, kernel_step, rat_vector
+from .roots import _check, is_integral, positive_roots
 
 
 class EnumerationLimitError(RuntimeError):
     """Raised when an exhaustive enumeration would be infeasibly large."""
 
 
-# Ceiling for both subset routes, checked against sum_{k <= rank} C(m, k),
-# which bounds the independent subsets of m generators.  It admits the
-# permutahedra up to A8, B6, C6 and D6; the EGF route covers larger ones.
+# Ceiling for the independent-subset walk, checked against
+# sum_{k <= rank} C(m, k), which bounds the independent subsets of m
+# generators.  It admits the permutahedra up to A8, B6, C6 and D6.
 SUBSET_BOUND = 2_500_000
-# Censuses that stay cached; the 26 (family, n) within SUBSET_BOUND fit.
-CENSUS_CACHE_SIZE = 32
-
-
-def _check_subset_bound(generators: Sequence[Sequence[int]], dim: int) -> int:
-    """Refuse a subset count over ``generators`` that SUBSET_BOUND does not
-    cover; return their rank."""
-    m, r = len(generators), rank(generators, dim=dim)
-    subsets = sum(comb(m, k) for k in range(r + 1))
-    if subsets > SUBSET_BOUND:
-        raise EnumerationLimitError(
-            f"{m} generators of rank {r} allow up to {subsets} independent subsets, "
-            f"above the subset bound of {SUBSET_BOUND}"
-        )
-    return r
+# Ceiling for the forest census, on its partial merges (the entries of each
+# ``grown`` dict in ``_vertex_census``), which cost 1.4-2.1 us each in every
+# family (CPython 3.11, one core of an x86-64 Xeon).  It admits the
+# permutahedra up to A25, B14, C14 and D18, in under 2 s each.
+MERGE_BOUND = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -191,10 +182,18 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     span, so bases are never built.
     """
     gens, d = zonotope.generators, zonotope.dim
-    last = _check_subset_bound(gens, d) - 1
+    kernel = integer_kernel_basis(gens, d)
+    m, r = len(gens), d - len(kernel)
+    subsets = sum(comb(m, k) for k in range(r + 1))
+    if subsets > SUBSET_BOUND:
+        raise EnumerationLimitError(
+            f"{m} generators of rank {r} allow up to {subsets} independent subsets, "
+            f"above the subset bound of {SUBSET_BOUND}"
+        )
+    last = r - 1
     c = zonotope.shift_denominator
     residues = tuple(s.numerator * (c // s.denominator) % c for s in zonotope.shift)
-    full = (c // gcd(c, *(sum(map(mul, f, residues)) for f in integer_kernel_basis(gens, d))), last + 1)
+    full = (c // gcd(c, *(sum(map(mul, f, residues)) for f in kernel)), r)
     volumes: Dict[Tuple[int, int], int] = {}
 
     def walk(start: int, size: int, rows: Tuple, residues: Tuple, volume: int) -> None:
@@ -224,8 +223,8 @@ class ForestCensus:
 
     Keys are ``(edge_count, tc, hc, lc, pc, all_trees_even)`` tuples, the
     component census ``signed_graphs.classify`` gives for each subset.
-    ``counts`` is a read-only copy, so a cached census cannot be altered
-    through the object its callers receive.
+    ``counts`` is a read-only copy, so neither the dict it was built from
+    nor its callers can alter it.
     """
 
     family: str
@@ -262,10 +261,14 @@ def _vertex_census(family: str, n: int) -> Dict[Tuple[int, int, int, int, int, b
     (s^2 ways: s(s-1) over two endpoints and s opposite pairs at one).  The
     merged component keeps at most one extra.  Choices that differ only in
     which of several equal components they take reach one partial merge, so
-    their ways add up to the binomial coefficients by themselves."""
+    their ways add up to the binomial coefficients by themselves.
+
+    The partial merges are the census's work; once they pass MERGE_BOUND,
+    counted after each state, the census is refused."""
     signed = family != "A"
     frontier: Dict[Tuple[Tuple[int, int], ...], int] = {(): 1}
-    for _ in range(n):
+    merges = 0
+    for vertex in range(1, n + 1):
         stepped: Dict[Tuple[Tuple[int, int], ...], int] = {}
         for state, count in frontier.items():
             # (merged size, merged extra, components left) -> ways
@@ -282,6 +285,12 @@ def _vertex_census(family: str, n: int) -> Dict[Tuple[int, int, int, int, int, b
                         key = (size + s, 3, left)
                         grown[key] = grown.get(key, 0) + ways * s * s
                 partial = grown
+                merges += len(grown)
+            if merges > MERGE_BOUND:
+                raise EnumerationLimitError(
+                    f"the {family}{n} census passed {merges} partial merges at vertex {vertex}, "
+                    f"above the merge bound of {MERGE_BOUND}"
+                )
             for (size, extra, left), ways in partial.items():
                 key = tuple(sorted(left + ((size, extra),)))
                 stepped[key] = stepped.get(key, 0) + ways
@@ -296,12 +305,10 @@ def _vertex_census(family: str, n: int) -> Dict[Tuple[int, int, int, int, int, b
     return counts
 
 
-@lru_cache(maxsize=CENSUS_CACHE_SIZE, typed=True)
 def forest_census(family: str, n: int) -> ForestCensus:
     """Count every independent subset of the family's positive roots by its
-    census key (``_vertex_census``), within SUBSET_BOUND."""
-    rs = positive_roots(family, n)
-    _check_subset_bound(rs.roots, n)
+    census key (``_vertex_census``), within MERGE_BOUND."""
+    _check(family, n)
     return ForestCensus(family, n, _vertex_census(family, n))
 
 

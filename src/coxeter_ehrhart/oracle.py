@@ -313,7 +313,7 @@ def brute_force_structures(kind: str, n: int) -> int:
     """
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown structure kind {kind!r}")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
     signed = kind.startswith("signed_")
     limit = SIGNED_STRUCTURE_MAX if signed else UNSIGNED_STRUCTURE_MAX

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from coxeter_ehrhart.egf import (
-    COMPONENT_CACHE_SIZE,
     SEQUENCE_KINDS,
     component_counts,
     egf_ehrhart_quasipolynomial,
@@ -59,11 +58,6 @@ def test_closed_form_counts_match_lambert_w_series():
     comps = component_egfs(order)
     for kind in SEQUENCE_KINDS:
         assert list(component_counts(kind, order)) == _integer_coefficients(comps.for_kind(kind)), kind
-
-
-def test_component_cache_is_bounded():
-    assert component_counts.cache_info().maxsize == COMPONENT_CACHE_SIZE
-    assert 0 < COMPONENT_CACHE_SIZE < 1000
 
 
 def test_component_series_have_integer_counts():
@@ -169,3 +163,8 @@ def test_odd_dilation_input_validation():
 def test_structure_counts_validates_kind():
     with pytest.raises(ValueError):
         structure_counts("forest", 4)
+    # bool is an int subclass; True must not pass for an order
+    with pytest.raises(ValueError):
+        structure_counts("tree", True)
+    with pytest.raises(ValueError):
+        component_counts("tree", True)

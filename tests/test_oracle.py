@@ -210,3 +210,5 @@ def test_structure_enumeration_guards():
         brute_force_structures("signed_tree", SIGNED_STRUCTURE_MAX + 1)
     with pytest.raises(ValueError):
         brute_force_structures("thicket", 3)
+    with pytest.raises(ValueError):
+        brute_force_structures("tree", True)

@@ -109,7 +109,7 @@ def test_rejects_bad_arguments():
         forest_census("A", 0)
     forest_census("A", 1)
     with pytest.raises(ValueError):
-        forest_census("A", True)  # not the cached A_1 census
+        forest_census("A", True)  # not read as the A_1 census
 
 
 def test_roots_span_check_against_linalg_rank():
