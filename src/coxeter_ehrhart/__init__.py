@@ -39,7 +39,6 @@ from .ehrhart import (
     parse_zonotope_document,
 )
 from .linalg import (
-    IntegerEchelon,
     dot,
     int_vector,
     integer_kernel_basis,
@@ -82,7 +81,6 @@ __all__ = [
     "EnumerationLimitError",
     "FAMILIES",
     "ForestCensus",
-    "IntegerEchelon",
     "MembershipCertificate",
     "PositiveRootSet",
     "QuasiPolynomial",

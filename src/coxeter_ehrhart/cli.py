@@ -243,9 +243,6 @@ def _render_rows(command: str, rows: List[Dict]) -> List[str]:
     elif command == "roots":
         for row in rows:
             lines.append("  (" + ", ".join(str(e) for e in row["vector"]) + ")")
-    else:
-        for row in rows:
-            lines.append("  " + ", ".join(f"{k}={v}" for k, v in row.items()))
     return lines
 
 

@@ -9,7 +9,6 @@ point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
@@ -17,18 +16,24 @@ RatVector = Tuple[Fraction, ...]
 
 
 def int_vector(entries: Iterable) -> IntVector:
-    """Coerce to a tuple of ints, rejecting non-integer entries."""
+    """Coerce to a tuple of ints, rejecting non-integer and ``bool`` entries."""
     out = []
     for e in entries:
         i = int(e)
-        if i != e:
+        if i != e or isinstance(e, bool):
             raise ValueError(f"non-integer entry {e!r} in lattice vector")
         out.append(i)
     return tuple(out)
 
 
 def rat_vector(entries: Iterable) -> RatVector:
-    return tuple(Fraction(e) for e in entries)
+    """Coerce to a tuple of Fractions, rejecting ``bool`` entries."""
+    out = []
+    for e in entries:
+        if isinstance(e, bool):
+            raise ValueError(f"non-rational entry {e!r} in rational vector")
+        out.append(Fraction(e))
+    return tuple(out)
 
 
 def dot(u: Sequence, v: Sequence):
@@ -51,85 +56,15 @@ def common_dim(vectors: Sequence[Sequence], dim: Optional[int] = None) -> int:
     return dim
 
 
-def _content(entries: Sequence[int]) -> int:
-    g = 0
-    for e in entries:
-        g = gcd(g, e)
-        if g == 1:
-            return 1
-    return g
-
-
-class IntegerEchelon:
-    """Mutually reduced integer echelon rows with distinct pivot columns.
-
-    Every stored row is primitive, its first nonzero entry (the pivot) is
-    positive, and it vanishes on the pivot columns of all other rows.  That
-    makes :meth:`residual` a single pass, and :meth:`try_add` returns a new
-    instance so enumerations can backtrack by simply keeping the old one.
-    """
-
-    __slots__ = ("dim", "rows", "pivots")
-
-    def __init__(self, dim: int, rows: Tuple[IntVector, ...] = (), pivots: Tuple[int, ...] = ()):
-        self.dim = dim
-        self.rows = rows
-        self.pivots = pivots
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def residual(self, vector: Sequence[int]) -> List[int]:
-        """Eliminate every pivot coordinate; the zero list means dependent.
-
-        The result is an integer vector proportional to the true residual
-        (scaled by positive pivot products, then divided by its content).
-        """
-        w = list(vector)
-        for row, p in zip(self.rows, self.pivots):
-            if w[p]:
-                a, b = row[p], w[p]
-                w = [a * wi - b * ri for wi, ri in zip(w, row)]
-                g = _content(w)
-                if g > 1:
-                    w = [wi // g for wi in w]
-        return w
-
-    def try_add(self, vector: Sequence[int]) -> Optional["IntegerEchelon"]:
-        """Echelon extended by ``vector``, or None if it is dependent."""
-        w = self.residual(vector)
-        pivot = next((i for i, e in enumerate(w) if e), None)
-        if pivot is None:
-            return None
-        if w[pivot] < 0:
-            w = [-e for e in w]
-        new_rows = []
-        for row in self.rows:
-            if row[pivot]:
-                a, b = w[pivot], row[pivot]
-                row = [a * ri - b * wi for ri, wi in zip(row, w)]
-                g = _content(row)
-                if g > 1:
-                    row = [e // g for e in row]
-                row = tuple(row)
-            new_rows.append(row)
-        new_rows.append(tuple(w))
-        return IntegerEchelon(self.dim, tuple(new_rows), self.pivots + (pivot,))
-
-
 def rank(vectors: Sequence[Sequence[int]], dim: Optional[int] = None) -> int:
-    """Dimension of the rational span; 0 for the empty list."""
+    """Dimension of the rational span; 0 for the empty list.
+
+    Read off the saturated kernel: ``d - len(integer_kernel_basis(vectors))``.
+    """
     vecs = [int_vector(v) for v in vectors]
     if not vecs:
         return 0
-    d = common_dim(vecs, dim)
-    ech = IntegerEchelon(d)
-    for v in vecs:
-        nxt = ech.try_add(v)
-        if nxt is not None:
-            ech = nxt
-    return ech.rank
+    return common_dim(vecs, dim) - len(integer_kernel_basis(vecs, dim))
 
 
 def integer_kernel_basis(vectors: Sequence[Sequence[int]], dim: Optional[int] = None) -> List[IntVector]:

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 from .egf import SEQUENCE_KINDS
 from .ehrhart import EnumerationLimitError, ZonotopeSpec
-from .linalg import IntegerEchelon, dot, int_vector, integer_kernel_basis
+from .linalg import dot, int_vector, integer_kernel_basis
 from .signed_graphs import (
     SignedGraph,
     classify,
@@ -123,11 +123,14 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
     Every point of the dilate satisfies, coordinate by coordinate,
     ``t*shift_i + t*sum_g min(g_i, 0) <= x_i <= t*shift_i + t*sum_g
     max(g_i, 0)``.  Aborts with :class:`BoxLimitError` when that bounding box
-    holds more than ``max_box`` points, although the scan visits far fewer.
+    holds more than ``max_box`` points (a positive integer), although the
+    scan visits far fewer.
 
-    The kernel rows of :func:`_geometry` fix ``d - rank`` dependent
-    coordinates as an integer affine function of the ``rank`` free ones
-    (over one common denominator), so only free coordinates are scanned.
+    One Gauss-Jordan pass over the kernel rows of :func:`_geometry`
+    (:func:`_solve_dependent`) picks ``d - rank`` dependent coordinates,
+    taking the widest ranges first, and solves them as an integer affine
+    function of the ``rank`` free ones over one common denominator, so only
+    free coordinates are scanned.
     All free coordinates but the widest, the line coordinate, run over the
     lattice points of the projections of the dilate onto their prefixes.
     On each line, integrality of the dependent coordinates is a congruence
@@ -138,6 +141,8 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
     membership test.
     """
     _check_dilation(t)
+    if isinstance(max_box, bool) or not isinstance(max_box, int) or max_box < 1:
+        raise ValueError(f"box limit must be a positive integer, got {max_box!r}")
     lows, highs = [], []
     volume = 1
     for i in range(zonotope.dim):
@@ -158,9 +163,9 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
         # no generators: the box is the single point t*shift, and it is integral
         return 1
     target = tuple(t * s for s in zonotope.shift)
-    dependent, outer, line = _pivot_coordinates(kernel, [h - l + 1 for l, h in zip(lows, highs)])
+    widths = [h - l + 1 for l, h in zip(lows, highs)]
+    dependent, outer, line, den, solved = _solve_dependent(kernel, widths, target)
     free = outer + [line]
-    den, solved = _solve_dependent(kernel, dependent, free, target)
 
     # Scan level i runs x_free[i] between the bounds of its rows, each an
     # inequality "coeffs . x_free <= rhs" whose last nonzero coefficient is
@@ -239,51 +244,43 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
     return scan(0, start)
 
 
-def _pivot_coordinates(kernel, widths):
-    """Dependent coordinates J, outer free coordinates and the line coordinate.
+def _solve_dependent(kernel, widths, target):
+    """Choose the dependent coordinates J and solve the kernel equations for x_J.
 
-    J indexes kernel columns with a nonzero minor, so the kernel equations
-    solve for x_J.  Taking columns greedily from the widest range down gives
-    the basis J of the column matroid with the largest product of ranges;
-    the line is then the widest free coordinate.  Together they leave outer
-    coordinates with the smallest product of ranges: the outer coordinates
-    are an independent set of the dual matroid, the lightest of their size
-    by log-range, and greedy finds those too.
+    One Gauss-Jordan elimination over ``Fraction`` reduces the equations
+    ``<f, x> = <f, target>`` with the columns taken from the widest range
+    down.  Its pivot columns J index a nonzero minor of the kernel, so the
+    equations solve for x_J, and they are the greedy basis of the column
+    matroid: the one with the largest product of ranges.  The first
+    non-pivot column is the line, the widest free coordinate.  The other
+    non-pivot columns, the outer coordinates, then have the smallest
+    product of ranges: they are an independent set of the dual matroid, the
+    lightest of their size by log-range, and greedy finds those too.
+
+    Returns ``(dependent, outer, line, den, rows)`` with ``den * x_J[i] =
+    sum_c rows[i][c] * x_free[c] + rows[i][-1]`` for ``x_free`` in the order
+    ``outer + [line]``, cleared to the common denominator ``den``.
     """
-    k = len(kernel)
-    echelon, dependent, free = IntegerEchelon(k), [], []
-    for i in sorted(range(len(widths)), key=lambda i: -widths[i]):
-        grown = echelon.try_add([f[i] for f in kernel]) if echelon.rank < k else None
-        if grown is None:
-            free.append(i)
-        else:
-            echelon = grown
-            dependent.append(i)
-    return dependent, free[1:], free[0]
-
-
-def _solve_dependent(kernel, dependent, free, target):
-    """The kernel equations ``<f, x> = <f, target>`` solved for x_J.
-
-    Returns ``(den, rows)`` with ``den * x_J[i] = sum_c rows[i][c] *
-    x_free[c] + rows[i][-1]``: one Gauss-Jordan elimination over
-    ``Fraction``, cleared to the common denominator ``den``.
-    """
-    k = len(dependent)
-    rows = [
-        [Fraction(f[j]) for j in dependent] + [Fraction(-f[i]) for i in free] + [dot(f, target)]
-        for f in kernel
-    ]
-    for col in range(k):
-        p = next(i for i in range(col, k) if rows[i][col])
-        rows[col], rows[p] = rows[p], rows[col]
-        rows[col] = [e / rows[col][col] for e in rows[col]]
-        for i in range(k):
-            if i != col and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[col])]
-    den = lcm(1, *(e.denominator for row in rows for e in row[k:]))
-    return den, [[int(e * den) for e in row[k:]] for row in rows]
+    order = sorted(range(len(widths)), key=lambda i: -widths[i])
+    rows = [[Fraction(f[i]) for i in order] + [dot(f, target)] for f in kernel]
+    dependent, free = [], []
+    for col, i in enumerate(order):
+        k = len(dependent)
+        p = next((j for j in range(k, len(rows)) if rows[j][col]), None)
+        if p is None:
+            free.append(col)
+            continue
+        pivot = [e / rows[p][col] for e in rows[p]]
+        rows[p], rows[k] = rows[k], pivot
+        for j, row in enumerate(rows):
+            if j != k and row[col]:
+                c = row[col]
+                rows[j] = [a - c * b for a, b in zip(row, pivot)]
+        dependent.append(i)
+    free = free[1:] + free[:1]  # the outer columns, then the line
+    den = lcm(1, *(row[c].denominator for row in rows for c in free + [-1]))
+    solved = [[-int(row[c] * den) for c in free] + [int(row[-1] * den)] for row in rows]
+    return dependent, [order[c] for c in free[:-1]], order[free[-1]], den, solved
 
 
 def _meet(a: int, m: int, b: int, n: int) -> Optional[Tuple[int, int]]:
@@ -324,11 +321,7 @@ def brute_force_structures(kind: str, n: int) -> int:
     pairs = list(combinations(range(1, n + 1), 2))
     if not signed:
         size = n - 1 if kind == "tree" else n
-        count = 0
-        for chosen in combinations(pairs, size):
-            if _connected_and_unicyclic_ok(n, chosen, want_cycle=(kind == "pseudotree")):
-                count += 1
-        return count
+        return sum(1 for chosen in combinations(pairs, size) if _connected(n, chosen))
     items = [positive_edge(i, j) for i, j in pairs] + [negative_edge(i, j) for i, j in pairs]
     if kind == "signed_halfedge_tree":
         items += [halfedge(v) for v in range(1, n + 1)]
@@ -349,7 +342,12 @@ def brute_force_structures(kind: str, n: int) -> int:
     return count
 
 
-def _connected_and_unicyclic_ok(n: int, edges, want_cycle: bool) -> bool:
+def _connected(n: int, edges) -> bool:
+    """Whether the edges join all n vertices.
+
+    With n - 1 edges a connected simple graph is a tree, and with n edges
+    it has exactly one cycle, so connectivity alone decides either kind.
+    """
     parent = list(range(n + 1))
 
     def find(x):
@@ -358,15 +356,10 @@ def _connected_and_unicyclic_ok(n: int, edges, want_cycle: bool) -> bool:
             x = parent[x]
         return x
 
-    cycles = 0
     components = n
     for u, v in edges:
         ru, rv = find(u), find(v)
-        if ru == rv:
-            cycles += 1
-        else:
+        if ru != rv:
             parent[ru] = rv
             components -= 1
-    if components != 1:
-        return False
-    return cycles == (1 if want_cycle else 0)
+    return components == 1

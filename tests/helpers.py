@@ -1,7 +1,8 @@
 """Shared brute-force helpers used as independent oracles in the tests.
 
 Besides the small enumerators, this module holds the direct reference
-paths that the package's walks are checked against: the subset stream and
+paths that the package's walks are checked against: the integer echelon
+behind the rank and independence references, the subset stream and
 the gcd of maximal minors behind the generic route, the per-subset lattice
 test, the root-subset <-> signed-graph dictionary behind the census, and
 the labeled census that the package's census over unlabeled component
@@ -17,7 +18,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from coxeter_ehrhart.ehrhart import QuasiPolynomial
 from coxeter_ehrhart.linalg import (
-    IntegerEchelon,
     IntVector,
     common_dim,
     dot,
@@ -40,6 +40,81 @@ from coxeter_ehrhart.signed_graphs import (
     negative_loop,
     positive_edge,
 )
+
+
+def _content(entries: Sequence[int]) -> int:
+    g = 0
+    for e in entries:
+        g = gcd(g, e)
+        if g == 1:
+            return 1
+    return g
+
+
+class IntegerEchelon:
+    """Mutually reduced integer echelon rows with distinct pivot columns.
+
+    Every stored row is primitive, its first nonzero entry (the pivot) is
+    positive, and it vanishes on the pivot columns of all other rows.  That
+    makes :meth:`residual` a single pass, and :meth:`try_add` returns a new
+    instance so enumerations can backtrack by simply keeping the old one.
+    """
+
+    __slots__ = ("dim", "rows", "pivots")
+
+    def __init__(self, dim: int, rows: Tuple[IntVector, ...] = (), pivots: Tuple[int, ...] = ()):
+        self.dim = dim
+        self.rows = rows
+        self.pivots = pivots
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def residual(self, vector: Sequence[int]) -> List[int]:
+        """Eliminate every pivot coordinate; the zero list means dependent.
+
+        The result is an integer vector proportional to the true residual
+        (scaled by positive pivot products, then divided by its content).
+        """
+        w = list(vector)
+        for row, p in zip(self.rows, self.pivots):
+            if w[p]:
+                a, b = row[p], w[p]
+                w = [a * wi - b * ri for wi, ri in zip(w, row)]
+                g = _content(w)
+                if g > 1:
+                    w = [wi // g for wi in w]
+        return w
+
+    def try_add(self, vector: Sequence[int]) -> Optional["IntegerEchelon"]:
+        """Echelon extended by ``vector``, or None if it is dependent."""
+        w = self.residual(vector)
+        pivot = next((i for i, e in enumerate(w) if e), None)
+        if pivot is None:
+            return None
+        if w[pivot] < 0:
+            w = [-e for e in w]
+        new_rows = []
+        for row in self.rows:
+            if row[pivot]:
+                a, b = w[pivot], row[pivot]
+                row = [a * ri - b * wi for ri, wi in zip(row, w)]
+                g = _content(row)
+                if g > 1:
+                    row = [e // g for e in row]
+                row = tuple(row)
+            new_rows.append(row)
+        new_rows.append(tuple(w))
+        return IntegerEchelon(self.dim, tuple(new_rows), self.pivots + (pivot,))
+
+
+def echelon_rank(vectors: Sequence[Sequence[int]], dim: int) -> int:
+    """Dimension of the rational span by :class:`IntegerEchelon`, not by the kernel."""
+    echelon = IntegerEchelon(dim)
+    for v in vectors:
+        echelon = echelon.try_add(v) or echelon
+    return echelon.rank
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:

@@ -21,9 +21,9 @@ from coxeter_ehrhart.ehrhart import (
     load_zonotope_file,
 )
 from coxeter_ehrhart.egf import component_counts, egf_ehrhart_quasipolynomial
-from coxeter_ehrhart.linalg import IntegerEchelon
 from coxeter_ehrhart.roots import is_integral, positive_roots
 from helpers import (
+    IntegerEchelon,
     census_counts,
     classify_key,
     empty_state,

@@ -7,8 +7,8 @@ from math import gcd
 
 import pytest
 
+from coxeter_ehrhart.ehrhart import ZonotopeSpec
 from coxeter_ehrhart.linalg import (
-    IntegerEchelon,
     dot,
     int_vector,
     integer_kernel_basis,
@@ -16,13 +16,37 @@ from coxeter_ehrhart.linalg import (
     rank,
     rat_vector,
 )
-from helpers import chi, count_parallelepiped_points, determinant, relative_volume
+from coxeter_ehrhart.oracle import zonotope_contains
+from helpers import (
+    IntegerEchelon,
+    chi,
+    count_parallelepiped_points,
+    determinant,
+    echelon_rank,
+    relative_volume,
+)
 
 
 def test_int_vector_rejects_fractions():
     assert int_vector([1, -2, 0]) == (1, -2, 0)
     with pytest.raises(ValueError):
         int_vector([1, Fraction(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: int_vector([True, 0]),
+        lambda: rat_vector([False, "1/2"]),
+        lambda: ZonotopeSpec.make([(True, 0)], [0, "1/2"]),
+        lambda: ZonotopeSpec.make([(1, 0)], [False, "1/2"]),
+        lambda: zonotope_contains(ZonotopeSpec.make([(1, 0)]), 1, (True, 0)),
+    ],
+    ids=["int_vector", "rat_vector", "generator", "shift", "point"],
+)
+def test_vectors_reject_bool_entries(call):
+    with pytest.raises(ValueError, match="entry (True|False) in"):
+        call()
 
 
 def test_rat_vector_accepts_mixed_input():
@@ -162,13 +186,13 @@ def test_kernel_basis_orthogonal_and_saturated():
         nrows = rng.randint(0, d)
         rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(nrows)]
         basis = integer_kernel_basis(rows, dim=d)
-        r = rank(rows, dim=d)
-        assert len(basis) == d - r
+        # the echelon, not linalg.rank, which reads the kernel
+        assert len(basis) == d - echelon_rank(rows, d)
         for f in basis:
             for row in rows:
                 assert dot(f, row) == 0
         if basis:
-            assert rank(basis, dim=d) == len(basis)
+            assert echelon_rank(basis, d) == len(basis)
             # saturated: the basis spans the full integer kernel lattice
             assert relative_volume(basis) == 1
 

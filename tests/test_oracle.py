@@ -13,14 +13,17 @@ from coxeter_ehrhart.ehrhart import (
     ehrhart_almost_integral,
     ehrhart_standard_coxeter,
 )
+from coxeter_ehrhart.linalg import dot, integer_kernel_basis
 from coxeter_ehrhart.oracle import (
     BoxLimitError,
     SIGNED_STRUCTURE_MAX,
     UNSIGNED_STRUCTURE_MAX,
+    _solve_dependent,
     brute_force_structures,
     count_points,
     zonotope_contains,
 )
+from helpers import echelon_rank
 
 
 def test_count_points_reference_values():
@@ -182,6 +185,67 @@ def test_box_limit_guard():
     with pytest.raises(BoxLimitError):
         count_points(spec, 3, max_box=10)
     assert count_points(spec, 1) == 251  # 1 + 12 + 66 + 172
+
+
+@pytest.mark.parametrize("max_box", [0, -5, True, 2.5, "10"])
+def test_box_limit_must_be_a_positive_integer(max_box):
+    spec = coxeter_zonotope("B", 2, "standard")
+    with pytest.raises(ValueError, match="box limit must be a positive integer"):
+        count_points(spec, 1, max_box=max_box)
+
+
+def test_solve_dependent_picks_greedy_pivots_and_solves_the_kernel():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def systems(draw):
+        d = draw(st.integers(2, 6))
+        entry = st.integers(-3, 3)
+        # integer combinations of a small pool keep the generators
+        # rank-deficient, so the kernel is never empty
+        pool = draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=d - 1))
+        mix = st.lists(st.integers(-2, 2), min_size=len(pool), max_size=len(pool))
+        gens = [
+            tuple(sum(k * v[j] for k, v in zip(coeffs, pool)) for j in range(d))
+            for coeffs in draw(st.lists(mix, min_size=1, max_size=6))
+        ]
+        kernel = integer_kernel_basis(gens, dim=d)
+        hypothesis.assume(len(kernel) < d)
+        # few distinct widths, so ties are common
+        widths = draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+        target = [Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4))) for _ in range(d)]
+        free_values = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+        return d, kernel, widths, target, free_values
+
+    def independent(columns, k):
+        return echelon_rank(columns, k) == len(columns)
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(systems())
+    def check(system):
+        d, kernel, widths, target, free_values = system
+        dependent, outer, line, den, rows = _solve_dependent(kernel, widths, target)
+        free = outer + [line]
+        k = len(kernel)
+        column = [tuple(f[i] for f in kernel) for i in range(d)]
+        assert sorted(dependent + free) == list(range(d))
+        assert len(dependent) == k
+        assert independent([column[j] for j in dependent], k)
+        for i in free:
+            wider = [column[j] for j in dependent if widths[j] >= widths[i]]
+            assert not independent(wider + [column[i]], k)
+        assert widths[line] == max(widths[i] for i in free)
+        # den * x_J from the rows satisfies <f, x> = <f, target> for any x_free
+        x = [None] * d
+        for i, value in zip(free, free_values):
+            x[i] = den * value
+        for j, row in zip(dependent, rows):
+            x[j] = dot(row[:-1], free_values[: len(free)]) + row[-1]
+        for f in kernel:
+            assert dot(f, x) == den * dot(f, target)
+
+    check()
 
 
 def test_structure_counts_by_enumeration():
