@@ -5,15 +5,18 @@ Minkowski sum of the line segments spanned by its positive roots, centered
 so that the segment midpoints add up to a possibly half-integral point.
 This package computes the lattice-point counting quasipolynomial of that
 polytope — and of any integer zonotope translated by a rational vector —
-exactly, in three mutually independent ways:
+exactly, in mutually independent ways:
 
-* a census of the pseudoforests hiding inside the root configuration
-  (:mod:`~coxeter_ehrhart.ehrhart`),
+* a weighted census of the pseudoforests hiding inside the root
+  configuration (:mod:`~coxeter_ehrhart.ehrhart`),
+* Stanley's sum over the independent generator subsets, gated by the
+  shift, for any shifted integer zonotope (:mod:`~coxeter_ehrhart.ehrhart`),
 * coefficient extraction from the exponential generating functions of
   the connected components, whose counts come in closed form from Cayley's
   rooted-forest formula (:mod:`~coxeter_ehrhart.egf`),
-* brute-force enumeration of lattice points in a bounding box
-  (:mod:`~coxeter_ehrhart.oracle`).
+* a brute-force lattice-point count that scans the free coordinates of
+  the dilate a line at a time, deciding membership from the affine hull
+  and the facet inequalities (:mod:`~coxeter_ehrhart.oracle`).
 
 All arithmetic is exact (integers and :class:`fractions.Fraction`).
 """
@@ -26,7 +29,6 @@ from .egf import (
 )
 from .ehrhart import (
     EnumerationLimitError,
-    ForestCensus,
     QuasiPolynomial,
     ZonotopeFormatError,
     ZonotopeSpec,
@@ -34,7 +36,6 @@ from .ehrhart import (
     ehrhart_almost_integral,
     ehrhart_integral_coxeter,
     ehrhart_standard_coxeter,
-    forest_census,
     load_zonotope_file,
     parse_zonotope_document,
 )
@@ -80,7 +81,6 @@ __all__ = [
     "BoxLimitError",
     "EnumerationLimitError",
     "FAMILIES",
-    "ForestCensus",
     "MembershipCertificate",
     "PositiveRootSet",
     "QuasiPolynomial",
@@ -98,7 +98,6 @@ __all__ = [
     "ehrhart_almost_integral",
     "ehrhart_integral_coxeter",
     "ehrhart_standard_coxeter",
-    "forest_census",
     "halfedge",
     "int_vector",
     "integer_kernel_basis",

@@ -304,48 +304,26 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    table, variant = (TABLE1, "integral") if args.table == "table1" else (TABLE2, "standard")
     rows = []
     all_match = True
-    if args.table == "table1":
-        for label, family, n, expected in TABLE1:
-            qp = ehrhart_integral_coxeter(family, n)
-            match = (
-                qp
-                == QuasiPolynomial.from_residue_polys([expected])
-                == egf_ehrhart_quasipolynomial(family, n, "integral")
-            )
-            all_match = all_match and match
-            rows.append(
-                {
-                    "label": label,
-                    "family": family,
-                    "coordinates": n,
-                    "computed": [str(c) for c in qp.constituents[0]],
-                    "expected": [str(c) for c in expected],
-                    "match": match,
-                }
-            )
-    else:
-        for label, family, n, even, odd in TABLE2:
-            qp = ehrhart_standard_coxeter(family, n)
-            match = (
-                qp
-                == QuasiPolynomial.from_residue_polys([even, odd])
-                == egf_ehrhart_quasipolynomial(family, n, "standard")
-            )
-            all_match = all_match and match
-            rows.append(
-                {
-                    "label": label,
-                    "family": family,
-                    "coordinates": n,
-                    "computed_even": [str(c) for c in qp.constituents[0]],
-                    "computed_odd": [str(c) for c in qp.constituents[1]],
-                    "expected_even": [str(c) for c in even],
-                    "expected_odd": [str(c) for c in odd],
-                    "match": match,
-                }
-            )
+    for label, family, n, *expected in table:
+        qp = _route_quasipolynomial("forest", family, n, variant)
+        match = (
+            qp
+            == QuasiPolynomial.from_residue_polys(expected)
+            == egf_ehrhart_quasipolynomial(family, n, variant)
+        )
+        all_match = all_match and match
+        # one constituent per residue class: "computed", or "computed_even"/"_odd"
+        suffixes = ("",) if len(expected) == 1 else ("_even", "_odd")
+        row = {"label": label, "family": family, "coordinates": n}
+        for suffix, coeffs in zip(suffixes, qp.constituents):
+            row["computed" + suffix] = [str(c) for c in coeffs]
+        for suffix, coeffs in zip(suffixes, expected):
+            row["expected" + suffix] = [str(c) for c in coeffs]
+        row["match"] = match
+        rows.append(row)
     doc = ResultDocument(
         request={"command": "tables", "table": args.table},
         provenance="forest census route checked against the generating function route",

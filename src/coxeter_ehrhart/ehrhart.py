@@ -9,10 +9,11 @@ integer basis of ``span(W)^perp`` with the generators not yet tried, the
 shift's pairings with that basis (as integers mod the shift denominator) and
 ``vol(W)``; each step reads one column of the pairings, and the walk scores
 the bases from the ``rank - 1`` level instead of building them.  The
-census route is specific to the classical permutahedra: it tabulates the
-signed-graph forest census of the positive roots and reads the coefficients
-off the component counts.  It adds the vertices one at a time and counts
-the independent subsets per multiset of component sizes and extras, so it
+census route is specific to the classical permutahedra: it counts the
+signed-graph forests of the positive roots straight into the coefficients,
+each forest weighted by the power of 2 its loops and unbalanced cycles give
+it.  It adds the vertices one at a time and counts the weighted
+independent subsets per multiset of component sizes and extras, so it
 never visits a subset on its own.  Each route has its own size guard: the
 walk refuses generator sets whose subset count could pass SUBSET_BOUND, the
 census refuses once its partial merges pass MERGE_BOUND.
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import mul
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import IntVector, RatVector, int_vector, integer_kernel_basis, kernel_step, rat_vector
 from .roots import _check, is_integral, positive_roots
@@ -43,7 +43,7 @@ SUBSET_BOUND = 2_500_000
 # Ceiling for the forest census, on its partial merges (the entries of each
 # ``grown`` dict in ``_vertex_census``), which cost 1.4-2.1 us each in every
 # family (CPython 3.11, one core of an x86-64 Xeon).  It admits the
-# permutahedra up to A25, B14, C14 and D18, in under 2 s each.
+# permutahedra up to A25, B16, C16 and D18, in about 2 s each.
 MERGE_BOUND = 1_000_000
 
 
@@ -217,54 +217,39 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     return QuasiPolynomial.from_residue_polys(coeffs)
 
 
-@dataclass(frozen=True)
-class ForestCensus:
-    """Counts of forest shapes among independent subsets of positive roots.
-
-    Keys are ``(edge_count, tc, hc, lc, pc, all_trees_even)`` tuples, the
-    component census ``signed_graphs.classify`` gives for each subset.
-    ``counts`` is a read-only copy, so neither the dict it was built from
-    nor its callers can alter it.
-    """
-
-    family: str
-    n: int
-    counts: Mapping[Tuple[int, int, int, int, int, bool], int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
+# The extras a new vertex may take on its own, each with its weight: none,
+# its halfedge (B), or its negative loop (C), which counts twice.
+_OWN_EXTRAS = {"A": ((0, 1),), "B": ((0, 1), (1, 1)), "C": ((0, 1), (1, 2)), "D": ((0, 1),)}
 
 
-# The extra a new vertex may take on its own: its halfedge (B) or its
-# negative loop (C), besides none.
-_OWN_EXTRAS = {"A": (0,), "B": (0, 1), "C": (0, 2), "D": (0,)}
+def _vertex_census(family: str, n: int) -> Tuple[List[int], List[int]]:
+    """Ehrhart coefficients of the family's integral permutahedron on n
+    coordinates as weighted forest counts (transfer-matrix method): one
+    list over all forests, one over the forests whose tree components all
+    have an even vertex count.
 
-
-def _vertex_census(family: str, n: int) -> Dict[Tuple[int, int, int, int, int, bool], int]:
-    """Census keys of the independent subsets of the family's positive
-    roots on n coordinates, counted per unlabeled component state
-    (transfer-matrix method).
-
-    Vertices 1..n join one at a time, each with its roots to the earlier
-    vertices and its own halfedge or loop.  A state is the sorted multiset
-    of ``(size, extra)`` components of a subset of the roots seen so far,
-    extra 0 for a tree, 1 for a halfedge, 2 for a loop and 3 for an
-    unbalanced cycle; subsets that differ by a signed relabelling of the
-    vertices share it and extend the same number of ways.  The new vertex
-    may take its own extra, and then each component of size s is skipped,
-    joins it by one edge (s ways, 2s in the signed families) or, if it is a
-    tree in a signed family, by two edges that close an unbalanced cycle
-    (s^2 ways: s(s-1) over two endpoints and s opposite pairs at one).  The
-    merged component keeps at most one extra.  Choices that differ only in
-    which of several equal components they take reach one partial merge, so
-    their ways add up to the binomial coefficients by themselves.
+    Every independent subset of the positive roots is a signed-graph
+    forest, counted ``2^(loop trees + unbalanced pseudotrees)`` times at
+    ``t^(n - tree components)``.  Vertices 1..n join one at a time, each
+    with its roots to the earlier vertices and its own halfedge or loop.
+    A state is the sorted multiset of ``(size, extra)`` components of a
+    subset of the roots seen so far, extra 0 for a tree and 1 for a
+    component with its one halfedge, loop or unbalanced cycle; the weight 2
+    of a loop or a cycle goes into the ways at the step that creates it, so
+    subsets that differ by a signed relabelling of the vertices or by the
+    kind of their extras share a state and extend the same number of ways.
+    The new vertex may take its own extra, and then each component of size
+    s is skipped, joins it by one edge (s ways, 2s in the signed families)
+    or, if it is a tree in a signed family, by two edges that close an
+    unbalanced cycle (s^2 ways: s(s-1) over two endpoints and s opposite
+    pairs at one, each weighted 2).  The merged component keeps at most one
+    extra.  Choices that differ only in which of several equal components
+    they take reach one partial merge, so their ways add up to the binomial
+    coefficients by themselves.
 
     The partial merges are the census's work; once they pass MERGE_BOUND,
     counted after each state, the census is refused."""
+    _check(family, n)
     signed = family != "A"
     frontier: Dict[Tuple[Tuple[int, int], ...], int] = {(): 1}
     merges = 0
@@ -272,7 +257,7 @@ def _vertex_census(family: str, n: int) -> Dict[Tuple[int, int, int, int, int, b
         stepped: Dict[Tuple[Tuple[int, int], ...], int] = {}
         for state, count in frontier.items():
             # (merged size, merged extra, components left) -> ways
-            partial = {(1, own, ()): count for own in _OWN_EXTRAS[family]}
+            partial = {(1, own, ()): count * weight for own, weight in _OWN_EXTRAS[family]}
             for s, x in state:
                 grown: Dict[Tuple, int] = {}
                 for (size, extra, left), ways in partial.items():
@@ -282,8 +267,8 @@ def _vertex_census(family: str, n: int) -> Dict[Tuple[int, int, int, int, int, b
                         key = (size + s, extra or x, left)
                         grown[key] = grown.get(key, 0) + ways * (2 * s if signed else s)
                     if signed and not (extra or x):
-                        key = (size + s, 3, left)
-                        grown[key] = grown.get(key, 0) + ways * s * s
+                        key = (size + s, 1, left)
+                        grown[key] = grown.get(key, 0) + ways * 2 * s * s
                 partial = grown
                 merges += len(grown)
             if merges > MERGE_BOUND:
@@ -295,34 +280,20 @@ def _vertex_census(family: str, n: int) -> Dict[Tuple[int, int, int, int, int, b
                 key = tuple(sorted(left + ((size, extra),)))
                 stepped[key] = stepped.get(key, 0) + ways
         frontier = stepped
-    counts: Dict[Tuple[int, int, int, int, int, bool], int] = {}
+    forests = [0] * (n + 1)
+    even = [0] * (n + 1)
     for state, count in frontier.items():
-        extras = [x for _, x in state]
-        tc = extras.count(0)
-        even = all(s % 2 == 0 for s, x in state if not x)
-        key = (n - tc, tc, extras.count(1), extras.count(2), extras.count(3), even)
-        counts[key] = counts.get(key, 0) + count
-    return counts
-
-
-def forest_census(family: str, n: int) -> ForestCensus:
-    """Count every independent subset of the family's positive roots by its
-    census key (``_vertex_census``), within MERGE_BOUND."""
-    _check(family, n)
-    return ForestCensus(family, n, _vertex_census(family, n))
+        trees = [s for s, x in state if not x]
+        forests[n - len(trees)] += count
+        if all(s % 2 == 0 for s in trees):
+            even[n - len(trees)] += count
+    return forests, even
 
 
 def ehrhart_integral_coxeter(family: str, n: int) -> QuasiPolynomial:
-    """Ehrhart polynomial of the integral permutahedron on n coordinates.
-
-    Every forest contributes ``2^(pseudotree+looptree components)`` at
-    ``t^(n - tree components)``.
-    """
-    census = forest_census(family, n)
-    coeffs = [0] * (n + 1)
-    for (_, tc, _, lc, pc, _), count in census.counts.items():
-        coeffs[n - tc] += count * 2 ** (pc + lc)
-    return QuasiPolynomial.from_residue_polys([coeffs])
+    """Ehrhart polynomial of the integral permutahedron on n coordinates,
+    read off the weighted forest counts of ``_vertex_census``."""
+    return QuasiPolynomial.from_residue_polys([_vertex_census(family, n)[0]])
 
 
 def ehrhart_standard_coxeter(family: str, n: int) -> QuasiPolynomial:
@@ -331,21 +302,13 @@ def ehrhart_standard_coxeter(family: str, n: int) -> QuasiPolynomial:
 
     Integral cases coincide with the integral permutahedron.  In the
     half-integral cases (family B, family A on even n) the period is 2:
-    even dilations see every forest with weight ``2^pc``, odd dilations
-    only the forests all of whose tree components have an even vertex
-    count.
+    even dilations count every forest, odd dilations only the forests all
+    of whose tree components have an even vertex count, with the weights of
+    ``_vertex_census`` (these families have no loops).
     """
     if is_integral(family, n):
         return ehrhart_integral_coxeter(family, n)
-    census = forest_census(family, n)
-    even = [0] * (n + 1)
-    odd = [0] * (n + 1)
-    for (_, tc, _, _, pc, trees_even), count in census.counts.items():
-        weight = count * 2**pc
-        even[n - tc] += weight
-        if trees_even:
-            odd[n - tc] += weight
-    return QuasiPolynomial.from_residue_polys([even, odd])
+    return QuasiPolynomial.from_residue_polys(_vertex_census(family, n))
 
 
 def coxeter_zonotope(family: str, n: int, variant: str = "standard") -> ZonotopeSpec:

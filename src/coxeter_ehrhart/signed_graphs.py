@@ -13,8 +13,9 @@ negative edge, hence an unbalanced cycle); duplicate identical edges cannot
 occur because the edge container is a set.
 
 ``classify`` reads the component census of one graph from scratch.  The
-forest census in ``ehrhart`` counts the same keys without building graphs,
-and the tests check it against ``classify``.
+forest census in ``ehrhart`` counts the same components, weighted, into
+Ehrhart coefficients without building graphs, and the tests check it
+against the coefficients read off ``classify``.
 """
 
 from __future__ import annotations

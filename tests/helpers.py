@@ -4,10 +4,11 @@ Besides the small enumerators, this module holds the direct reference
 paths that the package's walks are checked against: the integer echelon
 behind the rank and independence references, the subset stream and
 the gcd of maximal minors behind the generic route, the per-subset lattice
-test, the root-subset <-> signed-graph dictionary behind the census, and
-the labeled census that the package's census over unlabeled component
-multisets is checked against (``census_counts``: one pass over the roots,
-counting subsets per labeled component state).
+test, the root-subset <-> signed-graph dictionary behind the census, the
+labeled census (``census_counts``: one pass over the roots, counting
+subsets per labeled component state), and the reading of census keys into
+Ehrhart coefficients (``census_quasipolynomial``) that the package's
+weighted census over unlabeled component multisets is checked against.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from coxeter_ehrhart.linalg import (
     rank,
     rat_vector,
 )
-from coxeter_ehrhart.roots import positive_roots
+from coxeter_ehrhart.roots import is_integral, positive_roots
 from coxeter_ehrhart.signed_graphs import (
     HALF,
     LOOP,
@@ -445,6 +446,29 @@ def reference_census(family, n):
         key = classify_key(subset, n)
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def census_quasipolynomial(counts, family, n, variant):
+    """Ehrhart quasipolynomial of a permutahedron read off census keys.
+
+    The integral variant, and the standard variant of the integral cases,
+    count every forest ``2^(pc + lc)`` times at ``t^(n - tc)``.  The
+    standard variant of family B and of family A on even n has period 2:
+    even dilations count every forest ``2^pc`` times, odd dilations only
+    the forests all of whose tree components have an even vertex count."""
+    if variant == "integral" or is_integral(family, n):
+        coeffs = [0] * (n + 1)
+        for (_, tc, _, lc, pc, _), count in counts.items():
+            coeffs[n - tc] += count * 2 ** (pc + lc)
+        return QuasiPolynomial.from_residue_polys([coeffs])
+    even = [0] * (n + 1)
+    odd = [0] * (n + 1)
+    for (_, tc, _, _, pc, trees_even), count in counts.items():
+        weight = count * 2**pc
+        even[n - tc] += weight
+        if trees_even:
+            odd[n - tc] += weight
+    return QuasiPolynomial.from_residue_polys([even, odd])
 
 
 def reference_almost_integral(zonotope):

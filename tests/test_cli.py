@@ -117,8 +117,8 @@ def test_ehrhart_egf_without_enough_points_reports_values(capsys):
 
 
 def test_census_limit_exit_code(capsys):
-    # B14 stays under the merge bound; B15 passes it at its last vertex
-    code = main(["ehrhart", "B", "15"])
+    # B16 is the last B under the merge bound; B17 passes it at its last vertex
+    code = main(["ehrhart", "B", "17"])
     assert code == 3
     assert "merge bound" in capsys.readouterr().err
 

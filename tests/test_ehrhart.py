@@ -8,7 +8,6 @@ import pytest
 from coxeter_ehrhart import ehrhart
 from coxeter_ehrhart.ehrhart import (
     EnumerationLimitError,
-    ForestCensus,
     QuasiPolynomial,
     ZonotopeFormatError,
     ZonotopeSpec,
@@ -16,7 +15,6 @@ from coxeter_ehrhart.ehrhart import (
     ehrhart_almost_integral,
     ehrhart_integral_coxeter,
     ehrhart_standard_coxeter,
-    forest_census,
     parse_zonotope_document,
     load_zonotope_file,
 )
@@ -25,6 +23,7 @@ from coxeter_ehrhart.roots import is_integral, positive_roots
 from helpers import (
     IntegerEchelon,
     census_counts,
+    census_quasipolynomial,
     classify_key,
     empty_state,
     extend_state,
@@ -165,27 +164,19 @@ def test_shifted_plane_zonotope():
 
 
 def test_forest_census_totals():
-    census = forest_census("A", 4)
-    assert census.total == 38  # one point per forest at dilation one
-    assert sum(v for k, v in census.counts.items() if k[0] == 3) == 16  # spanning trees
-    census = forest_census("B", 2)
-    assert census.total == 11
+    qp = ehrhart_integral_coxeter("A", 4)
+    assert qp.evaluate(1) == 38  # one point per forest at dilation one
+    assert qp.constituents[0][3] == 16  # spanning trees
+    assert sum(census_counts(positive_roots("B", 2).roots, 2).values()) == 11
+    # the one unbalanced cycle of B2, {e1 - e2, e1 + e2}, counts twice
+    assert ehrhart_integral_coxeter("B", 2).evaluate(1) == 12
 
 
-def test_forest_census_counts_are_read_only():
-    census = forest_census("C", 3)
-    key = next(iter(census.counts))
-    with pytest.raises(TypeError):
-        census.counts[key] = 0
-    with pytest.raises(AttributeError):
-        census.counts.clear()
-    assert forest_census("C", 3).counts == reference_census("C", 3)
-    assert ehrhart_integral_coxeter("C", 3).constituents == ((1, 12, 66, 172),)
-    # the census keeps a copy, not the dict it was built from
-    source = {key: 1}
-    built = ForestCensus("C", 3, source)
-    source[key] = 2
-    assert built.counts == {key: 1}
+def assert_census_reads(counts, family, n):
+    """Both census readers equal the census keys ``counts`` read the
+    reference way."""
+    assert ehrhart_integral_coxeter(family, n) == census_quasipolynomial(counts, family, n, "integral")
+    assert ehrhart_standard_coxeter(family, n) == census_quasipolynomial(counts, family, n, "standard")
 
 
 @pytest.mark.parametrize(
@@ -195,7 +186,7 @@ def test_forest_census_counts_are_read_only():
     + [("D", n) for n in range(1, 6)],
 )
 def test_forest_census_matches_classify_reference(family, n):
-    assert forest_census(family, n).counts == reference_census(family, n)
+    assert_census_reads(reference_census(family, n), family, n)
 
 
 def test_extend_state_agrees_with_echelon_and_classify():
@@ -243,7 +234,7 @@ def test_forest_census_is_independent_of_root_order():
 def test_forest_census_matches_labeled_reference(family, n):
     # the labeled pass tracks every vertex's component and switching
     # potential, so it checks that a state can forget the vertex labels
-    assert forest_census(family, n).counts == census_counts(positive_roots(family, n).roots, n)
+    assert_census_reads(census_counts(positive_roots(family, n).roots, n), family, n)
 
 
 @pytest.mark.parametrize("family, top", [("A", 15), ("B", 10), ("C", 10), ("D", 12)])
@@ -259,7 +250,7 @@ def test_forest_census_total_beyond_reference_range():
     # pseudotrees, so there are 6! [x^6] exp(signed trees + pseudotrees)
     comps = component_egfs(6)
     total = (comps.signed_tree + comps.signed_pseudotree).exp().egf_value(6)
-    assert forest_census("D", 6).total == total == 360280
+    assert sum(census_counts(positive_roots("D", 6).roots, 6).values()) == total == 360280
 
 
 @pytest.mark.parametrize(
@@ -282,18 +273,18 @@ def test_forest_census_total_matches_component_counts(family, n, kinds, total):
     exp = [1]  # m! [x^m] exp(A) by E_m = sum_s C(m-1, s-1) A_s E_(m-s)
     for m in range(1, n + 1):
         exp.append(sum(comb(m - 1, s - 1) * counts[s] * exp[m - s] for s in range(1, m + 1)))
-    assert forest_census(family, n).total == exp[n] == total
+    assert sum(census_counts(positive_roots(family, n).roots, n).values()) == exp[n] == total
 
 
 def test_census_limit_guard(monkeypatch):
-    # the census counts its partial merges, A9 957 of them, B7 4,936 and
+    # the census counts its partial merges, A9 957 of them, B7 2,761 and
     # A12 4,669; a lowered bound keeps the refusals cheap
     monkeypatch.setattr(ehrhart, "MERGE_BOUND", 1_000)
     assert ehrhart_integral_coxeter("A", 9) == egf_ehrhart_quasipolynomial("A", 9, "integral")
     with pytest.raises(EnumerationLimitError, match="merge bound of 1000"):
-        forest_census("B", 7)
+        ehrhart_integral_coxeter("B", 7)
     with pytest.raises(EnumerationLimitError):
-        ehrhart_integral_coxeter("A", 12)
+        ehrhart_standard_coxeter("A", 12)
 
 
 def test_integral_census_matches_reference_rows():

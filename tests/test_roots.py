@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxeter_ehrhart.ehrhart import forest_census
+from coxeter_ehrhart.ehrhart import ehrhart_integral_coxeter, ehrhart_standard_coxeter
 from coxeter_ehrhart.linalg import rank
 from coxeter_ehrhart.roots import (
     FAMILIES,
@@ -102,14 +102,15 @@ def test_rejects_bad_arguments():
         halfedge(True)
     with pytest.raises(ValueError):
         SignedGraph(True, frozenset())
-    # the census validates before it reads its family table
-    with pytest.raises(ValueError):
-        forest_census("E", 3)
-    with pytest.raises(ValueError):
-        forest_census("A", 0)
-    forest_census("A", 1)
-    with pytest.raises(ValueError):
-        forest_census("A", True)  # not read as the A_1 census
+    # both census readers validate before the census reads its family table
+    for reader in (ehrhart_integral_coxeter, ehrhart_standard_coxeter):
+        with pytest.raises(ValueError):
+            reader("E", 3)
+        with pytest.raises(ValueError):
+            reader("A", 0)
+        reader("A", 1)
+        with pytest.raises(ValueError):
+            reader("A", True)  # not read as the A_1 census
 
 
 def test_roots_span_check_against_linalg_rank():
