@@ -16,7 +16,9 @@ exactly, in mutually independent ways:
   rooted-forest formula (:mod:`~coxeter_ehrhart.egf`),
 * a brute-force lattice-point count that scans the free coordinates of
   the dilate a line at a time, deciding membership from the affine hull
-  and the facet inequalities (:mod:`~coxeter_ehrhart.oracle`).
+  and the facet inequalities (:mod:`~coxeter_ehrhart.oracle`), beside a
+  direct enumeration of the small labeled structures the generating
+  functions count.
 
 All arithmetic is exact (integers and :class:`fractions.Fraction`).
 """
@@ -49,10 +51,8 @@ from .linalg import (
 from .oracle import (
     BoxLimitError,
     DEFAULT_MAX_BOX,
-    MembershipCertificate,
     brute_force_structures,
     count_points,
-    zonotope_contains,
 )
 from .roots import (
     FAMILIES,
@@ -63,33 +63,20 @@ from .roots import (
     standard_shift,
     table_label,
 )
-from .signed_graphs import (
-    ComponentStats,
-    SignedGraph,
-    classify,
-    halfedge,
-    negative_edge,
-    negative_loop,
-    positive_edge,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComponentStats",
     "DEFAULT_MAX_BOX",
     "BoxLimitError",
     "EnumerationLimitError",
     "FAMILIES",
-    "MembershipCertificate",
     "PositiveRootSet",
     "QuasiPolynomial",
     "SEQUENCE_KINDS",
-    "SignedGraph",
     "ZonotopeFormatError",
     "ZonotopeSpec",
     "brute_force_structures",
-    "classify",
     "component_counts",
     "count_points",
     "coxeter_zonotope",
@@ -98,15 +85,11 @@ __all__ = [
     "ehrhart_almost_integral",
     "ehrhart_integral_coxeter",
     "ehrhart_standard_coxeter",
-    "halfedge",
     "int_vector",
     "integer_kernel_basis",
     "is_integral",
     "load_zonotope_file",
-    "negative_edge",
-    "negative_loop",
     "parse_zonotope_document",
-    "positive_edge",
     "positive_roots",
     "rank",
     "rank_label",
@@ -114,5 +97,4 @@ __all__ = [
     "standard_shift",
     "structure_counts",
     "table_label",
-    "zonotope_contains",
 ]

@@ -1,15 +1,15 @@
 """Brute-force ground truth, kept independent of the formula routes.
 
-Membership in a dilated zonotope is decided from first principles (affine
-hull plus facet inequalities), lattice points are counted by scanning the
-free coordinates a line at a time, and small labeled structures are
-counted by direct enumeration.  These are the oracles the closed-form
-routes are tested against; none of them consult the Ehrhart formulas.
+Lattice points of a dilated zonotope are counted by scanning the free
+coordinates a line at a time against the affine hull and the facet
+inequalities, and small labeled structures are counted by direct
+enumeration with a union-find check.  These are the oracles the
+closed-form routes are tested against; none of them consult the Ehrhart
+formulas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -18,15 +18,7 @@ from typing import Optional, Tuple
 
 from .egf import SEQUENCE_KINDS
 from .ehrhart import EnumerationLimitError, ZonotopeSpec
-from .linalg import dot, int_vector, integer_kernel_basis
-from .signed_graphs import (
-    SignedGraph,
-    classify,
-    halfedge,
-    negative_edge,
-    negative_loop,
-    positive_edge,
-)
+from .linalg import dot, integer_kernel_basis
 
 DEFAULT_MAX_BOX = 10_000_000
 # Zonotopes whose facet data stay cached; one count needs one entry per
@@ -36,22 +28,6 @@ GEOMETRY_CACHE_SIZE = 128
 
 class BoxLimitError(RuntimeError):
     """Raised when a bounding-box scan would visit too many points."""
-
-
-@dataclass(frozen=True)
-class MembershipCertificate:
-    """Outcome of a point membership test.
-
-    A negative verdict always carries a witness: the violated affine-hull
-    functional or facet inequality, together with the two sides of the
-    failed comparison.
-    """
-
-    verdict: bool
-    witness: Optional[Tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.verdict
 
 
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -89,34 +65,6 @@ def _check_dilation(t) -> None:
         raise ValueError(f"dilation factor must be a positive integer, got {t!r}")
 
 
-def zonotope_contains(zonotope: ZonotopeSpec, t: int, point) -> MembershipCertificate:
-    """Whether an integer point lies in the t-th dilate of the zonotope.
-
-    The test is geometric and exact over the rationals: the point must lie
-    on the affine hull (checked against the integer kernel of the
-    generators) and satisfy every facet inequality ``<h, p - t*shift> <= t *
-    sum_g max(<h, g>, 0)`` for the facet normals of :func:`_geometry`.
-    This is the reference that the integer scan of :func:`count_points` is
-    tested against.
-    """
-    _check_dilation(t)
-    p = int_vector(point)
-    if len(p) != zonotope.dim:
-        raise ValueError(f"point has dimension {len(p)}, expected {zonotope.dim}")
-    kernel, facets = _geometry(zonotope)
-    target = tuple(Fraction(a) - t * b for a, b in zip(p, zonotope.shift))
-    for f in kernel:
-        value = dot(f, target)
-        if value != 0:
-            return MembershipCertificate(False, ("affine-hull", f, value))
-    for h, positive_sum in facets:
-        lhs = dot(h, target)
-        rhs = t * positive_sum
-        if lhs > rhs:
-            return MembershipCertificate(False, ("facet", h, lhs, rhs))
-    return MembershipCertificate(True)
-
-
 def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX) -> int:
     """Number of lattice points in the t-th dilate, counted line by line.
 
@@ -136,9 +84,8 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
     On each line, integrality of the dependent coordinates is a congruence
     on the line coordinate and every facet inequality bounds it from one
     side, so the line adds the number of terms of an arithmetic progression
-    in an interval.  All arithmetic is exact ``int``;
-    :func:`zonotope_contains` is the rational reference for the same
-    membership test.
+    in an interval.  All arithmetic is exact ``int``; the tests check the
+    count against a per-point rational membership test on the same facets.
     """
     _check_dilation(t)
     if isinstance(max_box, bool) or not isinstance(max_box, int) or max_box < 1:
@@ -296,17 +243,22 @@ def _meet(a: int, m: int, b: int, n: int) -> Optional[Tuple[int, int]]:
 UNSIGNED_STRUCTURE_MAX = 5
 SIGNED_STRUCTURE_MAX = 4
 
+# the signs a kind's one closed cycle may have; the other kinds close none
+_CYCLE_SIGNS = {"pseudotree": (1,), "signed_pseudotree": (-1,)}
+
+
 def brute_force_structures(kind: str, n: int) -> int:
     """Count connected structures on n labeled vertices by enumeration.
 
-    Unsigned kinds ("tree": acyclic connected; "pseudotree": connected with
-    exactly one cycle, necessarily of length >= 3 in a simple graph) range
-    over plain graphs.  Signed kinds range over edge sets with both signs
-    available (plus halfedges or negative loops where the kind calls for
-    them) and go through the signed-graph classifier; a signed pseudotree
-    requires its unique cycle to be unbalanced.  Only edge sets of the one
-    feasible size are enumerated: n-1 items for trees, n items for the
-    one-extra-feature kinds.
+    The items are the edges between distinct vertices, with both signs for
+    the signed kinds, plus one halfedge or negative loop per vertex for the
+    kinds that carry one; those join nothing and close no cycle, so the two
+    kinds enumerate alike.  Only item sets of the one feasible size are
+    enumerated: n-1 items for trees, n items for the one-extra-feature
+    kinds.  A set counts when its edges join all n vertices and any cycle
+    they close is allowed: none for the trees, and for a pseudotree its one
+    cycle, which in a signed pseudotree must be unbalanced (an odd number
+    of negative edges, parallel opposite-sign pairs included).
     """
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown structure kind {kind!r}")
@@ -318,48 +270,43 @@ def brute_force_structures(kind: str, n: int) -> int:
         raise EnumerationLimitError(
             f"brute-force enumeration of {kind} is limited to n <= {limit}"
         )
-    pairs = list(combinations(range(1, n + 1), 2))
-    if not signed:
-        size = n - 1 if kind == "tree" else n
-        return sum(1 for chosen in combinations(pairs, size) if _connected(n, chosen))
-    items = [positive_edge(i, j) for i, j in pairs] + [negative_edge(i, j) for i, j in pairs]
-    if kind == "signed_halfedge_tree":
-        items += [halfedge(v) for v in range(1, n + 1)]
-    elif kind == "signed_loop_tree":
-        items += [negative_loop(v) for v in range(1, n + 1)]
-    size = n - 1 if kind == "signed_tree" else n
-    wanted = {
-        "signed_tree": lambda s: s.tc == 1 and s.hc == s.lc == s.pc == 0,
-        "signed_halfedge_tree": lambda s: s.hc == 1 and s.tc == s.lc == s.pc == 0,
-        "signed_loop_tree": lambda s: s.lc == 1 and s.tc == s.hc == s.pc == 0,
-        "signed_pseudotree": lambda s: s.pc == 1 and s.tc == s.hc == s.lc == 0,
-    }[kind]
-    count = 0
-    for chosen in combinations(items, size):
-        stats = classify(SignedGraph(n, frozenset(chosen)))
-        if stats is not None and wanted(stats):
-            count += 1
-    return count
+    # an item (u, v, sign) is an edge of sign +1 or -1, or with sign 0 a
+    # halfedge or negative loop at u == v
+    items = [(u, v, s) for s in ((1, -1) if signed else (1,)) for u, v in combinations(range(n), 2)]
+    if kind in ("signed_halfedge_tree", "signed_loop_tree"):
+        items += [(v, v, 0) for v in range(n)]
+    size = n - 1 if kind in ("tree", "signed_tree") else n
+    cycle_signs = _CYCLE_SIGNS.get(kind, ())
+    return sum(1 for chosen in combinations(items, size) if _is_structure(n, chosen, cycle_signs))
 
 
-def _connected(n: int, edges) -> bool:
-    """Whether the edges join all n vertices.
+def _is_structure(n: int, items, cycle_signs) -> bool:
+    """Whether the edges join all n vertices and every cycle they close
+    has a sign in ``cycle_signs``.
 
-    With n - 1 edges a connected simple graph is a tree, and with n edges
-    it has exactly one cycle, so connectivity alone decides either kind.
+    A union-find keeps, per vertex, the sign of the path to its parent (its
+    switching potential relative to the parent), so the sign of the cycle
+    an edge closes is the product of its sign and the two path signs.
     """
-    parent = list(range(n + 1))
+    parent = list(range(n))
+    potential = [1] * n
 
     def find(x):
+        sign = 1
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
+            sign *= potential[x]
             x = parent[x]
-        return x
+        return x, sign
 
     components = n
-    for u, v in edges:
-        ru, rv = find(u), find(v)
+    for u, v, sign in items:
+        if not sign:
+            continue
+        (ru, su), (rv, sv) = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
+            potential[ru] = su * sign * sv
             components -= 1
+        elif su * sign * sv not in cycle_signs:
+            return False
     return components == 1

@@ -4,20 +4,24 @@ Besides the small enumerators, this module holds the direct reference
 paths that the package's walks are checked against: the integer echelon
 behind the rank and independence references, the subset stream and
 the gcd of maximal minors behind the generic route, the per-subset lattice
-test, the root-subset <-> signed-graph dictionary behind the census, the
-labeled census (``census_counts``: one pass over the roots, counting
-subsets per labeled component state), and the reading of census keys into
-Ehrhart coefficients (``census_quasipolynomial``) that the package's
-weighted census over unlabeled component multisets is checked against.
+test, the rational point membership test behind the oracle's line scan
+(``zonotope_contains``), the root-subset <-> signed-graph dictionary
+behind the census, the labeled census (``census_counts``: one pass over
+the roots, counting subsets per labeled component state), the reading of
+census keys into Ehrhart coefficients (``census_quasipolynomial``) that
+the package's weighted census over unlabeled component multisets is
+checked against, and the classifier-based structure enumeration
+(``reference_structures``) behind the oracle's union-find check.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from coxeter_ehrhart.ehrhart import QuasiPolynomial
+from coxeter_ehrhart.ehrhart import QuasiPolynomial, ZonotopeSpec
 from coxeter_ehrhart.linalg import (
     IntVector,
     common_dim,
@@ -27,8 +31,9 @@ from coxeter_ehrhart.linalg import (
     rank,
     rat_vector,
 )
+from coxeter_ehrhart.oracle import _check_dilation, _geometry
 from coxeter_ehrhart.roots import is_integral, positive_roots
-from coxeter_ehrhart.signed_graphs import (
+from signed_graphs_reference import (
     HALF,
     LOOP,
     NEG,
@@ -510,3 +515,106 @@ def census_counts(roots: Sequence[Sequence[int]], n: int) -> Dict[Tuple[int, int
         key = state_key(state)
         counts[key] = counts.get(key, 0) + count
     return counts
+
+
+@dataclass(frozen=True)
+class MembershipCertificate:
+    """Outcome of a point membership test.
+
+    A negative verdict always carries a witness: the violated affine-hull
+    functional or facet inequality, together with the two sides of the
+    failed comparison.
+    """
+
+    verdict: bool
+    witness: Optional[Tuple] = None
+
+    def __bool__(self) -> bool:
+        return self.verdict
+
+
+def zonotope_contains(zonotope: ZonotopeSpec, t: int, point) -> MembershipCertificate:
+    """Whether an integer point lies in the t-th dilate of the zonotope.
+
+    The test is geometric and exact over the rationals: the point must lie
+    on the affine hull (checked against the integer kernel of the
+    generators) and satisfy every facet inequality ``<h, p - t*shift> <= t *
+    sum_g max(<h, g>, 0)`` for the facet normals of ``oracle._geometry``.
+    This is the reference that the integer scan of ``oracle.count_points``
+    is tested against.
+    """
+    _check_dilation(t)
+    p = int_vector(point)
+    if len(p) != zonotope.dim:
+        raise ValueError(f"point has dimension {len(p)}, expected {zonotope.dim}")
+    kernel, facets = _geometry(zonotope)
+    target = tuple(Fraction(a) - t * b for a, b in zip(p, zonotope.shift))
+    for f in kernel:
+        value = dot(f, target)
+        if value != 0:
+            return MembershipCertificate(False, ("affine-hull", f, value))
+    for h, positive_sum in facets:
+        lhs = dot(h, target)
+        rhs = t * positive_sum
+        if lhs > rhs:
+            return MembershipCertificate(False, ("facet", h, lhs, rhs))
+    return MembershipCertificate(True)
+
+
+def reference_structures(kind: str, n: int) -> int:
+    """Connected structures on n labeled vertices, counted the direct way.
+
+    Unsigned kinds ("tree": acyclic connected; "pseudotree": connected with
+    exactly one cycle, necessarily of length >= 3 in a simple graph) range
+    over plain graphs.  Signed kinds range over edge sets with both signs
+    available (plus halfedges or negative loops where the kind calls for
+    them) and go through the signed-graph classifier; a signed pseudotree
+    requires its unique cycle to be unbalanced.  Only edge sets of the one
+    feasible size are enumerated: n-1 items for trees, n items for the
+    one-extra-feature kinds.
+    """
+    pairs = list(combinations(range(1, n + 1), 2))
+    if not kind.startswith("signed_"):
+        size = n - 1 if kind == "tree" else n
+        return sum(1 for chosen in combinations(pairs, size) if _connected(n, chosen))
+    items = [positive_edge(i, j) for i, j in pairs] + [negative_edge(i, j) for i, j in pairs]
+    if kind == "signed_halfedge_tree":
+        items += [halfedge(v) for v in range(1, n + 1)]
+    elif kind == "signed_loop_tree":
+        items += [negative_loop(v) for v in range(1, n + 1)]
+    size = n - 1 if kind == "signed_tree" else n
+    wanted = {
+        "signed_tree": lambda s: s.tc == 1 and s.hc == s.lc == s.pc == 0,
+        "signed_halfedge_tree": lambda s: s.hc == 1 and s.tc == s.lc == s.pc == 0,
+        "signed_loop_tree": lambda s: s.lc == 1 and s.tc == s.hc == s.pc == 0,
+        "signed_pseudotree": lambda s: s.pc == 1 and s.tc == s.hc == s.lc == 0,
+    }[kind]
+    count = 0
+    for chosen in combinations(items, size):
+        stats = classify(SignedGraph(n, frozenset(chosen)))
+        if stats is not None and wanted(stats):
+            count += 1
+    return count
+
+
+def _connected(n: int, edges) -> bool:
+    """Whether the edges join all n vertices.
+
+    With n - 1 edges a connected simple graph is a tree, and with n edges
+    it has exactly one cycle, so connectivity alone decides either kind.
+    """
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = n
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    return components == 1

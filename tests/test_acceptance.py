@@ -25,7 +25,6 @@ from coxeter_ehrhart.ehrhart import (
 from coxeter_ehrhart.linalg import rank
 from coxeter_ehrhart.oracle import brute_force_structures, count_points
 from coxeter_ehrhart.roots import is_integral, positive_roots
-from coxeter_ehrhart.signed_graphs import classify
 from helpers import (
     all_tree_components_even,
     chi,
@@ -39,6 +38,7 @@ from series_reference import (
     egf_ehrhart_values,
     lambert_w,
 )
+from signed_graphs_reference import classify
 
 
 class _criterion:

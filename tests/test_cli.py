@@ -87,6 +87,14 @@ def test_ehrhart_route_agreement_flag(capsys):
     assert "agree" in out
 
 
+def test_ehrhart_forest_verify_checks_the_generating_functions(capsys):
+    # A12 is past the subset bound of the independent-subset walk
+    for argv in (["ehrhart", "B", "3", "--verify"], ["ehrhart", "A", "12", "--verify"]):
+        code, out = run(capsys, argv)
+        assert code == 0
+        assert "cross-route check (forest census vs generating function): agree" in out
+
+
 def test_ehrhart_egf_route(capsys):
     code, out = run(capsys, ["ehrhart", "B", "2", "--route", "egf", "--t", "1", "3", "--verify"])
     assert code == 0
@@ -230,6 +238,13 @@ def test_sequences_command(capsys):
     values = [row["egf"] for row in data["rows"]]
     assert values == [1, 2, 12, 128, 2000]
     assert all(row["match"] for row in data["rows"] if "match" in row)
+
+
+def test_sequences_print_counts_past_the_digit_limit(capsys):
+    # 1500**1498 has 4,758 digits, past the 4,300 that Python converts by default
+    code, out = run(capsys, ["sequences", "tree", "1500", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["rows"][-1]["egf"] == 1500**1498
 
 
 def test_order_flag_is_rejected(capsys):

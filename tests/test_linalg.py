@@ -16,7 +16,6 @@ from coxeter_ehrhart.linalg import (
     rank,
     rat_vector,
 )
-from coxeter_ehrhart.oracle import zonotope_contains
 from helpers import (
     IntegerEchelon,
     chi,
@@ -24,6 +23,7 @@ from helpers import (
     determinant,
     echelon_rank,
     relative_volume,
+    zonotope_contains,
 )
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from coxeter_ehrhart import oracle
+from coxeter_ehrhart.egf import SEQUENCE_KINDS, structure_counts
 from coxeter_ehrhart.ehrhart import (
     EnumerationLimitError,
     ZonotopeSpec,
@@ -21,9 +23,8 @@ from coxeter_ehrhart.oracle import (
     _solve_dependent,
     brute_force_structures,
     count_points,
-    zonotope_contains,
 )
-from helpers import echelon_rank
+from helpers import echelon_rank, reference_structures, zonotope_contains
 
 
 def test_count_points_reference_values():
@@ -255,6 +256,20 @@ def test_structure_counts_by_enumeration():
     assert [brute_force_structures("signed_pseudotree", n) for n in (1, 2, 3)] == [0, 1, 16]
     assert [brute_force_structures("signed_halfedge_tree", n) for n in (1, 2, 3)] == [1, 4, 36]
     assert [brute_force_structures("signed_loop_tree", n) for n in (1, 2, 3)] == [1, 4, 36]
+
+
+def test_structure_enumeration_matches_the_classifier():
+    for kind in SEQUENCE_KINDS:
+        limit = SIGNED_STRUCTURE_MAX if kind.startswith("signed_") else UNSIGNED_STRUCTURE_MAX
+        for n in range(1, limit + 1):
+            assert brute_force_structures(kind, n) == reference_structures(kind, n), (kind, n)
+
+
+def test_structure_enumeration_matches_the_generating_functions_at_five(monkeypatch):
+    monkeypatch.setattr(oracle, "SIGNED_STRUCTURE_MAX", 5)
+    for kind in SEQUENCE_KINDS:
+        if kind.startswith("signed_"):
+            assert [brute_force_structures(kind, n) for n in range(1, 6)] == structure_counts(kind, 5)
 
 
 def test_structure_count_multiplicative_identities():

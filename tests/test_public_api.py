@@ -12,6 +12,41 @@ def test_benchmark_imports_resolve():
         assert callable(value)
 
 
+def test_public_names():
+    assert sorted(coxeter_ehrhart.__all__) == [
+        "BoxLimitError",
+        "DEFAULT_MAX_BOX",
+        "EnumerationLimitError",
+        "FAMILIES",
+        "PositiveRootSet",
+        "QuasiPolynomial",
+        "SEQUENCE_KINDS",
+        "ZonotopeFormatError",
+        "ZonotopeSpec",
+        "brute_force_structures",
+        "component_counts",
+        "count_points",
+        "coxeter_zonotope",
+        "dot",
+        "egf_ehrhart_quasipolynomial",
+        "ehrhart_almost_integral",
+        "ehrhart_integral_coxeter",
+        "ehrhart_standard_coxeter",
+        "int_vector",
+        "integer_kernel_basis",
+        "is_integral",
+        "load_zonotope_file",
+        "parse_zonotope_document",
+        "positive_roots",
+        "rank",
+        "rank_label",
+        "rat_vector",
+        "standard_shift",
+        "structure_counts",
+        "table_label",
+    ]
+
+
 def test_every_public_name_resolves():
     assert len(set(coxeter_ehrhart.__all__)) == len(coxeter_ehrhart.__all__)
     for name in coxeter_ehrhart.__all__:

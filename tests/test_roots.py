@@ -14,7 +14,7 @@ from coxeter_ehrhart.roots import (
     standard_shift,
     table_label,
 )
-from coxeter_ehrhart.signed_graphs import SignedGraph, halfedge
+from signed_graphs_reference import SignedGraph, halfedge
 
 
 def test_root_counts():

