@@ -36,8 +36,7 @@ from .ehrhart import (
     ZonotopeSpec,
     coxeter_zonotope,
     ehrhart_almost_integral,
-    ehrhart_integral_coxeter,
-    ehrhart_standard_coxeter,
+    ehrhart_coxeter,
     load_zonotope_file,
     parse_zonotope_document,
 )
@@ -83,8 +82,7 @@ __all__ = [
     "dot",
     "egf_ehrhart_quasipolynomial",
     "ehrhart_almost_integral",
-    "ehrhart_integral_coxeter",
-    "ehrhart_standard_coxeter",
+    "ehrhart_coxeter",
     "int_vector",
     "integer_kernel_basis",
     "is_integral",

@@ -30,8 +30,7 @@ from .ehrhart import (
     ZonotopeFormatError,
     coxeter_zonotope,
     ehrhart_almost_integral,
-    ehrhart_integral_coxeter,
-    ehrhart_standard_coxeter,
+    ehrhart_coxeter,
     load_zonotope_file,
 )
 from .oracle import (
@@ -42,7 +41,7 @@ from .oracle import (
     brute_force_structures,
     count_points,
 )
-from .roots import is_integral, positive_roots, rank_label, table_label
+from .roots import FAMILIES, VARIANTS, is_integral, positive_roots, rank_label, table_label
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -255,61 +254,76 @@ def emit(doc: ResultDocument, fmt: str) -> None:
         print(render_human(doc))
 
 
-_ROUTE_NAMES = {"forest": "forest census", "generic": "independent-subset", "egf": "generating function"}
+# The three permutahedron routes, each a function of (family, n, variant)
+# returning the same QuasiPolynomial, with the name the provenance prints.
+ROUTES = {
+    "forest": ("forest census", ehrhart_coxeter),
+    "generic": (
+        "independent-subset",
+        lambda family, n, variant: ehrhart_almost_integral(coxeter_zonotope(family, n, variant)),
+    ),
+    "egf": ("generating function", egf_ehrhart_quasipolynomial),
+}
 
 
-def _route_quasipolynomial(route: str, family: str, n: int, variant: str):
-    if route == "generic":
-        return ehrhart_almost_integral(coxeter_zonotope(family, n, variant))
-    if route == "egf":
-        return egf_ehrhart_quasipolynomial(family, n, variant)
-    if variant == "standard":
-        return ehrhart_standard_coxeter(family, n)
-    return ehrhart_integral_coxeter(family, n)
-
-
-def cmd_ehrhart(args) -> int:
-    family, n = args.family, args.n
-    request = {
-        "command": "ehrhart",
-        "family": family,
-        "coordinates": n,
-        "rank_label": rank_label(family, n),
-        "table_label": table_label(family, n),
-        "variant": args.variant,
-        "route": args.route,
+def _family_request(command: str, args) -> Dict:
+    return {
+        "command": command,
+        "family": args.family,
+        "coordinates": args.n,
+        "rank_label": rank_label(args.family, args.n),
+        "table_label": table_label(args.family, args.n),
     }
+
+
+def _evaluations(
+    qp: QuasiPolynomial, ts, spec=None, max_box: int = DEFAULT_MAX_BOX
+) -> Tuple[List[Dict], bool]:
+    """One entry per dilation, with the box-scan count beside the value when
+    a zonotope is given; also whether every count matched."""
+    entries, ok = [], True
+    for t in ts:
+        entry = {"t": t, "value": qp.evaluate(t)}
+        if spec is not None:
+            entry["oracle"] = count_points(spec, t, max_box=max_box)
+            entry["match"] = entry["oracle"] == entry["value"]
+            ok = ok and entry["match"]
+        entries.append(entry)
+    return entries, ok
+
+
+def cmd_ehrhart(args) -> Tuple[ResultDocument, bool]:
+    request = {**_family_request("ehrhart", args), "variant": args.variant, "route": args.route}
     ts = sorted(set(args.t)) if args.t else []
     if ts:
         request["t"] = ts
-    qp = _route_quasipolynomial(args.route, family, n, args.variant)
+    name, route = ROUTES[args.route]
+    qp = route(args.family, args.n, args.variant)
+    evaluations, _ = _evaluations(qp, ts)
     doc = ResultDocument(
         request=request,
-        provenance=f"{_ROUTE_NAMES[args.route]} route",
+        provenance=f"{name} route",
         period=qp.period,
         constituents=_constituent_payload(qp.period, qp.constituents),
+        evaluations=evaluations or None,
     )
-    if ts:
-        doc.evaluations = [{"t": t, "value": qp.evaluate(t)} for t in ts]
     agree = True
     if args.verify:
         # the generating functions reach every input the census admits
-        partner = "egf" if args.route == "forest" else "forest"
-        agree = _route_quasipolynomial(partner, family, n, args.variant) == qp
+        partner_name, partner = ROUTES["egf" if args.route == "forest" else "forest"]
+        agree = partner(args.family, args.n, args.variant) == qp
         doc.notes.append(
-            f"cross-route check ({_ROUTE_NAMES[args.route]} vs {_ROUTE_NAMES[partner]}): "
-            + ("agree" if agree else "MISMATCH")
+            f"cross-route check ({name} vs {partner_name}): " + ("agree" if agree else "MISMATCH")
         )
-    emit(doc, args.format)
-    return EXIT_OK if agree else EXIT_MISMATCH
+    return doc, agree
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> Tuple[ResultDocument, bool]:
     table, variant = (TABLE1, "integral") if args.table == "table1" else (TABLE2, "standard")
     rows = []
     all_match = True
     for label, family, n, *expected in table:
-        qp = _route_quasipolynomial("forest", family, n, variant)
+        qp = ehrhart_coxeter(family, n, variant)
         match = (
             qp
             == QuasiPolynomial.from_residue_polys(expected)
@@ -331,11 +345,10 @@ def cmd_tables(args) -> int:
         rows=rows,
         notes=[TABLE_FOOTNOTE, "all rows match" if all_match else "SOME ROWS MISMATCH"],
     )
-    emit(doc, args.format)
-    return EXIT_OK if all_match else EXIT_MISMATCH
+    return doc, all_match
 
 
-def cmd_zonotope(args) -> int:
+def cmd_zonotope(args) -> Tuple[ResultDocument, bool]:
     spec = load_zonotope_file(args.file)
     request = {
         "command": "zonotope",
@@ -350,29 +363,20 @@ def cmd_zonotope(args) -> int:
         raise UsageError("--verify needs at least one dilation; pass --t")
     max_box = _max_box(args, "verify")
     qp = ehrhart_almost_integral(spec)
+    evaluations, ok = _evaluations(qp, ts, spec if args.verify else None, max_box)
     doc = ResultDocument(
         request=request,
         provenance="independent-subset route",
         period=qp.period,
         constituents=_constituent_payload(qp.period, qp.constituents),
+        evaluations=evaluations or None,
     )
-    ok = True
-    if ts:
-        doc.evaluations = []
-        for t in ts:
-            entry = {"t": t, "value": qp.evaluate(t)}
-            if args.verify:
-                entry["oracle"] = count_points(spec, t, max_box=max_box)
-                entry["match"] = entry["oracle"] == entry["value"]
-                ok = ok and entry["match"]
-            doc.evaluations.append(entry)
     if args.verify:
         doc.notes.append("verification compares against the box-scan oracle")
-    emit(doc, args.format)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return doc, ok
 
 
-def cmd_sequences(args) -> int:
+def cmd_sequences(args) -> Tuple[ResultDocument, bool]:
     values = structure_counts(args.kind, args.nmax)
     bound = SIGNED_STRUCTURE_MAX if args.kind.startswith("signed_") else UNSIGNED_STRUCTURE_MAX
     rows = []
@@ -389,47 +393,27 @@ def cmd_sequences(args) -> int:
         provenance="generating function coefficients, with direct enumeration up to the oracle bound",
         rows=rows,
     )
-    emit(doc, args.format)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return doc, ok
 
 
-def cmd_count(args) -> int:
-    family, n, t = args.family, args.n, args.t
+def cmd_count(args) -> Tuple[ResultDocument, bool]:
+    family, n, variant = args.family, args.n, args.variant
     max_box = _max_box(args, "oracle")
-    qp = _route_quasipolynomial("forest", family, n, args.variant)
-    entry = {"t": t, "value": qp.evaluate(t)}
-    ok = True
-    if args.oracle:
-        spec = coxeter_zonotope(family, n, args.variant)
-        entry["oracle"] = count_points(spec, t, max_box=max_box)
-        entry["match"] = entry["oracle"] == entry["value"]
-        ok = entry["match"]
+    qp = ehrhart_coxeter(family, n, variant)
+    spec = coxeter_zonotope(family, n, variant) if args.oracle else None
+    evaluations, ok = _evaluations(qp, [args.t], spec, max_box)
     doc = ResultDocument(
-        request={
-            "command": "count",
-            "family": family,
-            "coordinates": n,
-            "rank_label": rank_label(family, n),
-            "table_label": table_label(family, n),
-            "variant": args.variant,
-        },
-        provenance="forest census route" + (" with box-scan oracle" if "oracle" in entry else ""),
-        evaluations=[entry],
+        request={**_family_request("count", args), "variant": variant},
+        provenance="forest census route" + (" with box-scan oracle" if args.oracle else ""),
+        evaluations=evaluations,
     )
-    emit(doc, args.format)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return doc, ok
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> Tuple[ResultDocument, bool]:
     rs = positive_roots(args.family, args.n)
     doc = ResultDocument(
-        request={
-            "command": "roots",
-            "family": args.family,
-            "coordinates": args.n,
-            "rank_label": rank_label(args.family, args.n),
-            "table_label": table_label(args.family, args.n),
-        },
+        request=_family_request("roots", args),
         provenance="root listing",
         rows=[{"vector": list(r)} for r in rs.roots],
         notes=[
@@ -438,8 +422,7 @@ def cmd_roots(args) -> int:
             "integral" if is_integral(args.family, args.n) else "half-integral (period 2)",
         ],
     )
-    emit(doc, args.format)
-    return EXIT_OK
+    return doc, True
 
 
 def _max_box(args, scan_flag: str) -> int:
@@ -493,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser(
         "ehrhart", parents=[common, verifying], help="quasipolynomial of a permutahedron"
     )
-    pe.add_argument("family", type=_family_arg, choices=("A", "B", "C", "D"))
+    pe.add_argument("family", type=_family_arg, choices=FAMILIES)
     pe.add_argument("n", type=_positive_int, help="number of ambient coordinates")
-    pe.add_argument("--variant", choices=("standard", "integral"), default="standard")
-    pe.add_argument("--route", choices=("forest", "generic", "egf"), default="forest")
+    pe.add_argument("--variant", choices=VARIANTS, default="standard")
+    pe.add_argument("--route", choices=ROUTES, default="forest")
     pe.add_argument("--t", type=_positive_int, nargs="+", help="dilations to evaluate")
 
     pt = sub.add_parser("tables", parents=[common], help="recompute the reference tables")
@@ -513,14 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("nmax", type=_positive_int)
 
     pc = sub.add_parser("count", parents=[common, boxed], help="lattice points of one dilate")
-    pc.add_argument("family", type=_family_arg, choices=("A", "B", "C", "D"))
+    pc.add_argument("family", type=_family_arg, choices=FAMILIES)
     pc.add_argument("n", type=_positive_int)
     pc.add_argument("--t", type=_positive_int, default=1)
-    pc.add_argument("--variant", choices=("standard", "integral"), default="standard")
+    pc.add_argument("--variant", choices=VARIANTS, default="standard")
     pc.add_argument("--oracle", action="store_true", help="also run the box-scan oracle")
 
     pr = sub.add_parser("roots", parents=[common], help="positive roots and shift")
-    pr.add_argument("family", type=_family_arg, choices=("A", "B", "C", "D"))
+    pr.add_argument("family", type=_family_arg, choices=FAMILIES)
     pr.add_argument("n", type=_positive_int)
 
     return parser
@@ -545,16 +528,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except (UsageError, ZonotopeFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+        doc, ok = _HANDLERS[args.command](args)
+    except (UsageError, ZonotopeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EnumerationLimitError, BoxLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    emit(doc, args.format)
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def entry() -> None:

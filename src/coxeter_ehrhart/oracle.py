@@ -19,6 +19,7 @@ from typing import Optional, Tuple
 from .egf import SEQUENCE_KINDS
 from .ehrhart import EnumerationLimitError, ZonotopeSpec
 from .linalg import dot, integer_kernel_basis
+from .roots import _positive
 
 DEFAULT_MAX_BOX = 10_000_000
 # Zonotopes whose facet data stay cached; one count needs one entry per
@@ -60,11 +61,6 @@ def _geometry(zonotope: ZonotopeSpec):
     return kernel, tuple(facets)
 
 
-def _check_dilation(t) -> None:
-    if isinstance(t, bool) or not isinstance(t, int) or t < 1:
-        raise ValueError(f"dilation factor must be a positive integer, got {t!r}")
-
-
 def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX) -> int:
     """Number of lattice points in the t-th dilate, counted line by line.
 
@@ -87,9 +83,8 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
     in an interval.  All arithmetic is exact ``int``; the tests check the
     count against a per-point rational membership test on the same facets.
     """
-    _check_dilation(t)
-    if isinstance(max_box, bool) or not isinstance(max_box, int) or max_box < 1:
-        raise ValueError(f"box limit must be a positive integer, got {max_box!r}")
+    _positive(t, "dilation factor")
+    _positive(max_box, "box limit")
     lows, highs = [], []
     volume = 1
     for i in range(zonotope.dim):
@@ -262,8 +257,7 @@ def brute_force_structures(kind: str, n: int) -> int:
     """
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown structure kind {kind!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+    _positive(n, "vertex count")
     signed = kind.startswith("signed_")
     limit = SIGNED_STRUCTURE_MAX if signed else UNSIGNED_STRUCTURE_MAX
     if n > limit:

@@ -18,13 +18,19 @@ from . import linalg
 from .linalg import IntVector, RatVector
 
 FAMILIES = ("A", "B", "C", "D")
+VARIANTS = ("standard", "integral")
+
+
+def _positive(value, what: str) -> None:
+    """Reject anything but a positive ``int``; ``bool`` is not read as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
 def _check(family: str, n: int) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"coordinate count must be a positive integer, got {n!r}")
+    _positive(n, "coordinate count")
 
 
 @dataclass(frozen=True)
@@ -70,6 +76,15 @@ def is_integral(family: str, n: int) -> bool:
     if family == "A":
         return n % 2 == 1
     return family in ("C", "D")
+
+
+def is_half_integral(family: str, n: int, variant: str) -> bool:
+    """Whether the variant's permutahedron has period 2: the standard one
+    where it is not integral, never the integral one.  Unknown variants are
+    rejected here for every route."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return not is_integral(family, n) and variant == "standard"
 
 
 def positive_roots(family: str, n: int) -> PositiveRootSet:

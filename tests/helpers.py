@@ -31,8 +31,8 @@ from coxeter_ehrhart.linalg import (
     rank,
     rat_vector,
 )
-from coxeter_ehrhart.oracle import _check_dilation, _geometry
-from coxeter_ehrhart.roots import is_integral, positive_roots
+from coxeter_ehrhart.oracle import _geometry
+from coxeter_ehrhart.roots import _positive, is_integral, positive_roots
 from signed_graphs_reference import (
     HALF,
     LOOP,
@@ -543,7 +543,7 @@ def zonotope_contains(zonotope: ZonotopeSpec, t: int, point) -> MembershipCertif
     This is the reference that the integer scan of ``oracle.count_points``
     is tested against.
     """
-    _check_dilation(t)
+    _positive(t, "dilation factor")
     p = int_vector(point)
     if len(p) != zonotope.dim:
         raise ValueError(f"point has dimension {len(p)}, expected {zonotope.dim}")

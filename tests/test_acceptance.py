@@ -19,8 +19,7 @@ from coxeter_ehrhart.ehrhart import (
     ZonotopeSpec,
     coxeter_zonotope,
     ehrhart_almost_integral,
-    ehrhart_integral_coxeter,
-    ehrhart_standard_coxeter,
+    ehrhart_coxeter,
 )
 from coxeter_ehrhart.linalg import rank
 from coxeter_ehrhart.oracle import brute_force_structures, count_points
@@ -109,7 +108,7 @@ def test_criterion_1_integral_table():
         assert code == 0
         assert out.count("match") == 16 and "MISMATCH" not in out  # 15 rows + summary
         for (family, n), coeffs in INTEGRAL_TABLE.items():
-            qp = ehrhart_integral_coxeter(family, n)
+            qp = ehrhart_coxeter(family, n, "integral")
             assert qp.period == 1 and qp.constituents == (coeffs,), (family, n)
         assert c.elapsed < 30.0
 
@@ -120,7 +119,7 @@ def test_criterion_2_standard_table():
         assert code == 0
         assert out.count("match") == 7 and "MISMATCH" not in out  # 6 rows + summary
         for (family, n), (even, odd) in STANDARD_TABLE.items():
-            qp = ehrhart_standard_coxeter(family, n)
+            qp = ehrhart_coxeter(family, n)
             assert qp.period == 2 and qp.constituents == (even, odd), (family, n)
         assert c.elapsed < 30.0
 
@@ -128,7 +127,7 @@ def test_criterion_2_standard_table():
 def test_criterion_3_small_rank_point_counts():
     with _criterion("criterion 3: rank-two and rank-three point counts vs box scan"):
         for (family, n), poly in SMALL_STANDARD_POLYS.items():
-            qp = ehrhart_standard_coxeter(family, n)
+            qp = ehrhart_coxeter(family, n)
             spec = coxeter_zonotope(family, n, "standard")
             for t in (1, 2, 3):
                 expected = poly(t)
@@ -141,11 +140,7 @@ def test_criterion_4_three_routes_agree():
         for family in "ABCD":
             for n in range(1, 5):
                 for variant in ("standard", "integral"):
-                    census = (
-                        ehrhart_standard_coxeter(family, n)
-                        if variant == "standard"
-                        else ehrhart_integral_coxeter(family, n)
-                    )
+                    census = ehrhart_coxeter(family, n, variant)
                     subset = ehrhart_almost_integral(coxeter_zonotope(family, n, variant))
                     assert census == subset, (family, n, variant)
                     series = egf_ehrhart_quasipolynomial(family, n, variant)
@@ -163,16 +158,12 @@ def test_criterion_5_brute_force_oracle():
         for family in "ABCD":
             for n in range(1, 4):
                 for variant in ("standard", "integral"):
-                    qp = (
-                        ehrhart_standard_coxeter(family, n)
-                        if variant == "standard"
-                        else ehrhart_integral_coxeter(family, n)
-                    )
+                    qp = ehrhart_coxeter(family, n, variant)
                     spec = coxeter_zonotope(family, n, variant)
                     for t in (1, 2, 3):
                         assert count_points(spec, t) == qp.evaluate(t), (family, n, variant, t)
         for family in "BCD":
-            qp = ehrhart_standard_coxeter(family, 4)
+            qp = ehrhart_coxeter(family, 4)
             spec = coxeter_zonotope(family, 4, "standard")
             for t in (1, 2):
                 assert count_points(spec, t) == qp.evaluate(t), (family, t)
@@ -182,7 +173,7 @@ def test_criterion_5_brute_force_oracle():
 def test_criterion_6_forest_counts():
     with _criterion("criterion 6: coefficients count forests by edges (n <= 6)"):
         for n in range(1, 7):
-            qp = ehrhart_integral_coxeter("A", n)
+            qp = ehrhart_coxeter("A", n, "integral")
             coeffs = list(qp.constituents[0])
             expected = forest_counts_by_edges(n)
             assert coeffs == expected, n

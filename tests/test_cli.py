@@ -6,6 +6,8 @@ import pytest
 
 from coxeter_ehrhart import cli
 from coxeter_ehrhart.cli import ResultDocument, format_polynomial, main, rational_str
+from coxeter_ehrhart.egf import COORDINATE_BOUND
+from coxeter_ehrhart.ehrhart import PERIOD_BOUND, coxeter_zonotope
 
 
 def run(capsys, argv):
@@ -131,6 +133,26 @@ def test_census_limit_exit_code(capsys):
     assert "merge bound" in capsys.readouterr().err
 
 
+def test_size_guards_exit_code(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"generators": [[1, 0], [0, 1]], "shift": [f"1/{PERIOD_BOUND + 1}", 0]}))
+    for argv, message in (
+        (["ehrhart", "A", str(COORDINATE_BOUND + 1), "--route", "egf"], "coordinate bound"),
+        (["zonotope", str(path)], "period bound"),
+    ):
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
+
+def test_every_route_rejects_an_unknown_variant():
+    messages = set()
+    for route in [route for _, route in cli.ROUTES.values()] + [coxeter_zonotope]:
+        with pytest.raises(ValueError) as err:
+            route("B", 2, "bogus")
+        messages.add(str(err.value))
+    assert messages == {"unknown variant 'bogus'; expected one of ('standard', 'integral')"}
+
+
 def test_tables_pass(capsys):
     for table in ("table1", "table2"):
         code, out = run(capsys, ["tables", table])
@@ -208,6 +230,15 @@ def test_zonotope_bad_file_exit(tmp_path, capsys):
     assert main(["zonotope", str(path)]) == 2
     assert main(["zonotope", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+    # a directory, bytes that are not UTF-8, and nesting past the recursion limit
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    for target in (tmp_path, binary, deep):
+        assert main(["zonotope", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from coxeter_ehrhart.egf import (
     egf_ehrhart_quasipolynomial,
     structure_counts,
 )
-from coxeter_ehrhart.ehrhart import ehrhart_integral_coxeter, ehrhart_standard_coxeter
+from coxeter_ehrhart.ehrhart import ehrhart_coxeter
 from coxeter_ehrhart.roots import is_integral
 from series_reference import (
     RatSeries,
@@ -74,7 +74,7 @@ def test_integral_values_match_forest_census():
         values = {t: egf_ehrhart_values(family, t, 5) for t in (1, 2, 3, 4)}
         assert all(row[0] == 1 for row in values.values())
         for n in range(1, 6):
-            census = ehrhart_integral_coxeter(family, n)
+            census = ehrhart_coxeter(family, n, "integral")
             assert egf_ehrhart_quasipolynomial(family, n, "integral") == census
             for t, row in values.items():
                 assert row[n] == census.evaluate(t)
@@ -113,7 +113,7 @@ def test_odd_dilation_values_match_forest_census():
         for n in range(1, 5):
             if is_integral(family, n):
                 continue
-            census = ehrhart_standard_coxeter(family, n)
+            census = ehrhart_coxeter(family, n)
             assert egf_ehrhart_quasipolynomial(family, n) == census
             for t, row in values.items():
                 assert row[n] == census.evaluate(t)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from coxeter_ehrhart import ehrhart
+from coxeter_ehrhart import egf, ehrhart
 from coxeter_ehrhart.ehrhart import (
     EnumerationLimitError,
     QuasiPolynomial,
@@ -13,8 +13,7 @@ from coxeter_ehrhart.ehrhart import (
     ZonotopeSpec,
     coxeter_zonotope,
     ehrhart_almost_integral,
-    ehrhart_integral_coxeter,
-    ehrhart_standard_coxeter,
+    ehrhart_coxeter,
     parse_zonotope_document,
     load_zonotope_file,
 )
@@ -164,19 +163,19 @@ def test_shifted_plane_zonotope():
 
 
 def test_forest_census_totals():
-    qp = ehrhart_integral_coxeter("A", 4)
+    qp = ehrhart_coxeter("A", 4, "integral")
     assert qp.evaluate(1) == 38  # one point per forest at dilation one
     assert qp.constituents[0][3] == 16  # spanning trees
     assert sum(census_counts(positive_roots("B", 2).roots, 2).values()) == 11
     # the one unbalanced cycle of B2, {e1 - e2, e1 + e2}, counts twice
-    assert ehrhart_integral_coxeter("B", 2).evaluate(1) == 12
+    assert ehrhart_coxeter("B", 2, "integral").evaluate(1) == 12
 
 
 def assert_census_reads(counts, family, n):
     """Both census readers equal the census keys ``counts`` read the
     reference way."""
-    assert ehrhart_integral_coxeter(family, n) == census_quasipolynomial(counts, family, n, "integral")
-    assert ehrhart_standard_coxeter(family, n) == census_quasipolynomial(counts, family, n, "standard")
+    assert ehrhart_coxeter(family, n, "integral") == census_quasipolynomial(counts, family, n, "integral")
+    assert ehrhart_coxeter(family, n) == census_quasipolynomial(counts, family, n, "standard")
 
 
 @pytest.mark.parametrize(
@@ -241,8 +240,8 @@ def test_forest_census_matches_labeled_reference(family, n):
 def test_census_route_matches_egf_route(family, top):
     # well past the labeled references, for both variants
     for n in range(1, top + 1):
-        assert ehrhart_integral_coxeter(family, n) == egf_ehrhart_quasipolynomial(family, n, "integral"), n
-        assert ehrhart_standard_coxeter(family, n) == egf_ehrhart_quasipolynomial(family, n, "standard"), n
+        assert ehrhart_coxeter(family, n, "integral") == egf_ehrhart_quasipolynomial(family, n, "integral"), n
+        assert ehrhart_coxeter(family, n) == egf_ehrhart_quasipolynomial(family, n, "standard"), n
 
 
 def test_forest_census_total_beyond_reference_range():
@@ -280,11 +279,11 @@ def test_census_limit_guard(monkeypatch):
     # the census counts its partial merges, A9 957 of them, B7 2,761 and
     # A12 4,669; a lowered bound keeps the refusals cheap
     monkeypatch.setattr(ehrhart, "MERGE_BOUND", 1_000)
-    assert ehrhart_integral_coxeter("A", 9) == egf_ehrhart_quasipolynomial("A", 9, "integral")
+    assert ehrhart_coxeter("A", 9, "integral") == egf_ehrhart_quasipolynomial("A", 9, "integral")
     with pytest.raises(EnumerationLimitError, match="merge bound of 1000"):
-        ehrhart_integral_coxeter("B", 7)
+        ehrhart_coxeter("B", 7, "integral")
     with pytest.raises(EnumerationLimitError):
-        ehrhart_standard_coxeter("A", 12)
+        ehrhart_coxeter("A", 12)
 
 
 def test_integral_census_matches_reference_rows():
@@ -306,7 +305,7 @@ def test_integral_census_matches_reference_rows():
         ("D", 4): (1, 12, 72, 280, 636),
     }
     for (family, n), coeffs in expected.items():
-        qp = ehrhart_integral_coxeter(family, n)
+        qp = ehrhart_coxeter(family, n, "integral")
         assert qp.period == 1
         assert qp.constituents == (coeffs,)
 
@@ -321,16 +320,16 @@ def test_standard_census_matches_reference_rows():
         ("B", 4): ((1, 16, 126, 608, 1553), (0, 0, 12, 212, 1553)),
     }
     for (family, n), (even, odd) in expected.items():
-        qp = ehrhart_standard_coxeter(family, n)
+        qp = ehrhart_coxeter(family, n)
         assert qp.period == 2
         assert qp.constituents == (even, odd)
 
 
 def test_standard_census_of_integral_families_has_period_one():
     for family, n in [("A", 3), ("C", 3), ("D", 3)]:
-        qp = ehrhart_standard_coxeter(family, n)
+        qp = ehrhart_coxeter(family, n)
         assert qp.period == 1
-        assert qp == ehrhart_integral_coxeter(family, n)
+        assert qp == ehrhart_coxeter(family, n, "integral")
 
 
 def test_coxeter_zonotope_variants():
@@ -347,11 +346,7 @@ def test_generic_route_agrees_with_census():
     for family in "ABCD":
         for n in range(1, 6):
             for variant in ("standard", "integral"):
-                census = (
-                    ehrhart_standard_coxeter(family, n)
-                    if variant == "standard"
-                    else ehrhart_integral_coxeter(family, n)
-                )
+                census = ehrhart_coxeter(family, n, variant)
                 generic = ehrhart_almost_integral(coxeter_zonotope(family, n, variant))
                 assert census == generic, (family, n, variant)
 
@@ -421,7 +416,7 @@ def test_period_matches_integrality():
 
     for family in "ABCD":
         for n in range(1, 5):
-            qp = ehrhart_standard_coxeter(family, n)
+            qp = ehrhart_coxeter(family, n)
             assert qp.period == (1 if is_integral(family, n) else 2), (family, n)
 
 
@@ -429,7 +424,7 @@ def test_evaluations_are_monotone_nonnegative_integers():
     # both polytope variants contain the origin, so dilates nest
     for family in "ABCD":
         for n in range(1, 5):
-            for qp in (ehrhart_standard_coxeter(family, n), ehrhart_integral_coxeter(family, n)):
+            for qp in (ehrhart_coxeter(family, n), ehrhart_coxeter(family, n, "integral")):
                 values = [qp.evaluate(t) for t in range(1, 8)]
                 assert all(isinstance(v, int) and v >= 0 for v in values)
                 assert all(a <= b for a, b in zip(values, values[1:])), (family, n)
@@ -440,7 +435,7 @@ def test_constituent_constant_terms():
     # an isolated vertex is an odd tree component
     for family in "ABCD":
         for n in range(1, 5):
-            qp = ehrhart_standard_coxeter(family, n)
+            qp = ehrhart_coxeter(family, n)
             assert qp.constituents[0][0] == 1
             if qp.period == 2:
                 assert qp.constituents[1][0] == 0
@@ -492,3 +487,16 @@ def test_generator_count_guard():
         ehrhart_almost_integral(ZonotopeSpec.make(units))
     # while 29 parallel copies allow only the empty set and 29 singletons
     assert ehrhart_almost_integral(ZonotopeSpec.make([(1, 0)] * 29)).constituents == ((1, 29),)
+
+
+def test_period_and_coordinate_guards_admit_their_bound(monkeypatch):
+    # lowered bounds: the walk keeps one list per residue mod the shift
+    # denominator, and the egf route's cost grows with the coordinate count
+    monkeypatch.setattr(ehrhart, "PERIOD_BOUND", 6)
+    monkeypatch.setattr(egf, "COORDINATE_BOUND", 5)
+    assert ehrhart_almost_integral(ZonotopeSpec.make([(1,)], shift=(Fraction(1, 6),))).period == 6
+    with pytest.raises(EnumerationLimitError, match="period bound of 6"):
+        ehrhart_almost_integral(ZonotopeSpec.make([(1,)], shift=(Fraction(1, 7),)))
+    assert egf_ehrhart_quasipolynomial("A", 5) == ehrhart_coxeter("A", 5)
+    with pytest.raises(EnumerationLimitError, match="coordinate bound of 5"):
+        egf_ehrhart_quasipolynomial("A", 6)

@@ -13,7 +13,7 @@ from coxeter_ehrhart.ehrhart import (
     ZonotopeSpec,
     coxeter_zonotope,
     ehrhart_almost_integral,
-    ehrhart_standard_coxeter,
+    ehrhart_coxeter,
 )
 from coxeter_ehrhart.linalg import dot, integer_kernel_basis
 from coxeter_ehrhart.oracle import (
@@ -36,7 +36,7 @@ def test_count_points_reference_values():
 
 
 def test_count_points_tracks_quasipolynomial():
-    qp = ehrhart_standard_coxeter("B", 2)
+    qp = ehrhart_coxeter("B", 2)
     spec = coxeter_zonotope("B", 2, "standard")
     for t in range(1, 6):
         assert count_points(spec, t) == qp.evaluate(t)
@@ -171,7 +171,7 @@ def test_count_matches_formula_in_dimensions_four_and_five():
     [
         lambda spec: count_points(spec, True),
         lambda spec: zonotope_contains(spec, True, (0, 0)),
-        lambda spec: ehrhart_standard_coxeter("B", 2).evaluate(True),
+        lambda spec: ehrhart_coxeter("B", 2).evaluate(True),
     ],
     ids=["count_points", "zonotope_contains", "QuasiPolynomial.evaluate"],
 )

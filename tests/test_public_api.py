@@ -30,8 +30,7 @@ def test_public_names():
         "dot",
         "egf_ehrhart_quasipolynomial",
         "ehrhart_almost_integral",
-        "ehrhart_integral_coxeter",
-        "ehrhart_standard_coxeter",
+        "ehrhart_coxeter",
         "int_vector",
         "integer_kernel_basis",
         "is_integral",

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from coxeter_ehrhart.ehrhart import ehrhart_integral_coxeter, ehrhart_standard_coxeter
+from coxeter_ehrhart.ehrhart import ehrhart_coxeter
 from coxeter_ehrhart.linalg import rank
 from coxeter_ehrhart.roots import (
     FAMILIES,
+    VARIANTS,
     is_integral,
     positive_roots,
     rank_label,
@@ -102,15 +103,15 @@ def test_rejects_bad_arguments():
         halfedge(True)
     with pytest.raises(ValueError):
         SignedGraph(True, frozenset())
-    # both census readers validate before the census reads its family table
-    for reader in (ehrhart_integral_coxeter, ehrhart_standard_coxeter):
+    # the census reader validates before the census reads its family table
+    for variant in VARIANTS:
         with pytest.raises(ValueError):
-            reader("E", 3)
+            ehrhart_coxeter("E", 3, variant)
         with pytest.raises(ValueError):
-            reader("A", 0)
-        reader("A", 1)
+            ehrhart_coxeter("A", 0, variant)
+        ehrhart_coxeter("A", 1, variant)
         with pytest.raises(ValueError):
-            reader("A", True)  # not read as the A_1 census
+            ehrhart_coxeter("A", True, variant)  # not read as the A_1 census
 
 
 def test_roots_span_check_against_linalg_rank():
