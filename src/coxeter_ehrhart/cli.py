@@ -15,11 +15,10 @@ agreement in verification modes), 1 verification mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,6 +30,7 @@ from .ehrhart import (
     coxeter_zonotope,
     ehrhart_almost_integral,
     ehrhart_coxeter,
+    ehrhart_coxeter_generic,
     load_zonotope_file,
 )
 from .oracle import (
@@ -96,15 +96,21 @@ def rational_str(value) -> str:
 
 
 def format_polynomial(coeffs: Sequence) -> str:
+    return _polynomial_text([rational_str(c) for c in coeffs])
+
+
+def _polynomial_text(coeffs: Sequence[str]) -> str:
+    """The polynomial whose ascending coefficients are written (as by
+    ``rational_str``) in ``coeffs``."""
     terms = []
     for k, c in enumerate(coeffs):
-        if c == 0:
+        if c == "0":
             continue
         if k == 0:
-            terms.append(rational_str(c))
+            terms.append(c)
             continue
         power = "t" if k == 1 else "t" + str(k).translate(_SUPERSCRIPTS)
-        terms.append(power if c == 1 else f"{rational_str(c)}{power}")
+        terms.append(power if c == "1" else f"{c}{power}")
     return " + ".join(terms) if terms else "0"
 
 
@@ -116,17 +122,27 @@ def residue_name(residue: int, period: int) -> str:
     return f"t ≡ {residue} (mod {period})"
 
 
-@dataclass
-class ResultDocument:
-    """One CLI result; all three output formats encode this structure."""
+class ResultDocument(
+    namedtuple("ResultDocument", "request provenance period constituents evaluations rows notes")
+):
+    """One CLI result; all three output formats encode this structure.  The
+    fields are fixed once built, but ``notes`` is a list of its own that a
+    handler may append to."""
 
-    request: Dict
-    provenance: str = ""
-    period: Optional[int] = None
-    constituents: Optional[List[Dict]] = None
-    evaluations: Optional[List[Dict]] = None
-    rows: Optional[List[Dict]] = None
-    notes: List[str] = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        request: Dict,
+        provenance: str = "",
+        period: Optional[int] = None,
+        constituents: Optional[List[Dict]] = None,
+        evaluations: Optional[List[Dict]] = None,
+        rows: Optional[List[Dict]] = None,
+        notes: Optional[List[str]] = None,
+    ) -> "ResultDocument":
+        notes = [] if notes is None else notes
+        return super().__new__(cls, request, provenance, period, constituents, evaluations, rows, notes)
 
     def to_dict(self) -> Dict:
         out: Dict = {"request": self.request, "provenance": self.provenance}
@@ -146,6 +162,8 @@ class ResultDocument:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
     def to_csv(self) -> str:
+        import csv  # only this encoding needs the module; keep it off start-up
+
         pairs: List[Tuple[str, str]] = []
         _flatten(self.to_dict(), "", pairs)
         buffer = io.StringIO()
@@ -173,7 +191,7 @@ def _constituent_payload(period: int, coeff_lists) -> List[Dict]:
         {
             "residue": r,
             "label": residue_name(r, period),
-            "coefficients": [rational_str(c) for c in coeffs],
+            "coefficients": [str(c) for c in coeffs],
         }
         for r, coeffs in enumerate(coeff_lists)
     ]
@@ -203,8 +221,7 @@ def render_human(doc: ResultDocument) -> str:
     if doc.constituents:
         width = max(len(c["label"]) for c in doc.constituents)
         for c in doc.constituents:
-            poly = format_polynomial([Fraction(x) for x in c["coefficients"]])
-            lines.append(f"  {c['label']:<{width}}  {poly}")
+            lines.append(f"  {c['label']:<{width}}  {_polynomial_text(c['coefficients'])}")
     if doc.evaluations:
         for e in doc.evaluations:
             line = f"ehr({e['t']}) = {e['value']}"
@@ -226,13 +243,11 @@ def _render_rows(command: str, rows: List[Dict]) -> List[str]:
             status = "match" if row["match"] else "MISMATCH"
             if "computed_even" in row:
                 lines.append(
-                    f"  {row['label']:<4} even: {format_polynomial([int(c) for c in row['computed_even']]):<42}"
-                    f" odd: {format_polynomial([int(c) for c in row['computed_odd']]):<38} {status}"
+                    f"  {row['label']:<4} even: {_polynomial_text(row['computed_even']):<42}"
+                    f" odd: {_polynomial_text(row['computed_odd']):<38} {status}"
                 )
             else:
-                lines.append(
-                    f"  {row['label']:<4} {format_polynomial([int(c) for c in row['computed']]):<46} {status}"
-                )
+                lines.append(f"  {row['label']:<4} {_polynomial_text(row['computed']):<46} {status}")
     elif command == "sequences":
         for row in rows:
             line = f"  n={row['n']}: {row['egf']}"
@@ -258,10 +273,7 @@ def emit(doc: ResultDocument, fmt: str) -> None:
 # returning the same QuasiPolynomial, with the name the provenance prints.
 ROUTES = {
     "forest": ("forest census", ehrhart_coxeter),
-    "generic": (
-        "independent-subset",
-        lambda family, n, variant: ehrhart_almost_integral(coxeter_zonotope(family, n, variant)),
-    ),
+    "generic": ("independent-subset", ehrhart_coxeter_generic),
     "egf": ("generating function", egf_ehrhart_quasipolynomial),
 }
 
@@ -446,23 +458,6 @@ def _positive_int(value: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("human", "json", "csv"), default="human", help="output encoding"
-    )
-    verifying = argparse.ArgumentParser(add_help=False)
-    verifying.add_argument(
-        "--verify", action="store_true", help="cross-check against an independent route"
-    )
-    boxed = argparse.ArgumentParser(add_help=False)
-    boxed.add_argument(
-        "--max-box",
-        dest="max_box",
-        type=_positive_int,
-        default=None,
-        help=f"bounding-box point ceiling for oracle scans (default {DEFAULT_MAX_BOX})",
-    )
-
     parser = argparse.ArgumentParser(
         prog="coxeter-ehrhart",
         description=(
@@ -473,36 +468,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    pe = sub.add_parser(
-        "ehrhart", parents=[common, verifying], help="quasipolynomial of a permutahedron"
-    )
+    def verb(name: str, summary: str, verify: bool = False, max_box: bool = False):
+        """A subparser with ``--format``, plus ``--verify`` and ``--max-box``
+        where the verb reads them, ahead of its own arguments."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(
+            "--format", choices=("human", "json", "csv"), default="human", help="output encoding"
+        )
+        if verify:
+            p.add_argument(
+                "--verify", action="store_true", help="cross-check against an independent route"
+            )
+        if max_box:
+            p.add_argument(
+                "--max-box",
+                dest="max_box",
+                type=_positive_int,
+                default=None,
+                help=f"bounding-box point ceiling for oracle scans (default {DEFAULT_MAX_BOX})",
+            )
+        return p
+
+    pe = verb("ehrhart", "quasipolynomial of a permutahedron", verify=True)
     pe.add_argument("family", type=_family_arg, choices=FAMILIES)
     pe.add_argument("n", type=_positive_int, help="number of ambient coordinates")
     pe.add_argument("--variant", choices=VARIANTS, default="standard")
     pe.add_argument("--route", choices=ROUTES, default="forest")
     pe.add_argument("--t", type=_positive_int, nargs="+", help="dilations to evaluate")
 
-    pt = sub.add_parser("tables", parents=[common], help="recompute the reference tables")
+    pt = verb("tables", "recompute the reference tables")
     pt.add_argument("table", choices=("table1", "table2"))
 
-    pz = sub.add_parser(
-        "zonotope", parents=[common, verifying, boxed], help="quasipolynomial of a zonotope file"
-    )
+    pz = verb("zonotope", "quasipolynomial of a zonotope file", verify=True, max_box=True)
     pz.add_argument("file", help="JSON document with 'generators' and optional 'shift'")
     pz.add_argument("--t", type=_positive_int, nargs="+", help="dilations to evaluate")
 
-    ps = sub.add_parser("sequences", parents=[common], help="labeled structure counts")
+    ps = verb("sequences", "labeled structure counts")
     ps.add_argument("kind", choices=SEQUENCE_KINDS)
     ps.add_argument("nmax", type=_positive_int)
 
-    pc = sub.add_parser("count", parents=[common, boxed], help="lattice points of one dilate")
+    pc = verb("count", "lattice points of one dilate", max_box=True)
     pc.add_argument("family", type=_family_arg, choices=FAMILIES)
     pc.add_argument("n", type=_positive_int)
     pc.add_argument("--t", type=_positive_int, default=1)
     pc.add_argument("--variant", choices=VARIANTS, default="standard")
     pc.add_argument("--oracle", action="store_true", help="also run the box-scan oracle")
 
-    pr = sub.add_parser("roots", parents=[common], help="positive roots and shift")
+    pr = verb("roots", "positive roots and shift")
     pr.add_argument("family", type=_family_arg, choices=FAMILIES)
     pr.add_argument("n", type=_positive_int)
 

@@ -10,11 +10,10 @@ rank are off by one from ours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Tuple
 
-from . import linalg
 from .linalg import IntVector, RatVector
 
 FAMILIES = ("A", "B", "C", "D")
@@ -33,8 +32,7 @@ def _check(family: str, n: int) -> None:
     _positive(n, "coordinate count")
 
 
-@dataclass(frozen=True)
-class PositiveRootSet:
+class PositiveRootSet(namedtuple("PositiveRootSet", "family n roots shift")):
     """Positive roots of one classical family on ``n`` coordinates.
 
     ``shift`` places the standard (origin-centered) permutahedron relative
@@ -43,6 +41,7 @@ class PositiveRootSet:
     segments over ``roots``.
     """
 
+    __slots__ = ()
     family: str
     n: int
     roots: Tuple[IntVector, ...]
@@ -50,7 +49,7 @@ class PositiveRootSet:
 
     @property
     def rank(self) -> int:
-        return linalg.rank(self.roots, dim=self.n)
+        return root_count_and_rank(self.family, self.n)[1]
 
 
 def standard_shift(family: str, n: int) -> RatVector:
@@ -111,6 +110,17 @@ def positive_roots(family: str, n: int) -> PositiveRootSet:
     else:
         roots = diffs + sums
     return PositiveRootSet(family, n, tuple(roots), standard_shift(family, n))
+
+
+def root_count_and_rank(family: str, n: int) -> Tuple[int, int]:
+    """The number of positive roots and their rank, in closed form, without
+    building the roots: n(n-1)/2 and n - 1 for A, n^2 and n for B and C,
+    n(n-1) and n for D (no roots, rank 0, at D1)."""
+    _check(family, n)
+    if family == "A":
+        return n * (n - 1) // 2, n - 1
+    count = n * (n - 1) if family == "D" else n * n
+    return count, n if count else 0
 
 
 def table_label(family: str, n: int) -> str:

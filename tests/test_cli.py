@@ -1,6 +1,9 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +78,47 @@ def test_csv_format(capsys):
     assert "constituents.0.coefficients.0,1" in lines
 
 
+def test_import_loads_only_what_every_request_runs():
+    # a fresh interpreter: the value classes need no dataclasses (and so no
+    # inspect), and csv loads with the one format that writes it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    program = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import coxeter_ehrhart.cli as cli\n"
+        "print(*[m in sys.modules for m in ('dataclasses', 'inspect', 'csv')])\n"
+        "cli.main(['roots', 'B', '1', '--format', 'csv'])\n"
+        "print('csv' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [
+        "False False False",
+        "key,value",
+        "request.command,roots",
+        "request.family,B",
+        "request.coordinates,1",
+        "request.rank_label,B_1",
+        "request.table_label,B_1",
+        "provenance,root listing",
+        "rows.0.vector.0,1",
+        "notes.0,1 positive root",
+        "notes.1,shift (1/2)",
+        "notes.2,half-integral (period 2)",
+        "True",
+    ]
+
+
+def test_result_document_is_a_value_with_its_own_notes():
+    doc = ResultDocument(request={"command": "roots"})
+    assert doc == ResultDocument({"command": "roots"}, "", None, None, None, None, [])
+    assert doc.notes is not ResultDocument(request={"command": "roots"}).notes
+    doc.notes.append("checked")
+    assert doc.to_dict() == {"request": {"command": "roots"}, "provenance": "", "notes": ["checked"]}
+    with pytest.raises(AttributeError):
+        doc.period = 2
+    with pytest.raises(TypeError):
+        ResultDocument(provenance="no request")
+
+
 def test_output_is_deterministic(capsys):
     for fmt in ("human", "json", "csv"):
         argv = ["ehrhart", "C", "3", "--format", fmt, "--t", "1", "2"]
@@ -139,6 +183,7 @@ def test_size_guards_exit_code(tmp_path, capsys):
     for argv, message in (
         (["ehrhart", "A", str(COORDINATE_BOUND + 1), "--route", "egf"], "coordinate bound"),
         (["zonotope", str(path)], "period bound"),
+        (["ehrhart", "A", "200", "--route", "generic"], "a 483-digit number of independent subsets"),
     ):
         assert main(argv) == 3
         assert message in capsys.readouterr().err

@@ -14,11 +14,13 @@ from coxeter_ehrhart.ehrhart import (
     coxeter_zonotope,
     ehrhart_almost_integral,
     ehrhart_coxeter,
+    ehrhart_coxeter_generic,
     parse_zonotope_document,
     load_zonotope_file,
 )
 from coxeter_ehrhart.egf import component_counts, egf_ehrhart_quasipolynomial
-from coxeter_ehrhart.roots import is_integral, positive_roots
+from coxeter_ehrhart.linalg import integer_kernel_basis
+from coxeter_ehrhart.roots import is_integral, positive_roots, root_count_and_rank
 from helpers import (
     IntegerEchelon,
     census_counts,
@@ -500,3 +502,80 @@ def test_period_and_coordinate_guards_admit_their_bound(monkeypatch):
     assert egf_ehrhart_quasipolynomial("A", 5) == ehrhart_coxeter("A", 5)
     with pytest.raises(EnumerationLimitError, match="coordinate bound of 5"):
         egf_ehrhart_quasipolynomial("A", 6)
+
+
+def test_zonotope_spec_is_an_immutable_value():
+    spec = ZonotopeSpec.make([(1, 0), (1, 1)], shift=("1/2", 0))
+    same = ZonotopeSpec([[1, 0], [1, 1]], (Fraction(1, 2), 0), 2)
+    assert spec == same and hash(spec) == hash(same)
+    assert spec.generators == ((1, 0), (1, 1)) and spec.shift == (Fraction(1, 2), Fraction(0))
+    assert spec != ZonotopeSpec.make([(1, 0), (1, 1)])
+    assert spec.shift_denominator == 2
+    with pytest.raises(AttributeError):
+        spec.dim = 3
+    for args, message in (
+        (((), (), 0), "ambient dimension must be positive"),
+        ((((1, 0),), (0,), 2), "shift has dimension 1, expected 2"),
+        ((((1, 0, 0),), (0, 0), 2), r"generator \(1, 0, 0\) has dimension 3, expected 2"),
+        ((((0, 0),), (0, 0), 2), "zero generators are not allowed"),
+        ((((1, 0.5),), (0, 0), 2), "non-integer entry 0.5"),
+        ((((True, 0),), (0, 0), 2), "non-integer entry True"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ZonotopeSpec(*args)
+    with pytest.raises(ValueError, match="dimension is required"):
+        ZonotopeSpec.make([])
+
+
+def test_quasipolynomial_is_an_immutable_value():
+    qp = QuasiPolynomial(2, ((1, 4, 7), (0, 2, 7)))
+    assert qp == QuasiPolynomial.from_residue_polys([[1, 4, 7], [0, 2, 7]]) == ehrhart_coxeter("B", 2)
+    assert hash(qp) == hash(ehrhart_coxeter("B", 2))
+    assert {qp: "B2"}[egf_ehrhart_quasipolynomial("B", 2)] == "B2"
+    assert qp != QuasiPolynomial(1, ((1, 4, 7),))
+    assert (qp.degree, qp.evaluate(3)) == (2, 69)
+    with pytest.raises(AttributeError):
+        qp.period = 1
+    for period, constituents in ((0, ()), (2, ((1,),)), (1, ((1,), (1,)))):
+        with pytest.raises(ValueError, match="constituent count must equal the period"):
+            QuasiPolynomial(period, constituents)
+
+
+# The largest permutahedron of each family under the subset bound.
+_SUBSET_REACH = {"A": 8, "B": 6, "C": 6, "D": 6}
+
+
+@pytest.mark.parametrize("family", sorted(_SUBSET_REACH))
+def test_generic_route_guard_reads_the_walks_own_verdict(family, monkeypatch):
+    reach = _SUBSET_REACH[family]
+    for n in range(1, reach + 2):
+        # the walk's verdict comes from the generators it is given and their
+        # rank; the early one from the closed form
+        gens = coxeter_zonotope(family, n).generators
+        assert root_count_and_rank(family, n) == (len(gens), n - len(integer_kernel_basis(gens, n)))
+        try:
+            ehrhart._check_subsets(*root_count_and_rank(family, n))
+        except EnumerationLimitError:
+            assert n == reach + 1
+        else:
+            assert n <= reach
+    with pytest.raises(EnumerationLimitError, match="subset bound") as walk:
+        ehrhart_almost_integral(coxeter_zonotope(family, reach + 1))
+    monkeypatch.setattr(ehrhart, "positive_roots", None)
+    with pytest.raises(EnumerationLimitError) as early:
+        ehrhart_coxeter_generic(family, reach + 1)
+    assert str(early.value) == str(walk.value)
+
+
+def test_refusals_give_long_numbers_as_digit_counts():
+    for denominator, shown in (
+        (10**15 - 1, "999999999999999"),
+        (10**15, "of 16 digits"),
+        (2**60, "of 19 digits"),
+        (10**5000 + 1, "of 5001 digits"),
+    ):
+        with pytest.raises(EnumerationLimitError) as err:
+            ehrhart_almost_integral(ZonotopeSpec.make([(1,)], shift=(Fraction(1, denominator),)))
+        assert str(err.value) == (
+            f"the shift denominator {shown} is above the period bound of {ehrhart.PERIOD_BOUND}"
+        )

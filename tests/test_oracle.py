@@ -16,10 +16,12 @@ from coxeter_ehrhart.ehrhart import (
     ehrhart_coxeter,
 )
 from coxeter_ehrhart.linalg import dot, integer_kernel_basis
+from coxeter_ehrhart.roots import positive_roots
 from coxeter_ehrhart.oracle import (
     BoxLimitError,
     SIGNED_STRUCTURE_MAX,
     UNSIGNED_STRUCTURE_MAX,
+    _geometry,
     _solve_dependent,
     brute_force_structures,
     count_points,
@@ -179,6 +181,15 @@ def test_bool_dilation_is_rejected(call):
     spec = coxeter_zonotope("B", 2, "standard")
     with pytest.raises(ValueError, match="dilation factor must be a positive integer, got True"):
         call(spec)
+
+
+def test_equal_zonotopes_share_one_geometry_entry():
+    # the cache key is the zonotope's value, not its identity
+    _geometry.cache_clear()
+    first = _geometry(coxeter_zonotope("B", 3, "integral"))
+    assert _geometry(ZonotopeSpec.make(positive_roots("B", 3).roots, shift=(0, 0, 0))) is first
+    assert _geometry(coxeter_zonotope("C", 3)) is not first
+    assert _geometry.cache_info()[:2] == (1, 2)
 
 
 def test_box_limit_guard():

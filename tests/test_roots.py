@@ -12,6 +12,7 @@ from coxeter_ehrhart.roots import (
     is_integral,
     positive_roots,
     rank_label,
+    root_count_and_rank,
     standard_shift,
     table_label,
 )
@@ -94,6 +95,10 @@ def test_rejects_bad_arguments():
         positive_roots("E", 3)
     with pytest.raises(ValueError):
         positive_roots("A", 0)
+    with pytest.raises(ValueError):
+        root_count_and_rank("E", 3)
+    with pytest.raises(ValueError):
+        root_count_and_rank("A", 0)
     # bool is an int subclass; True must not pass for a coordinate count
     with pytest.raises(ValueError):
         positive_roots("B", True)
@@ -119,3 +124,13 @@ def test_roots_span_check_against_linalg_rank():
         for n in range(1, 6):
             rs = positive_roots(family, n)
             assert rs.rank == rank(rs.roots, dim=n)
+            assert root_count_and_rank(family, n) == (len(rs.roots), rank(rs.roots, dim=n))
+
+
+def test_positive_root_set_is_an_immutable_value():
+    rs = positive_roots("B", 2)
+    assert rs == positive_roots("B", 2) and hash(rs) == hash(positive_roots("B", 2))
+    assert rs != positive_roots("C", 2)
+    assert (rs.family, rs.n, rs.rank, rs.shift) == ("B", 2, 2, (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(AttributeError):
+        rs.roots = ()
