@@ -91,12 +91,7 @@ _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
 def rational_str(value) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def format_polynomial(coeffs: Sequence) -> str:
-    return _polynomial_text([rational_str(c) for c in coeffs])
+    return str(Fraction(value))
 
 
 def _polynomial_text(coeffs: Sequence[str]) -> str:

@@ -131,8 +131,8 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period constituents")):
         length = max(1, max(_trimmed_len(p) for p in polys))
         padded = [tuple(p) + (0,) * (length - len(p)) if len(p) < length else tuple(p[:length]) for p in polys]
         c = len(padded)
-        for p in sorted(_divisors(c)):
-            if all(padded[r] == padded[r % p] for r in range(c)):
+        for p in range(1, c + 1):
+            if c % p == 0 and all(padded[r] == padded[r % p] for r in range(c)):
                 return QuasiPolynomial(p, tuple(padded[:p]))
         raise AssertionError("unreachable: the full period always folds")
 
@@ -159,11 +159,6 @@ def _trimmed_len(coeffs: Sequence[int]) -> int:
     while n > 0 and coeffs[n - 1] == 0:
         n -= 1
     return n
-
-
-def _divisors(n: int) -> List[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def _readable(number: int, long_form: str) -> str:

@@ -22,8 +22,8 @@ from .linalg import dot, integer_kernel_basis
 from .roots import _positive
 
 DEFAULT_MAX_BOX = 10_000_000
-# Zonotopes whose facet data stay cached; one count needs one entry per
-# free coordinate (the zonotope and its projections).
+# Generator sets whose facets stay cached; one count needs one entry per
+# free coordinate (the projections of the dilate onto its prefixes).
 GEOMETRY_CACHE_SIZE = 128
 
 
@@ -32,33 +32,27 @@ class BoxLimitError(RuntimeError):
 
 
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _geometry(zonotope: ZonotopeSpec):
-    """Shift-independent facial data of the generator configuration.
+def _facets(generators: Tuple[Tuple[int, ...], ...], d: int):
+    """Facets of the zonotope of ``generators``, which span R^d.
 
-    Returns ``(kernel, facets)``: kernel is a saturated basis of the integer
-    vectors orthogonal to all generators, and facets lists the primitive
-    normals h of hyperplanes spanned by (rank-1)-subsets of the generators,
-    within their span and in both orientations, each with its positive
-    generator sum ``sum_g max(<h, g>, 0)``.  At rank 1 the only subset is
-    the empty one and its normal line is the span itself; at rank 0 there
-    are no generators and no facets.
+    The facet normals are the primitive normals h of the hyperplanes
+    spanned by (d-1)-subsets of the generators, in both orientations, each
+    with its positive generator sum ``sum_g max(<h, g>, 0)``: the facet is
+    ``<h, x - shift> <= sum_g max(<h, g>, 0)`` at any shift.  At d = 1 the
+    only subset is the empty one and its normal line is the axis.
     """
-    gens = zonotope.generators
-    d = zonotope.dim
-    kernel = tuple(integer_kernel_basis(gens, dim=d))
-    r = d - len(kernel)
     normals = {}
-    for picked in combinations(range(len(gens)), r - 1) if r else ():
+    for picked in combinations(generators, d - 1):
         # a dependent subset leaves a kernel of two or more vectors
-        line = integer_kernel_basis([gens[i] for i in picked] + list(kernel), dim=d)
+        line = integer_kernel_basis(picked, dim=d)
         if len(line) == 1:
             normals[line[0]] = None
     facets = []
     for h in normals:
         for sign in (1, -1):
             vec = tuple(sign * e for e in h)
-            facets.append((vec, sum(max(dot(vec, g), 0) for g in gens)))
-    return kernel, tuple(facets)
+            facets.append((vec, sum(max(dot(vec, g), 0) for g in generators)))
+    return tuple(facets)
 
 
 def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX) -> int:
@@ -70,18 +64,20 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
     holds more than ``max_box`` points (a positive integer), although the
     scan visits far fewer.
 
-    One Gauss-Jordan pass over the kernel rows of :func:`_geometry`
-    (:func:`_solve_dependent`) picks ``d - rank`` dependent coordinates,
-    taking the widest ranges first, and solves them as an integer affine
-    function of the ``rank`` free ones over one common denominator, so only
-    free coordinates are scanned.
-    All free coordinates but the widest, the line coordinate, run over the
-    lattice points of the projections of the dilate onto their prefixes.
-    On each line, integrality of the dependent coordinates is a congruence
-    on the line coordinate and every facet inequality bounds it from one
-    side, so the line adds the number of terms of an arithmetic progression
-    in an interval.  All arithmetic is exact ``int``; the tests check the
-    count against a per-point rational membership test on the same facets.
+    One Gauss-Jordan pass over a saturated basis of the integer kernel of
+    the generators (:func:`_solve_dependent`) picks ``d - rank`` dependent
+    coordinates, taking the widest ranges first, and solves them as an
+    integer affine function of the ``rank`` free ones over one common
+    denominator, so only free coordinates are scanned.  The projection of
+    the dilate onto the free coordinates is one-to-one, and scan level i
+    runs over the lattice points of its projection onto the first i+1 of
+    them, bounded by that projection's :func:`_facets`.  The last free
+    coordinate, the widest, is the line: integrality of the dependent
+    coordinates is a congruence on it and every facet inequality bounds it
+    from one side, so the line adds the number of terms of an arithmetic
+    progression in an interval.  All arithmetic is exact ``int``; the tests
+    check the count against a per-point rational membership test with its
+    own facet search.
     """
     _positive(t, "dilation factor")
     _positive(max_box, "box limit")
@@ -100,42 +96,31 @@ def count_points(zonotope: ZonotopeSpec, t: int, max_box: int = DEFAULT_MAX_BOX)
             raise BoxLimitError(
                 f"bounding box holds {volume}+ points, above the limit of {max_box}"
             )
-    kernel, facets = _geometry(zonotope)
+    kernel = integer_kernel_basis(zonotope.generators, dim=zonotope.dim)
     if len(kernel) == zonotope.dim:
         # no generators: the box is the single point t*shift, and it is integral
         return 1
     target = tuple(t * s for s in zonotope.shift)
     widths = [h - l + 1 for l, h in zip(lows, highs)]
-    dependent, outer, line, den, solved = _solve_dependent(kernel, widths, target)
+    _, outer, line, den, solved = _solve_dependent(kernel, widths, target)
     free = outer + [line]
 
     # Scan level i runs x_free[i] between the bounds of its rows, each an
     # inequality "coeffs . x_free <= rhs" whose last nonzero coefficient is
-    # on free[i].  An outer level reads the facets of the projection of the
-    # dilate onto free[:i+1]; the line reads the facets of the dilate, with
-    # x_J solved and scaled by den.  The projections are exact, so a row
-    # without weight on its level's coordinate never cuts and is dropped.
+    # on free[i]: the facets of the projection of the dilate onto
+    # free[:i+1].  The projections are exact, so a row without weight on
+    # its level's coordinate never cuts and is dropped.
     levels = []
-    for i in range(len(outer)):
+    for i in range(len(free)):
         coords = free[: i + 1]
-        shadow = [tuple(g[c] for c in coords) for g in zonotope.generators]
-        shadow_facets = _geometry(ZonotopeSpec.make([g for g in shadow if any(g)], dim=i + 1))[1]
+        shadow = (tuple(g[c] for c in coords) for g in zonotope.generators)
         padding = (0,) * (len(free) - i - 1)
         levels.append(
             [
                 (h + padding, floor(dot(h, [target[c] for c in coords]) + t * positive_sum))
-                for h, positive_sum in shadow_facets
+                for h, positive_sum in _facets(tuple(g for g in shadow if any(g)), i + 1)
             ]
         )
-    line_rows = []
-    for h, positive_sum in facets:
-        coeffs = tuple(
-            den * h[f] + sum(h[j] * row[c] for j, row in zip(dependent, solved))
-            for c, f in enumerate(free)
-        )
-        constant = sum(h[j] * row[-1] for j, row in zip(dependent, solved))
-        line_rows.append((coeffs, floor(den * (dot(h, target) + t * positive_sum)) - constant))
-    levels.append(line_rows)
     # x_J is integral when "solved . (x_free, 1) == 0 (mod den)"; its value
     # carries -(constant + outer part) for the congruence on the line.
     congruences = [(row[:-1], -row[-1]) for row in solved] if den > 1 else []

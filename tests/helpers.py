@@ -5,7 +5,8 @@ paths that the package's walks are checked against: the integer echelon
 behind the rank and independence references, the subset stream and
 the gcd of maximal minors behind the generic route, the per-subset lattice
 test, the rational point membership test behind the oracle's line scan
-(``zonotope_contains``), the root-subset <-> signed-graph dictionary
+(``zonotope_contains``, with its own facet search ``_geometry`` over the
+ambient zonotope), the root-subset <-> signed-graph dictionary
 behind the census, the labeled census (``census_counts``: one pass over
 the roots, counting subsets per labeled component state), the reading of
 census keys into Ehrhart coefficients (``census_quasipolynomial``) that
@@ -17,6 +18,7 @@ checked against, and the classifier-based structure enumeration
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -31,7 +33,7 @@ from coxeter_ehrhart.linalg import (
     rank,
     rat_vector,
 )
-from coxeter_ehrhart.oracle import _geometry
+from coxeter_ehrhart.oracle import GEOMETRY_CACHE_SIZE
 from coxeter_ehrhart.roots import _positive, is_integral, positive_roots
 from signed_graphs_reference import (
     HALF,
@@ -533,15 +535,46 @@ class MembershipCertificate:
         return self.verdict
 
 
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _geometry(zonotope: ZonotopeSpec):
+    """Shift-independent facial data of the generator configuration.
+
+    Returns ``(kernel, facets)``: kernel is a saturated basis of the integer
+    vectors orthogonal to all generators, and facets lists the primitive
+    normals h of hyperplanes spanned by (rank-1)-subsets of the generators,
+    within their span and in both orientations, each with its positive
+    generator sum ``sum_g max(<h, g>, 0)``.  At rank 1 the only subset is
+    the empty one and its normal line is the span itself; at rank 0 there
+    are no generators and no facets.
+    """
+    gens = zonotope.generators
+    d = zonotope.dim
+    kernel = tuple(integer_kernel_basis(gens, dim=d))
+    r = d - len(kernel)
+    normals = {}
+    for picked in combinations(range(len(gens)), r - 1) if r else ():
+        # a dependent subset leaves a kernel of two or more vectors
+        line = integer_kernel_basis([gens[i] for i in picked] + list(kernel), dim=d)
+        if len(line) == 1:
+            normals[line[0]] = None
+    facets = []
+    for h in normals:
+        for sign in (1, -1):
+            vec = tuple(sign * e for e in h)
+            facets.append((vec, sum(max(dot(vec, g), 0) for g in gens)))
+    return kernel, tuple(facets)
+
+
 def zonotope_contains(zonotope: ZonotopeSpec, t: int, point) -> MembershipCertificate:
     """Whether an integer point lies in the t-th dilate of the zonotope.
 
     The test is geometric and exact over the rationals: the point must lie
     on the affine hull (checked against the integer kernel of the
     generators) and satisfy every facet inequality ``<h, p - t*shift> <= t *
-    sum_g max(<h, g>, 0)`` for the facet normals of ``oracle._geometry``.
-    This is the reference that the integer scan of ``oracle.count_points``
-    is tested against.
+    sum_g max(<h, g>, 0)`` for the facet normals of ``_geometry``, a
+    facet search over the ambient zonotope of its own.  This is the
+    reference that the integer scan of ``oracle.count_points`` is tested
+    against.
     """
     _positive(t, "dilation factor")
     p = int_vector(point)

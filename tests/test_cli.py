@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from coxeter_ehrhart import cli
-from coxeter_ehrhart.cli import ResultDocument, format_polynomial, main, rational_str
+from coxeter_ehrhart.cli import ResultDocument, _polynomial_text, main, rational_str
 from coxeter_ehrhart.egf import COORDINATE_BOUND
 from coxeter_ehrhart.ehrhart import PERIOD_BOUND, coxeter_zonotope
 
@@ -26,11 +26,11 @@ def test_rational_str():
 
 
 def test_format_polynomial():
-    assert format_polynomial([1, 4, 7]) == "1 + 4t + 7t²"
-    assert format_polynomial([0, 2, 7]) == "2t + 7t²"
-    assert format_polynomial([0, 0, 0]) == "0"
-    assert format_polynomial([1, 1, 0, 16]) == "1 + t + 16t³"
-    assert format_polynomial([0] * 10 + [3]) == "3t¹⁰"
+    assert _polynomial_text(["1", "4", "7"]) == "1 + 4t + 7t²"
+    assert _polynomial_text(["0", "2", "7"]) == "2t + 7t²"
+    assert _polynomial_text(["0", "0", "0"]) == "0"
+    assert _polynomial_text(["1", "1", "0", "16"]) == "1 + t + 16t³"
+    assert _polynomial_text(["0"] * 10 + ["3"]) == "3t¹⁰"
 
 
 def test_ehrhart_human_output(capsys):

@@ -21,12 +21,12 @@ from coxeter_ehrhart.oracle import (
     BoxLimitError,
     SIGNED_STRUCTURE_MAX,
     UNSIGNED_STRUCTURE_MAX,
-    _geometry,
+    _facets,
     _solve_dependent,
     brute_force_structures,
     count_points,
 )
-from helpers import echelon_rank, reference_structures, zonotope_contains
+from helpers import _geometry, echelon_rank, reference_structures, zonotope_contains
 
 
 def test_count_points_reference_values():
@@ -113,7 +113,9 @@ def test_count_agrees_with_membership_scan():
     for spec in specs:
         for t in (1, 2, 3):
             assert count_points(spec, t) == _membership_scan(spec, t), (spec, t)
-            # both scans read the facets of _geometry; the formula does not
+            # the scan reads the facets of oracle._facets on each projection,
+            # the membership test those of helpers._geometry on the zonotope,
+            # and the formula reads no facets
             assert count_points(spec, t) == ehrhart_almost_integral(spec).evaluate(t), (spec, t)
 
 
@@ -184,12 +186,43 @@ def test_bool_dilation_is_rejected(call):
 
 
 def test_equal_zonotopes_share_one_geometry_entry():
-    # the cache key is the zonotope's value, not its identity
-    _geometry.cache_clear()
-    first = _geometry(coxeter_zonotope("B", 3, "integral"))
-    assert _geometry(ZonotopeSpec.make(positive_roots("B", 3).roots, shift=(0, 0, 0))) is first
-    assert _geometry(coxeter_zonotope("C", 3)) is not first
-    assert _geometry.cache_info()[:2] == (1, 2)
+    # the cache key is the generators and d: not the shift, nor any identity
+    _facets.cache_clear()
+    count_points(coxeter_zonotope("B", 3, "integral"), 2)
+    misses = _facets.cache_info().misses
+    assert misses > 0
+    # the same generators under another shift, then an equal value built afresh
+    count_points(coxeter_zonotope("B", 3, "standard"), 2)
+    count_points(ZonotopeSpec.make(positive_roots("B", 3).roots, shift=(0, 0, 0)), 2)
+    assert _facets.cache_info().misses == misses
+    roots = positive_roots("B", 3).roots
+    first = _facets(tuple(roots), 3)
+    assert _facets(tuple(tuple(list(g)) for g in roots), 3) is first
+    assert _facets(coxeter_zonotope("C", 3).generators, 3) is not first
+    assert _facets.cache_info().misses == misses + 2
+
+
+def test_facet_search_matches_the_reference_geometry():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def spanning(draw):
+        d = draw(st.integers(1, 4))
+        entry = st.integers(-2, 2)
+        gens = draw(st.lists(st.tuples(*[entry] * d).filter(any), min_size=d, max_size=6))
+        hypothesis.assume(not integer_kernel_basis(gens, dim=d))
+        return d, tuple(gens)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(spanning())
+    def check(case):
+        d, gens = case
+        kernel, reference = _geometry(ZonotopeSpec.make(gens, dim=d))
+        assert kernel == ()
+        assert set(_facets(gens, d)) == set(reference)
+
+    check()
 
 
 def test_box_limit_guard():
