@@ -48,8 +48,6 @@ from .linalg import (
     rat_vector,
 )
 from .oracle import (
-    BoxLimitError,
-    DEFAULT_MAX_BOX,
     brute_force_structures,
     count_points,
 )
@@ -66,8 +64,6 @@ from .roots import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_MAX_BOX",
-    "BoxLimitError",
     "EnumerationLimitError",
     "FAMILIES",
     "PositiveRootSet",

@@ -9,7 +9,7 @@ Output is deterministic plain text in one of three encodings of the same
 result document (``--format human|json|csv``); no ANSI color is ever
 emitted, so NO_COLOR is honored trivially.  Exit codes: 0 success (and
 agreement in verification modes), 1 verification mismatch, 2 usage error,
-3 enumeration or box size guard.
+3 size guard.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import io
 import json
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .egf import SEQUENCE_KINDS, egf_ehrhart_quasipolynomial, structure_counts
@@ -34,8 +33,6 @@ from .ehrhart import (
     load_zonotope_file,
 )
 from .oracle import (
-    BoxLimitError,
-    DEFAULT_MAX_BOX,
     SIGNED_STRUCTURE_MAX,
     UNSIGNED_STRUCTURE_MAX,
     brute_force_structures,
@@ -90,13 +87,9 @@ TABLE_FOOTNOTE = (
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 
-def rational_str(value) -> str:
-    return str(Fraction(value))
-
-
 def _polynomial_text(coeffs: Sequence[str]) -> str:
     """The polynomial whose ascending coefficients are written (as by
-    ``rational_str``) in ``coeffs``."""
+    ``str``) in ``coeffs``."""
     terms = []
     for k, c in enumerate(coeffs):
         if c == "0":
@@ -283,16 +276,14 @@ def _family_request(command: str, args) -> Dict:
     }
 
 
-def _evaluations(
-    qp: QuasiPolynomial, ts, spec=None, max_box: int = DEFAULT_MAX_BOX
-) -> Tuple[List[Dict], bool]:
+def _evaluations(qp: QuasiPolynomial, ts, spec=None) -> Tuple[List[Dict], bool]:
     """One entry per dilation, with the box-scan count beside the value when
     a zonotope is given; also whether every count matched."""
     entries, ok = [], True
     for t in ts:
         entry = {"t": t, "value": qp.evaluate(t)}
         if spec is not None:
-            entry["oracle"] = count_points(spec, t, max_box=max_box)
+            entry["oracle"] = count_points(spec, t)
             entry["match"] = entry["oracle"] == entry["value"]
             ok = ok and entry["match"]
         entries.append(entry)
@@ -361,16 +352,15 @@ def cmd_zonotope(args) -> Tuple[ResultDocument, bool]:
         "command": "zonotope",
         "file": args.file,
         "generators": [list(g) for g in spec.generators],
-        "shift": [rational_str(s) for s in spec.shift],
+        "shift": [str(s) for s in spec.shift],
     }
     ts = sorted(set(args.t)) if args.t else []
     if ts:
         request["t"] = ts
     if args.verify and not ts:
         raise UsageError("--verify needs at least one dilation; pass --t")
-    max_box = _max_box(args, "verify")
     qp = ehrhart_almost_integral(spec)
-    evaluations, ok = _evaluations(qp, ts, spec if args.verify else None, max_box)
+    evaluations, ok = _evaluations(qp, ts, spec if args.verify else None)
     doc = ResultDocument(
         request=request,
         provenance="independent-subset route",
@@ -405,10 +395,9 @@ def cmd_sequences(args) -> Tuple[ResultDocument, bool]:
 
 def cmd_count(args) -> Tuple[ResultDocument, bool]:
     family, n, variant = args.family, args.n, args.variant
-    max_box = _max_box(args, "oracle")
     qp = ehrhart_coxeter(family, n, variant)
     spec = coxeter_zonotope(family, n, variant) if args.oracle else None
-    evaluations, ok = _evaluations(qp, [args.t], spec, max_box)
+    evaluations, ok = _evaluations(qp, [args.t], spec)
     doc = ResultDocument(
         request={**_family_request("count", args), "variant": variant},
         provenance="forest census route" + (" with box-scan oracle" if args.oracle else ""),
@@ -425,24 +414,11 @@ def cmd_roots(args) -> Tuple[ResultDocument, bool]:
         rows=[{"vector": list(r)} for r in rs.roots],
         notes=[
             f"{len(rs.roots)} positive root" + ("" if len(rs.roots) == 1 else "s"),
-            "shift (" + ", ".join(rational_str(s) for s in rs.shift) + ")",
+            "shift (" + ", ".join(str(s) for s in rs.shift) + ")",
             "integral" if is_integral(args.family, args.n) else "half-integral (period 2)",
         ],
     )
     return doc, True
-
-
-def _max_box(args, scan_flag: str) -> int:
-    """The oracle's box ceiling; ``--max-box`` without a scan is a usage error."""
-    if args.max_box is None:
-        return DEFAULT_MAX_BOX
-    if not getattr(args, scan_flag):
-        raise UsageError(f"--max-box limits the box scan, which runs only with --{scan_flag}")
-    return args.max_box
-
-
-def _family_arg(value: str) -> str:
-    return value.upper()
 
 
 def _positive_int(value: str) -> int:
@@ -463,9 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def verb(name: str, summary: str, verify: bool = False, max_box: bool = False):
-        """A subparser with ``--format``, plus ``--verify`` and ``--max-box``
-        where the verb reads them, ahead of its own arguments."""
+    def verb(name: str, summary: str, verify: bool = False):
+        """A subparser with ``--format``, plus ``--verify`` where the verb
+        reads it, ahead of its own arguments."""
         p = sub.add_parser(name, help=summary)
         p.add_argument(
             "--format", choices=("human", "json", "csv"), default="human", help="output encoding"
@@ -474,18 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--verify", action="store_true", help="cross-check against an independent route"
             )
-        if max_box:
-            p.add_argument(
-                "--max-box",
-                dest="max_box",
-                type=_positive_int,
-                default=None,
-                help=f"bounding-box point ceiling for oracle scans (default {DEFAULT_MAX_BOX})",
-            )
         return p
 
     pe = verb("ehrhart", "quasipolynomial of a permutahedron", verify=True)
-    pe.add_argument("family", type=_family_arg, choices=FAMILIES)
+    pe.add_argument("family", type=str.upper, choices=FAMILIES)
     pe.add_argument("n", type=_positive_int, help="number of ambient coordinates")
     pe.add_argument("--variant", choices=VARIANTS, default="standard")
     pe.add_argument("--route", choices=ROUTES, default="forest")
@@ -494,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = verb("tables", "recompute the reference tables")
     pt.add_argument("table", choices=("table1", "table2"))
 
-    pz = verb("zonotope", "quasipolynomial of a zonotope file", verify=True, max_box=True)
+    pz = verb("zonotope", "quasipolynomial of a zonotope file", verify=True)
     pz.add_argument("file", help="JSON document with 'generators' and optional 'shift'")
     pz.add_argument("--t", type=_positive_int, nargs="+", help="dilations to evaluate")
 
@@ -502,15 +470,15 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("kind", choices=SEQUENCE_KINDS)
     ps.add_argument("nmax", type=_positive_int)
 
-    pc = verb("count", "lattice points of one dilate", max_box=True)
-    pc.add_argument("family", type=_family_arg, choices=FAMILIES)
+    pc = verb("count", "lattice points of one dilate")
+    pc.add_argument("family", type=str.upper, choices=FAMILIES)
     pc.add_argument("n", type=_positive_int)
     pc.add_argument("--t", type=_positive_int, default=1)
     pc.add_argument("--variant", choices=VARIANTS, default="standard")
     pc.add_argument("--oracle", action="store_true", help="also run the box-scan oracle")
 
     pr = verb("roots", "positive roots and shift")
-    pr.add_argument("family", type=_family_arg, choices=FAMILIES)
+    pr.add_argument("family", type=str.upper, choices=FAMILIES)
     pr.add_argument("n", type=_positive_int)
 
     return parser
@@ -539,7 +507,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ZonotopeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EnumerationLimitError, BoxLimitError) as exc:
+    except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     emit(doc, args.format)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from coxeter_ehrhart import cli
-from coxeter_ehrhart.cli import ResultDocument, _polynomial_text, main, rational_str
+from coxeter_ehrhart.cli import ResultDocument, _polynomial_text, main
 from coxeter_ehrhart.egf import COORDINATE_BOUND
 from coxeter_ehrhart.ehrhart import PERIOD_BOUND, coxeter_zonotope
 
@@ -17,12 +17,6 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
-
-
-def test_rational_str():
-    assert rational_str(3) == "3"
-    assert rational_str("1/2") == "1/2"
-    assert rational_str("2/4") == "1/2"
 
 
 def test_format_polynomial():
@@ -240,6 +234,14 @@ def test_zonotope_command(tmp_path, capsys):
     assert "ehr(1) = 4   oracle 4   match" in out
 
 
+def test_zonotope_shift_is_reduced_on_read(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    path.write_text('{"generators": [[1, 0, 0]], "shift": ["2/4", 3, "1/2"]}')
+    code, out = run(capsys, ["zonotope", str(path), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["request"]["shift"] == ["1/2", "3", "1/2"]
+
+
 def test_zonotope_shifted_unit_segment(tmp_path, capsys):
     path = tmp_path / "segment.json"
     path.write_text('{"generators": [[1]], "shift": ["1/2"]}')
@@ -263,7 +265,7 @@ def test_zonotope_rank_two_examples(tmp_path, capsys):
 def test_zonotope_verify_mismatch_exit(tmp_path, capsys, monkeypatch):
     path = tmp_path / "z.json"
     path.write_text('{"generators": [[1, 0]]}')
-    monkeypatch.setattr(cli, "count_points", lambda spec, t, max_box: 999)
+    monkeypatch.setattr(cli, "count_points", lambda spec, t: 999)
     code, out = run(capsys, ["zonotope", str(path), "--t", "1", "--verify"])
     assert code == 1
     assert "MISMATCH" in out
@@ -337,33 +339,12 @@ def test_count_command(capsys):
     assert "match" in out
 
 
-def test_count_box_guard_exit(capsys):
-    code = main(["count", "C", "3", "--t", "3", "--oracle", "--max-box", "10"])
+def test_count_oracle_guard_exit(capsys):
+    code = main(["count", "A", "9", "--t", "1", "--oracle"])
     assert code == 3
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_max_box_must_be_positive(capsys, value):
-    with pytest.raises(SystemExit) as err:
-        main(["count", "B", "2", "--oracle", "--max-box", value])
-    assert err.value.code == 2
-    assert "--max-box" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv, scan_flag",
-    [
-        (["zonotope", "{file}", "--t", "2", "--max-box", "5"], "--verify"),
-        (["count", "B", "2", "--max-box", "5"], "--oracle"),
-    ],
-)
-def test_max_box_without_a_scan_is_a_usage_error(tmp_path, capsys, argv, scan_flag):
-    path = tmp_path / "z.json"
-    path.write_text(json.dumps({"generators": [[1, 0], [0, 1]]}))
-    code = main([str(path) if arg == "{file}" else arg for arg in argv])
-    assert code == 2
     err = capsys.readouterr().err
-    assert "--max-box" in err and scan_flag in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "facet bound" in err
 
 
 @pytest.mark.parametrize(
@@ -377,11 +358,15 @@ def test_max_box_without_a_scan_is_a_usage_error(tmp_path, capsys, argv, scan_fl
         ["sequences", "tree", "4", "--max-box", "5"],
         ["ehrhart", "B", "2", "--max-box", "5"],
         ["count", "B", "2", "--verify"],
+        ["zonotope", "{file}", "--t", "2", "--verify", "--max-box", "5"],
+        ["count", "B", "2", "--oracle", "--max-box", "5"],
     ],
 )
-def test_flags_only_on_verbs_that_read_them(capsys, argv):
+def test_flags_only_on_verbs_that_read_them(tmp_path, capsys, argv):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"generators": [[1, 0], [0, 1]]}))
     with pytest.raises(SystemExit) as err:
-        main(argv)
+        main([str(path) if arg == "{file}" else arg for arg in argv])
     assert err.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 

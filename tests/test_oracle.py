@@ -18,7 +18,6 @@ from coxeter_ehrhart.ehrhart import (
 from coxeter_ehrhart.linalg import dot, integer_kernel_basis
 from coxeter_ehrhart.roots import positive_roots
 from coxeter_ehrhart.oracle import (
-    BoxLimitError,
     SIGNED_STRUCTURE_MAX,
     UNSIGNED_STRUCTURE_MAX,
     _facets,
@@ -159,13 +158,11 @@ def test_count_matches_formula_in_dimensions_four_and_five():
         return ZonotopeSpec.make(gens, shift=shift, dim=d)
 
     # The rational membership scan is too slow here; the formula is not.
-    # Bounding boxes reach 37^5 points, above the default guard, but the
-    # line scan visits only the lattice points of the projections.
     @hypothesis.settings(max_examples=30, deadline=None)
     @hypothesis.given(zonotopes(), st.integers(1, 3))
     def check(spec, t):
         expected = ehrhart_almost_integral(spec).evaluate(t)
-        assert count_points(spec, t, max_box=37**5) == expected
+        assert count_points(spec, t) == expected
 
     check()
 
@@ -225,18 +222,39 @@ def test_facet_search_matches_the_reference_geometry():
     check()
 
 
-def test_box_limit_guard():
+def test_facet_bound_refuses_before_any_facet_search(monkeypatch):
+    def search(generators, d):
+        raise AssertionError("the facet search ran")
+
+    monkeypatch.setattr(oracle, "_facets", search)
+    with pytest.raises(EnumerationLimitError, match="facet bound"):
+        count_points(coxeter_zonotope("A", 9), 1)
+
+
+def test_scan_bound_refuses_before_the_scan(monkeypatch):
     spec = coxeter_zonotope("C", 3, "standard")
-    with pytest.raises(BoxLimitError):
-        count_points(spec, 3, max_box=10)
+    monkeypatch.setattr(oracle, "SCAN_BOUND", 10)
+    # the verdict reads the facet rows, searched afresh and then cached
+    _facets.cache_clear()
+    for _ in range(2):
+        with pytest.raises(EnumerationLimitError, match="scan bound"):
+            count_points(spec, 1)
+    assert _facets.cache_info().hits > 0
+    monkeypatch.undo()
     assert count_points(spec, 1) == 251  # 1 + 12 + 66 + 172
 
 
-@pytest.mark.parametrize("max_box", [0, -5, True, 2.5, "10"])
-def test_box_limit_must_be_a_positive_integer(max_box):
-    spec = coxeter_zonotope("B", 2, "standard")
-    with pytest.raises(ValueError, match="box limit must be a positive integer"):
-        count_points(spec, 1, max_box=max_box)
+@pytest.mark.parametrize(
+    "spec, t",
+    [
+        (coxeter_zonotope("A", 6), 3),
+        (ZonotopeSpec.make([(1, 2, -1)], shift=(0, "1/2", 0)), 10**12),
+    ],
+    ids=["A6", "rank-1"],
+)
+def test_large_boxes_with_little_work_are_counted(spec, t):
+    # bounding boxes of 11,390,625 and about 2 * 10^36 points
+    assert count_points(spec, t) == ehrhart_almost_integral(spec).evaluate(t)
 
 
 def test_solve_dependent_picks_greedy_pivots_and_solves_the_kernel():
@@ -270,8 +288,9 @@ def test_solve_dependent_picks_greedy_pivots_and_solves_the_kernel():
     @hypothesis.given(systems())
     def check(system):
         d, kernel, widths, target, free_values = system
-        dependent, outer, line, den, rows = _solve_dependent(kernel, widths, target)
+        outer, line, den, rows = _solve_dependent(kernel, widths, target)
         free = outer + [line]
+        dependent = [i for i in sorted(range(d), key=lambda i: -widths[i]) if i not in free]
         k = len(kernel)
         column = [tuple(f[i] for f in kernel) for i in range(d)]
         assert sorted(dependent + free) == list(range(d))

@@ -14,8 +14,6 @@ def test_benchmark_imports_resolve():
 
 def test_public_names():
     assert sorted(coxeter_ehrhart.__all__) == [
-        "BoxLimitError",
-        "DEFAULT_MAX_BOX",
         "EnumerationLimitError",
         "FAMILIES",
         "PositiveRootSet",
