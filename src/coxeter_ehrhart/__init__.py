@@ -23,12 +23,7 @@ exactly, in mutually independent ways:
 All arithmetic is exact (integers and :class:`fractions.Fraction`).
 """
 
-from .egf import (
-    SEQUENCE_KINDS,
-    component_counts,
-    egf_ehrhart_quasipolynomial,
-    structure_counts,
-)
+from .egf import SEQUENCE_KINDS, component_counts, egf_ehrhart_quasipolynomial
 from .ehrhart import (
     EnumerationLimitError,
     QuasiPolynomial,
@@ -89,6 +84,5 @@ __all__ = [
     "rank_label",
     "rat_vector",
     "standard_shift",
-    "structure_counts",
     "table_label",
 ]

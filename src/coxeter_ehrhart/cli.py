@@ -5,9 +5,12 @@ Verbs: ``ehrhart`` (quasipolynomial of a permutahedron), ``tables``
 zonotope file), ``sequences`` (structure counts), ``count`` (lattice points
 of one dilate), ``roots`` (positive roots and shift).
 
-Output is deterministic plain text in one of three encodings of the same
-result document (``--format human|json|csv``); no ANSI color is ever
-emitted, so NO_COLOR is honored trivially.  Exit codes: 0 success (and
+Each verb's handler returns its result as a plain dict (keys ``request``,
+``provenance``, then whichever of ``period``, ``constituents``,
+``evaluations``, ``rows`` and ``notes`` it has) and whether its checks
+passed.  ``emit`` prints that one dict in any of three encodings
+(``--format human|json|csv``), as deterministic plain text; no ANSI color is
+ever emitted, so NO_COLOR is honored trivially.  Exit codes: 0 success (and
 agreement in verification modes), 1 verification mismatch, 2 usage error,
 3 size guard.
 """
@@ -15,13 +18,11 @@ agreement in verification modes), 1 verification mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
-from collections import namedtuple
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .egf import SEQUENCE_KINDS, egf_ehrhart_quasipolynomial, structure_counts
+from .egf import SEQUENCE_KINDS, component_counts, egf_ehrhart_quasipolynomial
 from .ehrhart import (
     EnumerationLimitError,
     QuasiPolynomial,
@@ -110,57 +111,6 @@ def residue_name(residue: int, period: int) -> str:
     return f"t ≡ {residue} (mod {period})"
 
 
-class ResultDocument(
-    namedtuple("ResultDocument", "request provenance period constituents evaluations rows notes")
-):
-    """One CLI result; all three output formats encode this structure.  The
-    fields are fixed once built, but ``notes`` is a list of its own that a
-    handler may append to."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        request: Dict,
-        provenance: str = "",
-        period: Optional[int] = None,
-        constituents: Optional[List[Dict]] = None,
-        evaluations: Optional[List[Dict]] = None,
-        rows: Optional[List[Dict]] = None,
-        notes: Optional[List[str]] = None,
-    ) -> "ResultDocument":
-        notes = [] if notes is None else notes
-        return super().__new__(cls, request, provenance, period, constituents, evaluations, rows, notes)
-
-    def to_dict(self) -> Dict:
-        out: Dict = {"request": self.request, "provenance": self.provenance}
-        if self.period is not None:
-            out["period"] = self.period
-        if self.constituents is not None:
-            out["constituents"] = self.constituents
-        if self.evaluations is not None:
-            out["evaluations"] = self.evaluations
-        if self.rows is not None:
-            out["rows"] = self.rows
-        if self.notes:
-            out["notes"] = self.notes
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
-
-    def to_csv(self) -> str:
-        import csv  # only this encoding needs the module; keep it off start-up
-
-        pairs: List[Tuple[str, str]] = []
-        _flatten(self.to_dict(), "", pairs)
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("key", "value"))
-        writer.writerows(pairs)
-        return buffer.getvalue().rstrip("\n")
-
-
 def _flatten(value, prefix: str, out: List[Tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for key, item in value.items():
@@ -174,21 +124,10 @@ def _flatten(value, prefix: str, out: List[Tuple[str, str]]) -> None:
         out.append((prefix, "" if value is None else str(value)))
 
 
-def _constituent_payload(period: int, coeff_lists) -> List[Dict]:
-    return [
-        {
-            "residue": r,
-            "label": residue_name(r, period),
-            "coefficients": [str(c) for c in coeffs],
-        }
-        for r, coeffs in enumerate(coeff_lists)
-    ]
-
-
-def render_human(doc: ResultDocument) -> str:
+def render_human(doc: Dict) -> str:
     lines: List[str] = []
-    req = doc.request
-    command = req.get("command", "")
+    req = doc["request"]
+    command = req["command"]
     header = command
     if "family" in req:
         header += f": family {req['family']} on {req['coordinates']} coordinates"
@@ -204,24 +143,22 @@ def render_human(doc: ResultDocument) -> str:
     extras = [f"{k}: {req[k]}" for k in ("variant", "route") if k in req]
     if extras:
         lines.append("  ".join(extras))
-    if doc.period is not None:
-        lines.append(f"period: {doc.period}")
-    if doc.constituents:
-        width = max(len(c["label"]) for c in doc.constituents)
-        for c in doc.constituents:
+    if "period" in doc:
+        lines.append(f"period: {doc['period']}")
+    constituents = doc.get("constituents", ())
+    if constituents:
+        width = max(len(c["label"]) for c in constituents)
+        for c in constituents:
             lines.append(f"  {c['label']:<{width}}  {_polynomial_text(c['coefficients'])}")
-    if doc.evaluations:
-        for e in doc.evaluations:
-            line = f"ehr({e['t']}) = {e['value']}"
-            if "oracle" in e:
-                line += f"   oracle {e['oracle']}   {'match' if e['match'] else 'MISMATCH'}"
-            lines.append(line)
-    if doc.rows is not None:
-        lines.extend(_render_rows(command, doc.rows))
-    lines.append(f"route: {doc.provenance}" if doc.provenance else "")
-    for note in doc.notes:
-        lines.append(f"note: {note}")
-    return "\n".join(line for line in lines if line)
+    for e in doc.get("evaluations", ()):
+        line = f"ehr({e['t']}) = {e['value']}"
+        if "oracle" in e:
+            line += f"   oracle {e['oracle']}   {'match' if e['match'] else 'MISMATCH'}"
+        lines.append(line)
+    lines.extend(_render_rows(command, doc.get("rows", ())))
+    lines.append(f"route: {doc['provenance']}")
+    lines.extend(f"note: {note}" for note in doc.get("notes", ()))
+    return "\n".join(lines)
 
 
 def _render_rows(command: str, rows: List[Dict]) -> List[str]:
@@ -248,11 +185,17 @@ def _render_rows(command: str, rows: List[Dict]) -> List[str]:
     return lines
 
 
-def emit(doc: ResultDocument, fmt: str) -> None:
+def emit(doc: Dict, fmt: str) -> None:
     if fmt == "json":
-        print(doc.to_json())
+        print(json.dumps(doc, ensure_ascii=False, indent=2))
     elif fmt == "csv":
-        print(doc.to_csv())
+        import csv  # only this encoding needs the module; keep it off start-up
+
+        pairs: List[Tuple[str, str]] = []
+        _flatten(doc, "", pairs)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        writer.writerows(pairs)
     else:
         print(render_human(doc))
 
@@ -290,33 +233,50 @@ def _evaluations(qp: QuasiPolynomial, ts, spec=None) -> Tuple[List[Dict], bool]:
     return entries, ok
 
 
-def cmd_ehrhart(args) -> Tuple[ResultDocument, bool]:
-    request = {**_family_request("ehrhart", args), "variant": args.variant, "route": args.route}
-    ts = sorted(set(args.t)) if args.t else []
+def _quasipolynomial_document(
+    request: Dict, provenance: str, qp: QuasiPolynomial, dilations, spec=None
+) -> Tuple[Dict, bool]:
+    """The document of a quasipolynomial with its ``_evaluations`` at the
+    dilations; also whether every box-scan count matched."""
+    ts = sorted(set(dilations or ()))
     if ts:
         request["t"] = ts
+    doc = {
+        "request": request,
+        "provenance": provenance,
+        "period": qp.period,
+        "constituents": [
+            {
+                "residue": r,
+                "label": residue_name(r, qp.period),
+                "coefficients": [str(c) for c in coeffs],
+            }
+            for r, coeffs in enumerate(qp.constituents)
+        ],
+    }
+    evaluations, ok = _evaluations(qp, ts, spec)
+    if evaluations:
+        doc["evaluations"] = evaluations
+    return doc, ok
+
+
+def cmd_ehrhart(args) -> Tuple[Dict, bool]:
+    request = {**_family_request("ehrhart", args), "variant": args.variant, "route": args.route}
     name, route = ROUTES[args.route]
     qp = route(args.family, args.n, args.variant)
-    evaluations, _ = _evaluations(qp, ts)
-    doc = ResultDocument(
-        request=request,
-        provenance=f"{name} route",
-        period=qp.period,
-        constituents=_constituent_payload(qp.period, qp.constituents),
-        evaluations=evaluations or None,
-    )
+    doc, _ = _quasipolynomial_document(request, f"{name} route", qp, args.t)
     agree = True
     if args.verify:
         # the generating functions reach every input the census admits
         partner_name, partner = ROUTES["egf" if args.route == "forest" else "forest"]
         agree = partner(args.family, args.n, args.variant) == qp
-        doc.notes.append(
+        doc["notes"] = [
             f"cross-route check ({name} vs {partner_name}): " + ("agree" if agree else "MISMATCH")
-        )
+        ]
     return doc, agree
 
 
-def cmd_tables(args) -> Tuple[ResultDocument, bool]:
+def cmd_tables(args) -> Tuple[Dict, bool]:
     table, variant = (TABLE1, "integral") if args.table == "table1" else (TABLE2, "standard")
     rows = []
     all_match = True
@@ -337,16 +297,15 @@ def cmd_tables(args) -> Tuple[ResultDocument, bool]:
             row["expected" + suffix] = [str(c) for c in coeffs]
         row["match"] = match
         rows.append(row)
-    doc = ResultDocument(
-        request={"command": "tables", "table": args.table},
-        provenance="forest census route checked against the generating function route",
-        rows=rows,
-        notes=[TABLE_FOOTNOTE, "all rows match" if all_match else "SOME ROWS MISMATCH"],
-    )
-    return doc, all_match
+    return {
+        "request": {"command": "tables", "table": args.table},
+        "provenance": "forest census route checked against the generating function route",
+        "rows": rows,
+        "notes": [TABLE_FOOTNOTE, "all rows match" if all_match else "SOME ROWS MISMATCH"],
+    }, all_match
 
 
-def cmd_zonotope(args) -> Tuple[ResultDocument, bool]:
+def cmd_zonotope(args) -> Tuple[Dict, bool]:
     spec = load_zonotope_file(args.file)
     request = {
         "command": "zonotope",
@@ -354,75 +313,67 @@ def cmd_zonotope(args) -> Tuple[ResultDocument, bool]:
         "generators": [list(g) for g in spec.generators],
         "shift": [str(s) for s in spec.shift],
     }
-    ts = sorted(set(args.t)) if args.t else []
-    if ts:
-        request["t"] = ts
-    if args.verify and not ts:
+    if args.verify and not args.t:
         raise UsageError("--verify needs at least one dilation; pass --t")
     qp = ehrhart_almost_integral(spec)
-    evaluations, ok = _evaluations(qp, ts, spec if args.verify else None)
-    doc = ResultDocument(
-        request=request,
-        provenance="independent-subset route",
-        period=qp.period,
-        constituents=_constituent_payload(qp.period, qp.constituents),
-        evaluations=evaluations or None,
+    doc, ok = _quasipolynomial_document(
+        request, "independent-subset route", qp, args.t, spec if args.verify else None
     )
     if args.verify:
-        doc.notes.append("verification compares against the box-scan oracle")
+        doc["notes"] = ["verification compares against the box-scan oracle"]
     return doc, ok
 
 
-def cmd_sequences(args) -> Tuple[ResultDocument, bool]:
-    values = structure_counts(args.kind, args.nmax)
+def cmd_sequences(args) -> Tuple[Dict, bool]:
+    values = component_counts(args.kind, args.nmax)
     bound = SIGNED_STRUCTURE_MAX if args.kind.startswith("signed_") else UNSIGNED_STRUCTURE_MAX
     rows = []
     ok = True
     for n in range(1, args.nmax + 1):
-        row = {"n": n, "egf": values[n - 1]}
+        row = {"n": n, "egf": values[n]}
         if n <= bound:
             row["oracle"] = brute_force_structures(args.kind, n)
             row["match"] = row["oracle"] == row["egf"]
             ok = ok and row["match"]
         rows.append(row)
-    doc = ResultDocument(
-        request={"command": "sequences", "kind": args.kind, "nmax": args.nmax},
-        provenance="generating function coefficients, with direct enumeration up to the oracle bound",
-        rows=rows,
-    )
-    return doc, ok
+    return {
+        "request": {"command": "sequences", "kind": args.kind, "nmax": args.nmax},
+        "provenance": "generating function coefficients, with direct enumeration up to the oracle bound",
+        "rows": rows,
+    }, ok
 
 
-def cmd_count(args) -> Tuple[ResultDocument, bool]:
+def cmd_count(args) -> Tuple[Dict, bool]:
     family, n, variant = args.family, args.n, args.variant
     qp = ehrhart_coxeter(family, n, variant)
     spec = coxeter_zonotope(family, n, variant) if args.oracle else None
     evaluations, ok = _evaluations(qp, [args.t], spec)
-    doc = ResultDocument(
-        request={**_family_request("count", args), "variant": variant},
-        provenance="forest census route" + (" with box-scan oracle" if args.oracle else ""),
-        evaluations=evaluations,
-    )
-    return doc, ok
+    return {
+        "request": {**_family_request("count", args), "variant": variant},
+        "provenance": "forest census route" + (" with box-scan oracle" if args.oracle else ""),
+        "evaluations": evaluations,
+    }, ok
 
 
-def cmd_roots(args) -> Tuple[ResultDocument, bool]:
+def cmd_roots(args) -> Tuple[Dict, bool]:
     rs = positive_roots(args.family, args.n)
-    doc = ResultDocument(
-        request=_family_request("roots", args),
-        provenance="root listing",
-        rows=[{"vector": list(r)} for r in rs.roots],
-        notes=[
+    return {
+        "request": _family_request("roots", args),
+        "provenance": "root listing",
+        "rows": [{"vector": list(r)} for r in rs.roots],
+        "notes": [
             f"{len(rs.roots)} positive root" + ("" if len(rs.roots) == 1 else "s"),
             "shift (" + ", ".join(str(s) for s in rs.shift) + ")",
             "integral" if is_integral(args.family, args.n) else "half-integral (period 2)",
         ],
-    )
-    return doc, True
+    }, True
 
 
 def _positive_int(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
     if n < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return n
@@ -439,10 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def verb(name: str, summary: str, verify: bool = False):
-        """A subparser with ``--format``, plus ``--verify`` where the verb
-        reads it, ahead of its own arguments."""
+    def verb(name: str, summary: str, handler, verify: bool = False):
+        """A subparser served by ``handler``, with ``--format``, plus
+        ``--verify`` where the verb reads it, ahead of its own arguments."""
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument(
             "--format", choices=("human", "json", "csv"), default="human", help="output encoding"
         )
@@ -452,46 +404,36 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    pe = verb("ehrhart", "quasipolynomial of a permutahedron", verify=True)
+    pe = verb("ehrhart", "quasipolynomial of a permutahedron", cmd_ehrhart, verify=True)
     pe.add_argument("family", type=str.upper, choices=FAMILIES)
     pe.add_argument("n", type=_positive_int, help="number of ambient coordinates")
     pe.add_argument("--variant", choices=VARIANTS, default="standard")
     pe.add_argument("--route", choices=ROUTES, default="forest")
     pe.add_argument("--t", type=_positive_int, nargs="+", help="dilations to evaluate")
 
-    pt = verb("tables", "recompute the reference tables")
+    pt = verb("tables", "recompute the reference tables", cmd_tables)
     pt.add_argument("table", choices=("table1", "table2"))
 
-    pz = verb("zonotope", "quasipolynomial of a zonotope file", verify=True)
+    pz = verb("zonotope", "quasipolynomial of a zonotope file", cmd_zonotope, verify=True)
     pz.add_argument("file", help="JSON document with 'generators' and optional 'shift'")
     pz.add_argument("--t", type=_positive_int, nargs="+", help="dilations to evaluate")
 
-    ps = verb("sequences", "labeled structure counts")
+    ps = verb("sequences", "labeled structure counts", cmd_sequences)
     ps.add_argument("kind", choices=SEQUENCE_KINDS)
     ps.add_argument("nmax", type=_positive_int)
 
-    pc = verb("count", "lattice points of one dilate")
+    pc = verb("count", "lattice points of one dilate", cmd_count)
     pc.add_argument("family", type=str.upper, choices=FAMILIES)
     pc.add_argument("n", type=_positive_int)
     pc.add_argument("--t", type=_positive_int, default=1)
     pc.add_argument("--variant", choices=VARIANTS, default="standard")
     pc.add_argument("--oracle", action="store_true", help="also run the box-scan oracle")
 
-    pr = verb("roots", "positive roots and shift")
+    pr = verb("roots", "positive roots and shift", cmd_roots)
     pr.add_argument("family", type=str.upper, choices=FAMILIES)
     pr.add_argument("n", type=_positive_int)
 
     return parser
-
-
-_HANDLERS = {
-    "ehrhart": cmd_ehrhart,
-    "tables": cmd_tables,
-    "zonotope": cmd_zonotope,
-    "sequences": cmd_sequences,
-    "count": cmd_count,
-    "roots": cmd_roots,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -503,7 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, ok = _HANDLERS[args.command](args)
+        doc, ok = args.handler(args)
     except (UsageError, ZonotopeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

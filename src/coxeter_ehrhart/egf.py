@@ -84,11 +84,6 @@ def component_counts(kind: str, order: int) -> Tuple[int, ...]:
     return (0,) + tuple(_connected_count(kind, n) for n in range(1, order + 1))
 
 
-def structure_counts(kind: str, nmax: int) -> List[int]:
-    """Counts of connected structures on 1..nmax labeled vertices."""
-    return list(component_counts(kind, nmax)[1:])
-
-
 # Weight of a halfedge-tree (family B) or loop-tree (family C) component.
 _HALFEDGE_WEIGHT = {"B": 1, "C": 2, "D": 0}
 

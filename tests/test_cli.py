@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from coxeter_ehrhart import cli
-from coxeter_ehrhart.cli import ResultDocument, _polynomial_text, main
+from coxeter_ehrhart.cli import _polynomial_text, main
 from coxeter_ehrhart.egf import COORDINATE_BOUND
 from coxeter_ehrhart.ehrhart import PERIOD_BOUND, coxeter_zonotope
 
@@ -59,8 +61,6 @@ def test_ehrhart_json_round_trip(capsys):
     assert data["period"] == 1
     assert data["constituents"][0]["coefficients"] == ["1", "6", "18", "32"]
     assert data["evaluations"] == [{"t": 2, "value": 341}]
-    # the JSON keys are the document's field names, so it rebuilds unchanged
-    assert ResultDocument(**data).to_dict() == data
 
 
 def test_csv_format(capsys):
@@ -101,16 +101,49 @@ def test_import_loads_only_what_every_request_runs():
     ]
 
 
-def test_result_document_is_a_value_with_its_own_notes():
-    doc = ResultDocument(request={"command": "roots"})
-    assert doc == ResultDocument({"command": "roots"}, "", None, None, None, None, [])
-    assert doc.notes is not ResultDocument(request={"command": "roots"}).notes
-    doc.notes.append("checked")
-    assert doc.to_dict() == {"request": {"command": "roots"}, "provenance": "", "notes": ["checked"]}
-    with pytest.raises(AttributeError):
-        doc.period = 2
-    with pytest.raises(TypeError):
-        ResultDocument(provenance="no request")
+def _flattened(value, prefix=""):
+    """The (key, value) rows of a JSON document, dotted paths as keys."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    elif isinstance(value, bool):
+        return [[prefix, "true" if value else "false"]]
+    else:
+        return [[prefix, "" if value is None else str(value)]]
+    paths = ((f"{prefix}.{key}" if prefix else str(key), item) for key, item in items)
+    return [row for path, item in paths for row in _flattened(item, path)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ehrhart", "B", "3", "--t", "1", "2", "--verify"],
+        ["tables", "table2"],
+        ["zonotope", "{file}", "--t", "1", "2", "--verify"],
+        ["sequences", "signed_tree", "4"],
+        ["count", "C", "2", "--t", "2", "--oracle"],
+        ["roots", "D", "1"],
+    ],
+)
+def test_every_format_encodes_one_document(tmp_path, capsys, argv):
+    path = tmp_path / "z.json"
+    path.write_text('{"generators": [[1, 0], [0, 1], [1, 1]], "shift": ["1/2", 0]}')
+    argv = [str(path) if arg == "{file}" else arg for arg in argv]
+    outputs = {}
+    for fmt in ("human", "json", "csv"):
+        code, outputs[fmt] = run(capsys, argv + ["--format", fmt])
+        assert code == 0, fmt
+    data = json.loads(outputs["json"])
+    assert list(data)[:2] == ["request", "provenance"]
+    if argv[0] == "roots":
+        assert data["rows"] == []  # rows are printed even when there are none
+    assert outputs["csv"].endswith("\n")
+    assert list(csv.reader(io.StringIO(outputs["csv"]))) == [["key", "value"], *_flattened(data)]
+    lines = outputs["human"].splitlines()
+    assert [line for line in lines if line.startswith("route: ")] == [f"route: {data['provenance']}"]
+    notes = [line for line in lines if line.startswith("note: ")]
+    assert notes == [f"note: {note}" for note in data.get("notes", [])]
 
 
 def test_output_is_deterministic(capsys):
@@ -389,6 +422,19 @@ def test_invalid_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ehrhart", "A", "x"], ["count", "A", "3", "--t", "1.5"], ["sequences", "tree", "0"]],
+)
+def test_non_positive_integer_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "must be a positive integer" in message
+    assert "_positive_int" not in message
 
 
 def test_invalid_family_is_usage_error(capsys):

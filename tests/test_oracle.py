@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from coxeter_ehrhart import oracle
-from coxeter_ehrhart.egf import SEQUENCE_KINDS, structure_counts
+from coxeter_ehrhart.egf import SEQUENCE_KINDS, component_counts
 from coxeter_ehrhart.ehrhart import (
     EnumerationLimitError,
     ZonotopeSpec,
@@ -312,13 +312,19 @@ def test_solve_dependent_picks_greedy_pivots_and_solves_the_kernel():
     check()
 
 
-def test_structure_counts_by_enumeration():
-    assert [brute_force_structures("tree", n) for n in (1, 2, 3, 4)] == [1, 1, 3, 16]
-    assert [brute_force_structures("pseudotree", n) for n in (1, 2, 3, 4)] == [0, 0, 1, 15]
-    assert [brute_force_structures("signed_tree", n) for n in (1, 2, 3)] == [1, 2, 12]
-    assert [brute_force_structures("signed_pseudotree", n) for n in (1, 2, 3)] == [0, 1, 16]
-    assert [brute_force_structures("signed_halfedge_tree", n) for n in (1, 2, 3)] == [1, 4, 36]
-    assert [brute_force_structures("signed_loop_tree", n) for n in (1, 2, 3)] == [1, 4, 36]
+def test_component_counts_by_enumeration():
+    pinned = {
+        "tree": (0, 1, 1, 3, 16),
+        "pseudotree": (0, 0, 0, 1, 15),
+        "signed_tree": (0, 1, 2, 12),
+        "signed_pseudotree": (0, 0, 1, 16),
+        "signed_halfedge_tree": (0, 1, 4, 36),
+        "signed_loop_tree": (0, 1, 4, 36),
+    }
+    for kind, counts in pinned.items():
+        order = len(counts) - 1
+        assert (0, *(brute_force_structures(kind, n) for n in range(1, order + 1))) == counts, kind
+        assert component_counts(kind, order) == counts, kind
 
 
 def test_structure_enumeration_matches_the_classifier():
@@ -332,7 +338,9 @@ def test_structure_enumeration_matches_the_generating_functions_at_five(monkeypa
     monkeypatch.setattr(oracle, "SIGNED_STRUCTURE_MAX", 5)
     for kind in SEQUENCE_KINDS:
         if kind.startswith("signed_"):
-            assert [brute_force_structures(kind, n) for n in range(1, 6)] == structure_counts(kind, 5)
+            assert [brute_force_structures(kind, n) for n in range(1, 6)] == list(
+                component_counts(kind, 5)[1:]
+            )
 
 
 def test_structure_count_multiplicative_identities():

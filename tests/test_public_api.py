@@ -39,7 +39,6 @@ def test_public_names():
         "rank_label",
         "rat_vector",
         "standard_shift",
-        "structure_counts",
         "table_label",
     ]
 
