@@ -27,6 +27,7 @@ from .ehrhart import (
     EnumerationLimitError,
     QuasiPolynomial,
     ZonotopeFormatError,
+    _readable,
     coxeter_zonotope,
     ehrhart_almost_integral,
     ehrhart_coxeter,
@@ -39,12 +40,32 @@ from .oracle import (
     brute_force_structures,
     count_points,
 )
-from .roots import FAMILIES, VARIANTS, is_integral, positive_roots, rank_label, table_label
+from .roots import (
+    FAMILIES,
+    VARIANTS,
+    is_integral,
+    positive_roots,
+    rank_label,
+    root_count_and_rank,
+    table_label,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+
+
+# Ceilings on the two verbs whose output alone grows without limit, each
+# checked before any work (CPython 3.11, one core of an x86-64 Xeon, wall
+# time with start-up).  ``sequences`` refuses NMAX above SEQUENCE_BOUND:
+# at 2,000 the slowest kinds (pseudotree, signed_pseudotree) take 3.4-4.0 s
+# for 6.2-6.8 MB.  ``roots`` refuses when N times the root count, the
+# entries it prints, passes ROOT_ENTRY_BOUND: at about 500,000 entries (A100,
+# B79, D79) human output takes 0.25-0.37 s, JSON 0.6-0.8 s and CSV
+# 1.6-1.9 s and 127 MB.
+SEQUENCE_BOUND = 2000
+ROOT_ENTRY_BOUND = 500_000
 
 
 class UsageError(ValueError):
@@ -325,6 +346,10 @@ def cmd_zonotope(args) -> Tuple[Dict, bool]:
 
 
 def cmd_sequences(args) -> Tuple[Dict, bool]:
+    if args.nmax > SEQUENCE_BOUND:
+        raise EnumerationLimitError(
+            f"sequences up to n = {args.nmax} are above the sequence bound of {SEQUENCE_BOUND}"
+        )
     values = component_counts(args.kind, args.nmax)
     bound = SIGNED_STRUCTURE_MAX if args.kind.startswith("signed_") else UNSIGNED_STRUCTURE_MAX
     rows = []
@@ -356,6 +381,12 @@ def cmd_count(args) -> Tuple[Dict, bool]:
 
 
 def cmd_roots(args) -> Tuple[Dict, bool]:
+    entries = args.n * root_count_and_rank(args.family, args.n)[0]
+    if entries > ROOT_ENTRY_BOUND:
+        raise EnumerationLimitError(
+            f"the {args.family}{args.n} roots have {_readable(entries, 'a {}-digit number of')} "
+            f"entries, above the root entry bound of {ROOT_ENTRY_BOUND}"
+        )
     rs = positive_roots(args.family, args.n)
     return {
         "request": _family_request("roots", args),

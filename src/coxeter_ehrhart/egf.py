@@ -21,6 +21,12 @@ fixed and the n - 2 forest edges take any signs.  Either way a directed
 cycle carries 2^(n-2) signings.  The paper writes the same series through
 the Lambert W function; the test suite checks the counts against those
 expressions.  Everything is integer arithmetic.
+
+In the quasipolynomial each tree component weighs 1/t.  The period-1
+constituent reads every coefficient from that Lambert W form as one finite
+sum, by Bürmann's form of Lagrange inversion.  The odd constituent of a
+half-integral request keeps only the trees with an even vertex count; it
+keeps the binomial convolution over the number of trees.
 """
 
 from __future__ import annotations
@@ -41,10 +47,17 @@ SEQUENCE_KINDS = (
     "signed_loop_tree",
 )
 
-# Ceiling on the coordinate count of egf_ehrhart_quasipolynomial, whose cost
-# grows about n^4.5: n = 200 takes 1.1-1.4 s of CPU in every family (CPython
-# 3.11, one core of an x86-64 Xeon), A300 6.6 s and A400 23 s.
-COORDINATE_BOUND = 200
+# Ceiling on the coordinate count of egf_ehrhart_quasipolynomial.  Its
+# period-1 constituent is about n^2/4 products of numbers of up to about
+# n log10(8n) digits: n = 1,000 takes 2.7-3.4 s of CPU (A, C) and 2.8-4.1 s
+# wall in every family and output format, for 1.7-1.8 MB of output; C700
+# takes about 1 s wall (CPython 3.11, one core of an x86-64 Xeon).
+COORDINATE_BOUND = 1000
+# Ceiling on the coordinate count of a half-integral request, whose odd
+# constituent keeps the convolution of _polynomial_by_tree_count.  Its cost
+# grows about n^4.5: n = 200 takes 0.26 s of CPU for A and 0.34 s for B
+# (0.4-0.5 s wall), B250 0.76 s and B300 1.6 s.
+PARITY_BOUND = 200
 
 
 def _rooted_cycles(n: int, shortest: int) -> int:
@@ -112,6 +125,49 @@ def _exponent_parts(family: str, order: int) -> Tuple[Sequence[int], Sequence[in
     return tree, rest
 
 
+def _polynomial_by_lagrange(family: str, n: int) -> List[int]:
+    """Ascending coefficients of the family's period-1 count on n
+    coordinates, every tree weighing 1/t, each coefficient one finite sum.
+
+    The paper writes the exponent through the tree function w = x e^w,
+    taken at lam x, with lam = 1 for A and 2 for B, C and D: T = (w -
+    w^2/2)/lam, and exp(R) is 1 for A and (1 - w)^(-1/2) e^((eps-1)w/2)
+    for B, C and D, eps being the halfedge weight.  Bürmann's form of
+    Lagrange inversion, [x^n] H(w(x)) = [w^n] H(w) (1 - w) e^(nw), turns the
+    coefficient n! [x^n] T^k/k! exp(R) of t^r, r = n - k, into
+
+        C(n, k) / 2^r  sum_{i <= min(k, r)} (-lam)^i C(k, i) r!/(r-i)! sigma_(r-i)
+
+    with sigma_m = (2 lam)^m m! [w^m] S for S = (1 - w) e^(nw) (so sigma_m =
+    2^m (n^m - m n^(m-1)) for A) and S = (1 - w)^(1/2) e^(Nw/2), N = 2n +
+    eps - 1, for B, C and D.  Comparing coefficients in (1 - w) S' = (beta(1 -
+    w) - alpha) S, for S = (1 - w)^alpha e^(beta w), gives sigma_0 = 1 and
+    sigma_(m+1) = 2 lam (m + beta - alpha) sigma_m - 4 lam^2 beta m
+    sigma_(m-1).  The division by 2^r is exact.
+    """
+    if family == "A":
+        lam, step, shift, tail = 1, 2, 2 * n - 2, 4 * n
+    else:
+        big_n = 2 * n + _HALFEDGE_WEIGHT[family] - 1
+        lam, step, shift, tail = 2, 4, 2 * big_n - 2, 8 * big_n
+    sigma = [1, shift]
+    for m in range(1, n):
+        sigma.append((step * m + shift) * sigma[m] - tail * m * sigma[m - 1])
+    coeffs = []
+    for r in range(n + 1):
+        k = n - r
+        total, weight = 0, 1  # weight = (-lam)^i C(k, i) r!/(r-i)!
+        for i in range(min(k, r) + 1):
+            total += weight * sigma[r - i]
+            weight = weight * (-lam * (k - i) * (r - i)) // (i + 1)
+        scaled = comb(n, k) * total
+        coeff, remainder = divmod(scaled, 1 << r)
+        if remainder:
+            raise ArithmeticError(f"scaled forest count {scaled} is not divisible by 2^{r}")
+        coeffs.append(coeff)
+    return coeffs
+
+
 def _polynomial_by_tree_count(tree: Sequence[int], rest: Sequence[int], n: int) -> List[int]:
     """Ascending coefficients of the count on n coordinates as a polynomial
     in t: the coefficient of t^(n-k) is n! [x^n] T^k/k! exp(R).
@@ -120,6 +176,11 @@ def _polynomial_by_tree_count(tree: Sequence[int], rest: Sequence[int], n: int) 
     labeled vertices by k trees.  Multiplying by T adds one more tree, which
     counts each forest of k + 1 trees k + 1 times, so the division by k + 1
     is exact.
+
+    Its one use is the odd constituent of a half-integral request, whose
+    tree series keeps only even vertex counts, (T(x) + T(-x))/2.  That
+    series mixes w(x) with w(-x), and no one-variable form for
+    _polynomial_by_lagrange to sum is known.
     """
     binom = [[comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
     # exp(R) by the integer form of the recurrence E' = R' E
@@ -157,18 +218,27 @@ def egf_ehrhart_quasipolynomial(family: str, n: int, variant: str = "standard") 
 
     Marking tree components by y turns the count into n! [x^n]
     exp(y T(x) + R(x)), so the coefficient of t^(n-k) is n! [x^n]
-    T^k/k! exp(R).  The odd constituent of a half-integral standard
-    permutahedron keeps only the trees with an even vertex count, the
-    parity obstruction of its odd dilates.  Coordinate counts above
-    COORDINATE_BOUND are refused.
+    T^k/k! exp(R).  The period-1 constituent (the only one of C, D, the
+    integral variant and A at odd n, and the even one of a half-integral
+    request) comes from Lagrange inversion, _polynomial_by_lagrange.  The
+    odd constituent of a half-integral standard permutahedron keeps only
+    the trees with an even vertex count, the parity obstruction of its odd
+    dilates, and comes from the convolution of _polynomial_by_tree_count.
+    Coordinate counts above COORDINATE_BOUND, and half-integral ones above
+    PARITY_BOUND, are refused.
     """
     half_integral = is_half_integral(family, n, variant)
     if n > COORDINATE_BOUND:
         raise EnumerationLimitError(
             f"the {family}{n} generating functions are above the coordinate bound of {COORDINATE_BOUND}"
         )
-    tree, rest = _exponent_parts(family, n)
-    trees = [tree]
+    if half_integral and n > PARITY_BOUND:
+        raise EnumerationLimitError(
+            f"the odd constituent of {family}{n} is above the parity bound of {PARITY_BOUND}"
+        )
+    polys = [_polynomial_by_lagrange(family, n)]
     if half_integral:
-        trees.append([c if m % 2 == 0 else 0 for m, c in enumerate(tree)])
-    return QuasiPolynomial.from_residue_polys([_polynomial_by_tree_count(t, rest, n) for t in trees])
+        tree, rest = _exponent_parts(family, n)
+        even_trees = [c if m % 2 == 0 else 0 for m, c in enumerate(tree)]
+        polys.append(_polynomial_by_tree_count(even_trees, rest, n))
+    return QuasiPolynomial.from_residue_polys(polys)

@@ -11,7 +11,7 @@ import pytest
 
 from coxeter_ehrhart import cli
 from coxeter_ehrhart.cli import _polynomial_text, main
-from coxeter_ehrhart.egf import COORDINATE_BOUND
+from coxeter_ehrhart.egf import COORDINATE_BOUND, PARITY_BOUND
 from coxeter_ehrhart.ehrhart import PERIOD_BOUND, coxeter_zonotope
 
 
@@ -209,11 +209,37 @@ def test_size_guards_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"generators": [[1, 0], [0, 1]], "shift": [f"1/{PERIOD_BOUND + 1}", 0]}))
     for argv, message in (
         (["ehrhart", "A", str(COORDINATE_BOUND + 1), "--route", "egf"], "coordinate bound"),
+        (["ehrhart", "B", str(PARITY_BOUND + 1), "--route", "egf"], "parity bound"),
+        (["sequences", "signed_pseudotree", str(cli.SEQUENCE_BOUND + 1)], "sequence bound"),
+        (["roots", "A", "101"], "the A101 roots have 510050 entries, above the root entry bound"),
         (["zonotope", str(path)], "period bound"),
         (["ehrhart", "A", "200", "--route", "generic"], "a 483-digit number of independent subsets"),
     ):
         assert main(argv) == 3
         assert message in capsys.readouterr().err
+
+
+def test_output_guards_admit_their_bound_and_refuse_before_any_work(monkeypatch, capsys):
+    # lowered bounds: B3 has 3 x 9 entries, A4 4 x 6 and D4 4 x 12
+    monkeypatch.setattr(cli, "SEQUENCE_BOUND", 5)
+    monkeypatch.setattr(cli, "ROOT_ENTRY_BOUND", 27)
+    assert main(["sequences", "tree", "5"]) == 0
+    assert main(["roots", "B", "3"]) == 0
+    assert main(["roots", "A", "4"]) == 0
+    capsys.readouterr()
+
+    def no_work(*args):
+        raise AssertionError("a refused request did some work")
+
+    monkeypatch.setattr(cli, "component_counts", no_work)
+    monkeypatch.setattr(cli, "positive_roots", no_work)
+    for argv, message in (
+        (["sequences", "tree", "6"], "sequences up to n = 6 are above the sequence bound of 5"),
+        (["roots", "B", "4"], "the B4 roots have 64 entries, above the root entry bound of 27"),
+        (["roots", "D", "4"], "the D4 roots have 48 entries, above the root entry bound of 27"),
+    ):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_every_route_rejects_an_unknown_variant():

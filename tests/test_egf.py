@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from coxeter_ehrhart import egf
 from coxeter_ehrhart.egf import SEQUENCE_KINDS, component_counts, egf_ehrhart_quasipolynomial
 from coxeter_ehrhart.ehrhart import ehrhart_coxeter
 from coxeter_ehrhart.roots import is_integral
 from series_reference import (
     RatSeries,
+    _exponent_parts,
     _integer_coefficients,
     component_egfs,
     egf_ehrhart_standard_odd,
@@ -74,6 +76,49 @@ def test_integral_values_match_forest_census():
             assert egf_ehrhart_quasipolynomial(family, n, "integral") == census
             for t, row in values.items():
                 assert row[n] == census.evaluate(t)
+
+
+def by_convolution(family, n):
+    """The period-1 constituent by the binomial convolution on the full tree
+    series."""
+    return egf._polynomial_by_tree_count(*egf._exponent_parts(family, n), n)
+
+
+def test_lagrange_sum_equals_the_convolution():
+    for family in "ABCD":
+        for n in range(1, 31):
+            assert egf._polynomial_by_lagrange(family, n) == by_convolution(family, n), (family, n)
+
+
+def test_lagrange_sum_equals_the_convolution_up_to_the_parity_bound():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=10, deadline=None)
+    @hypothesis.given(st.sampled_from("ABCD"), st.integers(1, egf.PARITY_BOUND))
+    @hypothesis.example("C", egf.PARITY_BOUND)
+    def check(family, n):
+        assert egf._polynomial_by_lagrange(family, n) == by_convolution(family, n)
+
+    check()
+
+
+def test_lagrange_sum_matches_lambert_w_series():
+    # coefficient of t^(n-k): n! [x^n] T^k/k! exp(R), with T and R the
+    # paper's Lambert W expressions evaluated as rational series
+    order = 8
+    for family in "ABCD":
+        tree, rest = _exponent_parts(family, order, odd=False)
+        exp_rest = rest.exp()
+        expected = [[0] * (n + 1) for n in range(order + 1)]
+        power = one(order)  # T^k/k!
+        for k in range(order + 1):
+            forests = power * exp_rest
+            for n in range(k, order + 1):
+                expected[n][n - k] = forests.egf_value(n)
+            power = Fraction(1, k + 1) * (power * tree)
+        for n in range(1, order + 1):
+            assert egf._polynomial_by_lagrange(family, n) == expected[n], (family, n)
 
 
 def test_type_a_values_count_forests():

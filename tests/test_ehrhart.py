@@ -493,15 +493,23 @@ def test_generator_count_guard():
 
 def test_period_and_coordinate_guards_admit_their_bound(monkeypatch):
     # lowered bounds: the walk keeps one list per residue mod the shift
-    # denominator, and the egf route's cost grows with the coordinate count
+    # denominator, and the egf route's cost grows with the coordinate count,
+    # faster for the odd constituent of a half-integral request
     monkeypatch.setattr(ehrhart, "PERIOD_BOUND", 6)
-    monkeypatch.setattr(egf, "COORDINATE_BOUND", 5)
+    monkeypatch.setattr(egf, "COORDINATE_BOUND", 7)
+    monkeypatch.setattr(egf, "PARITY_BOUND", 4)
     assert ehrhart_almost_integral(ZonotopeSpec.make([(1,)], shift=(Fraction(1, 6),))).period == 6
     with pytest.raises(EnumerationLimitError, match="period bound of 6"):
         ehrhart_almost_integral(ZonotopeSpec.make([(1,)], shift=(Fraction(1, 7),)))
-    assert egf_ehrhart_quasipolynomial("A", 5) == ehrhart_coxeter("A", 5)
-    with pytest.raises(EnumerationLimitError, match="coordinate bound of 5"):
-        egf_ehrhart_quasipolynomial("A", 6)
+    assert egf_ehrhart_quasipolynomial("A", 7) == ehrhart_coxeter("A", 7)
+    assert egf_ehrhart_quasipolynomial("A", 6, "integral") == ehrhart_coxeter("A", 6, "integral")
+    for family, n, variant in (("A", 8, "integral"), ("C", 8, "standard")):
+        with pytest.raises(EnumerationLimitError, match="coordinate bound of 7"):
+            egf_ehrhart_quasipolynomial(family, n, variant)
+    assert egf_ehrhart_quasipolynomial("B", 4) == ehrhart_coxeter("B", 4)
+    for family, n in (("B", 5), ("A", 6)):
+        with pytest.raises(EnumerationLimitError, match="parity bound of 4"):
+            egf_ehrhart_quasipolynomial(family, n)
 
 
 def test_zonotope_spec_is_an_immutable_value():
