@@ -5,6 +5,13 @@ Verbs: ``ehrhart`` (quasipolynomial of a permutahedron), ``tables``
 zonotope file), ``sequences`` (structure counts), ``count`` (lattice points
 of one dilate), ``roots`` (positive roots and shift).
 
+One table, ``VERBS``, describes the whole command line: each verb's
+handler, summary, positionals and options, with their conversions, choices
+and defaults.  ``cmdline.parse`` reads argv against it (long options by
+any unique prefix, ``--flag=value`` too), and the usage lines and
+``--help`` are printed from it; a usage error prints the verb's usage line
+and one ``error:`` line.
+
 Each verb's handler returns its result as a plain dict (keys ``request``,
 ``provenance``, then whichever of ``period``, ``constituents``,
 ``evaluations``, ``rows`` and ``notes`` it has) and whether its checks
@@ -17,11 +24,11 @@ agreement in verification modes), 1 verification mismatch, 2 usage error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .cmdline import EXIT_USAGE, parse
 from .egf import SEQUENCE_KINDS, component_counts, egf_ehrhart_quasipolynomial
 from .ehrhart import (
     EnumerationLimitError,
@@ -52,7 +59,6 @@ from .roots import (
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
-EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
@@ -62,8 +68,8 @@ EXIT_LIMIT = 3
 # at 2,000 the slowest kinds (pseudotree, signed_pseudotree) take 3.4-4.0 s
 # for 6.2-6.8 MB.  ``roots`` refuses when N times the root count, the
 # entries it prints, passes ROOT_ENTRY_BOUND: at about 500,000 entries (A100,
-# B79, D79) human output takes 0.25-0.37 s, JSON 0.6-0.8 s and CSV
-# 1.6-1.9 s and 127 MB.
+# B79, D79) human output takes 0.3 s and 28 MB, JSON 0.5-0.65 s and 66 MB,
+# and CSV, which streams its rows, 0.9-1.3 s and 24 MB.
 SEQUENCE_BOUND = 2000
 ROOT_ENTRY_BOUND = 500_000
 
@@ -132,17 +138,18 @@ def residue_name(residue: int, period: int) -> str:
     return f"t ≡ {residue} (mod {period})"
 
 
-def _flatten(value, prefix: str, out: List[Tuple[str, str]]) -> None:
+def _flatten(value, prefix: str = "") -> Iterator[Tuple[str, str]]:
+    """The (dotted key, text) rows of a document, in document order."""
     if isinstance(value, dict):
         for key, item in value.items():
-            _flatten(item, f"{prefix}.{key}" if prefix else str(key), out)
+            yield from _flatten(item, f"{prefix}.{key}" if prefix else str(key))
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            _flatten(item, f"{prefix}.{i}", out)
+            yield from _flatten(item, f"{prefix}.{i}")
     elif isinstance(value, bool):
-        out.append((prefix, "true" if value else "false"))
+        yield prefix, "true" if value else "false"
     else:
-        out.append((prefix, "" if value is None else str(value)))
+        yield prefix, "" if value is None else str(value)
 
 
 def render_human(doc: Dict) -> str:
@@ -212,11 +219,9 @@ def emit(doc: Dict, fmt: str) -> None:
     elif fmt == "csv":
         import csv  # only this encoding needs the module; keep it off start-up
 
-        pairs: List[Tuple[str, str]] = []
-        _flatten(doc, "", pairs)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("key", "value"))
-        writer.writerows(pairs)
+        writer.writerows(_flatten(doc))
     else:
         print(render_human(doc))
 
@@ -283,14 +288,23 @@ def _quasipolynomial_document(
 
 def cmd_ehrhart(args) -> Tuple[Dict, bool]:
     request = {**_family_request("ehrhart", args), "variant": args.variant, "route": args.route}
+    inputs = (args.family, args.n, args.variant)
     name, route = ROUTES[args.route]
-    qp = route(args.family, args.n, args.variant)
+    if args.verify:
+        partner_name, partner = ROUTES["egf" if args.route == "forest" else "forest"]
+        # the generating functions reach every input the census admits, so
+        # they run last: past the census reach the request is refused before
+        # their work
+        if args.route == "egf":
+            expected, qp = partner(*inputs), route(*inputs)
+        else:
+            qp, expected = route(*inputs), partner(*inputs)
+    else:
+        qp = route(*inputs)
     doc, _ = _quasipolynomial_document(request, f"{name} route", qp, args.t)
     agree = True
     if args.verify:
-        # the generating functions reach every input the census admits
-        partner_name, partner = ROUTES["egf" if args.route == "forest" else "forest"]
-        agree = partner(args.family, args.n, args.variant) == qp
+        agree = expected == qp
         doc["notes"] = [
             f"cross-route check ({name} vs {partner_name}): " + ("agree" if agree else "MISMATCH")
         ]
@@ -406,65 +420,74 @@ def _positive_int(value: str) -> int:
     except ValueError:
         n = 0
     if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+        raise ValueError("must be a positive integer")
     return n
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coxeter-ehrhart",
-        description=(
-            "Exact Ehrhart quasipolynomials of the classical Coxeter permutahedra "
-            "and of integer zonotopes with rational shifts."
+# The program's name, the text under its usage and the text closing every
+# help (see ``cmdline``).
+ABOUT = (
+    "coxeter-ehrhart",
+    "Exact Ehrhart quasipolynomials of the classical Coxeter permutahedra\n"
+    "and of integer zonotopes with rational shifts.",
+    "Long options may be shortened to any unique prefix.\n"
+    "Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 size guard.",
+)
+
+# The whole command line, one entry per verb, in the form ``cmdline``
+# reads: name -> (handler, summary, positionals, options), a positional
+# (name, convert, choices, help), an option (flag, arity, convert, choices,
+# default, help).
+_FORMAT = ("--format", 1, str, ("human", "json", "csv"), "human", "output encoding")
+_VERIFY = ("--verify", 0, None, None, False, "cross-check against an independent route")
+_DILATIONS = ("--t", "+", _positive_int, None, None, "dilations to evaluate")
+_FAMILY = ("family", str.upper, FAMILIES, "root system family, in either case")
+_N = ("n", _positive_int, None, "number of ambient coordinates")
+
+VERBS = {
+    "ehrhart": (
+        cmd_ehrhart,
+        "quasipolynomial of a permutahedron",
+        (_FAMILY, _N),
+        (
+            _FORMAT,
+            _VERIFY,
+            ("--variant", 1, str, VARIANTS, "standard", "permutahedron variant"),
+            ("--route", 1, str, tuple(ROUTES), "forest", "route that computes it"),
+            _DILATIONS,
         ),
-        epilog="Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 size guard.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def verb(name: str, summary: str, handler, verify: bool = False):
-        """A subparser served by ``handler``, with ``--format``, plus
-        ``--verify`` where the verb reads it, ahead of its own arguments."""
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(handler=handler)
-        p.add_argument(
-            "--format", choices=("human", "json", "csv"), default="human", help="output encoding"
-        )
-        if verify:
-            p.add_argument(
-                "--verify", action="store_true", help="cross-check against an independent route"
-            )
-        return p
-
-    pe = verb("ehrhart", "quasipolynomial of a permutahedron", cmd_ehrhart, verify=True)
-    pe.add_argument("family", type=str.upper, choices=FAMILIES)
-    pe.add_argument("n", type=_positive_int, help="number of ambient coordinates")
-    pe.add_argument("--variant", choices=VARIANTS, default="standard")
-    pe.add_argument("--route", choices=ROUTES, default="forest")
-    pe.add_argument("--t", type=_positive_int, nargs="+", help="dilations to evaluate")
-
-    pt = verb("tables", "recompute the reference tables", cmd_tables)
-    pt.add_argument("table", choices=("table1", "table2"))
-
-    pz = verb("zonotope", "quasipolynomial of a zonotope file", cmd_zonotope, verify=True)
-    pz.add_argument("file", help="JSON document with 'generators' and optional 'shift'")
-    pz.add_argument("--t", type=_positive_int, nargs="+", help="dilations to evaluate")
-
-    ps = verb("sequences", "labeled structure counts", cmd_sequences)
-    ps.add_argument("kind", choices=SEQUENCE_KINDS)
-    ps.add_argument("nmax", type=_positive_int)
-
-    pc = verb("count", "lattice points of one dilate", cmd_count)
-    pc.add_argument("family", type=str.upper, choices=FAMILIES)
-    pc.add_argument("n", type=_positive_int)
-    pc.add_argument("--t", type=_positive_int, default=1)
-    pc.add_argument("--variant", choices=VARIANTS, default="standard")
-    pc.add_argument("--oracle", action="store_true", help="also run the box-scan oracle")
-
-    pr = verb("roots", "positive roots and shift", cmd_roots)
-    pr.add_argument("family", type=str.upper, choices=FAMILIES)
-    pr.add_argument("n", type=_positive_int)
-
-    return parser
+    ),
+    "tables": (
+        cmd_tables,
+        "recompute the reference tables",
+        (("table", str, ("table1", "table2"), "reference table"),),
+        (_FORMAT,),
+    ),
+    "zonotope": (
+        cmd_zonotope,
+        "quasipolynomial of a zonotope file",
+        (("file", str, None, "JSON document with 'generators' and optional 'shift'"),),
+        (_FORMAT, _VERIFY, _DILATIONS),
+    ),
+    "sequences": (
+        cmd_sequences,
+        "labeled structure counts",
+        (("kind", str, SEQUENCE_KINDS, "structure kind"), ("nmax", _positive_int, None, "largest n")),
+        (_FORMAT,),
+    ),
+    "count": (
+        cmd_count,
+        "lattice points of one dilate",
+        (_FAMILY, _N),
+        (
+            _FORMAT,
+            ("--t", 1, _positive_int, None, 1, "dilation to count"),
+            ("--variant", 1, str, VARIANTS, "standard", "permutahedron variant"),
+            ("--oracle", 0, None, None, False, "also run the box-scan oracle"),
+        ),
+    ),
+    "roots": (cmd_roots, "positive roots and shift", (_FAMILY, _N), (_FORMAT,)),
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -473,8 +496,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     set_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_digits is not None:
         set_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse(sys.argv[1:] if argv is None else argv, VERBS, ABOUT)
     try:
         doc, ok = args.handler(args)
     except (UsageError, ZonotopeFormatError, OSError) as exc:

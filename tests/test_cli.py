@@ -74,14 +74,15 @@ def test_csv_format(capsys):
 
 def test_import_loads_only_what_every_request_runs():
     # a fresh interpreter: the value classes need no dataclasses (and so no
-    # inspect), and csv loads with the one format that writes it
+    # inspect), csv loads with the one format that writes it, and serving a
+    # request needs no argparse (nor the gettext and locale it loads)
     src = str(Path(cli.__file__).resolve().parents[1])
     program = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "import coxeter_ehrhart.cli as cli\n"
         "print(*[m in sys.modules for m in ('dataclasses', 'inspect', 'csv')])\n"
         "cli.main(['roots', 'B', '1', '--format', 'csv'])\n"
-        "print('csv' in sys.modules)\n"
+        "print(*[m in sys.modules for m in ('csv', 'argparse', 'gettext', 'locale')])\n"
     )
     done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == [
@@ -97,7 +98,7 @@ def test_import_loads_only_what_every_request_runs():
         "notes.0,1 positive root",
         "notes.1,shift (1/2)",
         "notes.2,half-integral (period 2)",
-        "True",
+        "True False False False",
     ]
 
 
@@ -176,6 +177,20 @@ def test_ehrhart_egf_route(capsys):
     assert "2t + 7t²" in out
     assert "ehr(3) = 69" in out
     assert "cross-route check (generating function vs forest census): agree" in out
+
+
+@pytest.mark.parametrize("route", ["egf", "forest"])
+def test_verify_runs_the_census_before_the_generating_functions(monkeypatch, capsys, route):
+    # past the census reach (here a lowered merge bound) the census refuses
+    # before the generating-function route starts, whichever route was chosen
+    monkeypatch.setattr("coxeter_ehrhart.ehrhart.MERGE_BOUND", 10)
+
+    def no_work(*args):
+        raise AssertionError("the generating functions ran before the census refused")
+
+    monkeypatch.setitem(cli.ROUTES, "egf", ("generating function", no_work))
+    assert main(["ehrhart", "C", "6", "--route", route, "--verify"]) == 3
+    assert "above the merge bound of 10" in capsys.readouterr().err
 
 
 def test_ehrhart_egf_without_dilations_prints_constituents(capsys):
@@ -452,7 +467,14 @@ def test_invalid_subcommand_is_usage_error():
 
 @pytest.mark.parametrize(
     "argv",
-    [["ehrhart", "A", "x"], ["count", "A", "3", "--t", "1.5"], ["sequences", "tree", "0"]],
+    [
+        ["ehrhart", "A", "x"],
+        ["count", "A", "3", "--t", "1.5"],
+        ["sequences", "tree", "0"],
+        ["ehrhart", "B", "2", "--t", "-1"],
+        ["ehrhart", "B", "2", "--t", "2", "1.5"],
+        ["zonotope", "z.json", "--t=0"],
+    ],
 )
 def test_non_positive_integer_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as err:
@@ -476,3 +498,80 @@ def test_entry_point_exits_cleanly(capsys, monkeypatch):
         cli.entry()
     assert err.value.code == 0
     capsys.readouterr()
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code, phrase",
+    [
+        (["ehrhart", "B"], 2, "the following arguments are required: n"),
+        (["tables"], 2, "the following arguments are required: table"),
+        (["ehrhart", "B", "3", "--route", "EGF"], 2, "argument --route: invalid choice: 'EGF'"),
+        (["sequences", "Tree", "3"], 2, "argument kind: invalid choice: 'Tree'"),
+        (["roots", "B", "2", "--format", "xml"], 2, "argument --format: invalid choice: 'xml'"),
+        (["ehrhart", "B", "2", "--t"], 2, "argument --t: expected at least one argument"),
+        (["zonotope", "z.json", "--t", "--verify"], 2, "argument --t: expected at least one argument"),
+        (["count", "B", "2", "--t"], 2, "argument --t: expected one argument"),
+        (["count", "B", "2", "--t", "1", "2"], 2, "unrecognized arguments: 2"),
+        (["ehrhart", "B", "2", "--v", "integral"], 2, "ambiguous option: --v could match --verify, --variant"),
+        (["ehrhart", "B", "2", "--verify=yes"], 2, "argument --verify: ignored explicit argument 'yes'"),
+        (["nonsense"], 2, "invalid verb: 'nonsense'"),
+        ([], 2, "the following arguments are required: command"),
+        (["ehrhart", "B", "2", "--format=json"], 0, None),
+        (["ehrhart", "B", "2", "--var", "integral"], 0, None),
+        (["count", "B", "2", "--v", "integral", "--o"], 0, None),
+    ],
+)
+def test_command_line_is_read_from_the_verb_table(capsys, argv, code, phrase):
+    assert _exit_code(argv) == code
+    err = capsys.readouterr().err
+    if phrase is None:
+        assert err == ""
+        return
+    # the verb's usage line (or the program's), then one error line
+    usage, error = err.splitlines()
+    verb = argv[0] if argv and argv[0] in cli.VERBS else None
+    assert usage.startswith("usage: coxeter-ehrhart " + (f"{verb} [-h]" if verb else "[-h]"))
+    assert error.startswith("error: ") and phrase in error
+
+
+@pytest.mark.parametrize(
+    "argv, spelled",
+    [
+        (["ehrhart", "B", "2", "--format", "json"], ["ehrhart", "B", "2", "--format=json"]),
+        (["ehrhart", "B", "3", "--variant", "integral"], ["ehrhart", "B", "3", "--var", "integral"]),
+        (["ehrhart", "B", "3", "--route", "egf", "--t", "2", "3"], ["ehrhart", "B", "3", "--rou=egf", "--t", "2", "3"]),
+        (["count", "C", "2", "--t", "3", "--oracle"], ["count", "C", "2", "--t=3", "--or"]),
+        (["zonotope", "{file}", "--t", "1", "2", "--verify"], ["zonotope", "--t", "1", "2", "--verif", "--", "{file}"]),
+    ],
+)
+def test_flag_spellings_read_alike(tmp_path, capsys, argv, spelled):
+    path = tmp_path / "z.json"
+    path.write_text('{"generators": [[1, 0], [0, 1]], "shift": ["1/2", 0]}')
+    outputs = []
+    for words in (argv, spelled):
+        assert main([str(path) if word == "{file}" else word for word in words]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+@pytest.mark.parametrize("verb", [None, *cli.VERBS])
+def test_help_names_every_verb_and_option(capsys, verb, flag):
+    assert _exit_code([flag] if verb is None else [verb, flag]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: coxeter-ehrhart " + (f"{verb} [-h]" if verb else "[-h]"))
+    if verb is None:
+        words = [word for name, entry in cli.VERBS.items() for word in (name, entry[1])]
+    else:
+        _, summary, positionals, options = cli.VERBS[verb]
+        words = [summary, "--help", *(p[3] for p in positionals), *(o[0] for o in options)]
+    assert [word for word in words if word not in out] == []
+    assert "Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 size guard." in out
