@@ -24,8 +24,8 @@ agreement in verification modes), 1 verification mismatch, 2 usage error,
 
 from __future__ import annotations
 
-import json
 import sys
+from json.encoder import encode_basestring
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cmdline import EXIT_USAGE, parse
@@ -68,7 +68,7 @@ EXIT_LIMIT = 3
 # at 2,000 the slowest kinds (pseudotree, signed_pseudotree) take 3.4-4.0 s
 # for 6.2-6.8 MB.  ``roots`` refuses when N times the root count, the
 # entries it prints, passes ROOT_ENTRY_BOUND: at about 500,000 entries (A100,
-# B79, D79) human output takes 0.3 s and 28 MB, JSON 0.5-0.65 s and 66 MB,
+# B79, D79) human output takes 0.3 s and 28 MB, JSON 0.35-0.5 s and 39-47 MB,
 # and CSV, which streams its rows, 0.9-1.3 s and 24 MB.
 SEQUENCE_BOUND = 2000
 ROOT_ENTRY_BOUND = 500_000
@@ -213,9 +213,36 @@ def _render_rows(command: str, rows: List[Dict]) -> List[str]:
     return lines
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(value, ensure_ascii=False, indent=2)`` for
+    the values a document holds (dicts with string keys, lists, strings,
+    ints and bools), the value starting at nesting ``indent``.  The standard
+    encoder falls back to its pure-Python loop whenever it indents."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        # ints, the bulk of a large answer, are written without a call
+        items = [int.__repr__(item) if type(item) is int else _json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [encode_basestring(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"a document holds no {kind.__name__}")
+
+
 def emit(doc: Dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(doc, ensure_ascii=False, indent=2))
+        print(_json_text(doc))
     elif fmt == "csv":
         import csv  # only this encoding needs the module; keep it off start-up
 

@@ -25,8 +25,9 @@ expressions.  Everything is integer arithmetic.
 In the quasipolynomial each tree component weighs 1/t.  The period-1
 constituent reads every coefficient from that Lambert W form as one finite
 sum, by Bürmann's form of Lagrange inversion.  The odd constituent of a
-half-integral request keeps only the trees with an even vertex count; it
-keeps the binomial convolution over the number of trees.
+half-integral request keeps only the trees with an even vertex count, so
+its forests cover an even number of vertices; it sums over the number of
+trees by a binomial convolution indexed by vertex pairs.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ SEQUENCE_KINDS = (
 # takes about 1 s wall (CPython 3.11, one core of an x86-64 Xeon).
 COORDINATE_BOUND = 1000
 # Ceiling on the coordinate count of a half-integral request, whose odd
-# constituent keeps the convolution of _polynomial_by_tree_count.  Its cost
-# grows about n^4.5: n = 200 takes 0.26 s of CPU for A and 0.34 s for B
-# (0.4-0.5 s wall), B250 0.76 s and B300 1.6 s.
+# constituent is the vertex-pair convolution of _odd_constituent, about
+# n^3/48 big-integer products: n = 200 takes 0.12 s of CPU for A and 0.21 s
+# for B (0.2-0.3 s wall for the whole request), B250 0.5-0.55 s and B300
+# 1.0-1.2 s (CPython 3.11, one core of an x86-64 Xeon).
 PARITY_BOUND = 200
 
 
@@ -168,44 +170,45 @@ def _polynomial_by_lagrange(family: str, n: int) -> List[int]:
     return coeffs
 
 
-def _polynomial_by_tree_count(tree: Sequence[int], rest: Sequence[int], n: int) -> List[int]:
-    """Ascending coefficients of the count on n coordinates as a polynomial
-    in t: the coefficient of t^(n-k) is n! [x^n] T^k/k! exp(R).
+def _odd_constituent(family: str, n: int) -> List[int]:
+    """Ascending coefficients of the odd constituent of a half-integral
+    request on n coordinates: the coefficient of t^(n-k) is n! [x^n]
+    E^k/k! exp(R), E = (T(x) + T(-x))/2 keeping the trees with an even
+    vertex count.
 
-    ``forests[m]`` is m! [x^m] T^k/k!, the number of ways to cover m
-    labeled vertices by k trees.  Multiplying by T adds one more tree, which
-    counts each forest of k + 1 trees k + 1 times, so the division by k + 1
-    is exact.
-
-    Its one use is the odd constituent of a half-integral request, whose
-    tree series keeps only even vertex counts, (T(x) + T(-x))/2.  That
-    series mixes w(x) with w(-x), and no one-variable form for
-    _polynomial_by_lagrange to sum is known.
+    A forest of k such trees covers an even number of vertices, at least 2k,
+    so the forests are indexed by vertex pairs: ``forests[a]`` is (2a)!
+    [x^(2a)] E^k/k!, and t^(n-k) has coefficient 0 for k > n/2.
+    Multiplying by E adds one more tree, which counts each forest of k + 1
+    trees k + 1 times, so the division by k + 1 is exact.  E mixes w(x)
+    with w(-x), and no one-variable form for _polynomial_by_lagrange to sum
+    is known.
     """
-    binom = [[comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
+    tree, rest = _exponent_parts(family, n)
+    h = n // 2
     # exp(R) by the integer form of the recurrence E' = R' E
     rest_exp = [1] + [0] * n
     for m in range(1, n + 1):
-        row = binom[m - 1]
-        rest_exp[m] = sum(row[s - 1] * rest[s] * rest_exp[m - s] for s in range(1, m + 1) if rest[s])
-    # Both convolutions pair forests[j] with a weight fixed before the loop
-    # over k: n! [x^n] (forests) exp(R) with outer[j] = C(n, j) rest_exp[n-j],
-    # and m! [x^m] T (forests) with joins[m][j] = C(m, m-j) t_(m-j), j < m.
-    outer = [c * e for c, e in zip(binom[n], reversed(rest_exp))]
-    joins = [
-        [c * t for c, t in zip(reversed(binom[m][1:]), reversed(tree[1 : m + 1]))] for m in range(n + 1)
-    ]
+        rest_exp[m] = sum(
+            comb(m - 1, s - 1) * rest[s] * rest_exp[m - s] for s in range(1, m + 1) if rest[s]
+        )
+    # Both convolutions pair forests[b] with a weight fixed before the loop
+    # over k: n! [x^n] (forests) exp(R) with outer[b] = C(n, 2b)
+    # rest_exp[n-2b], and (2a)! [x^(2a)] E (forests) with joins[a][b] =
+    # C(2a, 2b) t_(2a-2b), b < a.
+    outer = [comb(n, 2 * b) * rest_exp[n - 2 * b] for b in range(h + 1)]
+    joins = [[comb(2 * a, 2 * b) * tree[2 * (a - b)] for b in range(a)] for a in range(h + 1)]
     coeffs = [0] * (n + 1)
-    forests = [1] + [0] * n
-    for k in range(n + 1):
-        # k trees cover at least k vertices, so forests[j] = 0 for j < k
+    forests = [1] + [0] * h
+    for k in range(h + 1):
+        # k trees cover at least k pairs, so forests[b] = 0 for b < k
         coeffs[n - k] = sum(map(mul, outer[k:], forests[k:]))
-        if k == n:
+        if k == h:
             break
-        grown = [0] * (n + 1)
-        for m in range(k + 1, n + 1):
-            total = sum(map(mul, joins[m][k:], forests[k:m]))
-            grown[m], remainder = divmod(total, k + 1)
+        grown = [0] * (h + 1)
+        for a in range(k + 1, h + 1):
+            total = sum(map(mul, joins[a][k:], forests[k:a]))
+            grown[a], remainder = divmod(total, k + 1)
             if remainder:
                 raise ArithmeticError(f"forest count {total} is not divisible by {k + 1}")
         forests = grown
@@ -223,7 +226,8 @@ def egf_ehrhart_quasipolynomial(family: str, n: int, variant: str = "standard") 
     request) comes from Lagrange inversion, _polynomial_by_lagrange.  The
     odd constituent of a half-integral standard permutahedron keeps only
     the trees with an even vertex count, the parity obstruction of its odd
-    dilates, and comes from the convolution of _polynomial_by_tree_count.
+    dilates, and comes from the vertex-pair convolution of
+    _odd_constituent.
     Coordinate counts above COORDINATE_BOUND, and half-integral ones above
     PARITY_BOUND, are refused.
     """
@@ -238,7 +242,5 @@ def egf_ehrhart_quasipolynomial(family: str, n: int, variant: str = "standard") 
         )
     polys = [_polynomial_by_lagrange(family, n)]
     if half_integral:
-        tree, rest = _exponent_parts(family, n)
-        even_trees = [c if m % 2 == 0 else 0 for m, c in enumerate(tree)]
-        polys.append(_polynomial_by_tree_count(even_trees, rest, n))
+        polys.append(_odd_constituent(family, n))
     return QuasiPolynomial.from_residue_polys(polys)

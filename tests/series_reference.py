@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import List, Tuple
+from math import comb, factorial
+from operator import mul
+from typing import List, Sequence, Tuple
 
 from coxeter_ehrhart.egf import SEQUENCE_KINDS
 
@@ -271,3 +272,48 @@ def egf_ehrhart_standard_odd(family: str, t: int, nmax: int) -> List[int]:
     if family in ("C", "D"):
         raise ValueError("families C and D are integral; the single constituent covers all t")
     return _dilated_counts(family, t, nmax, odd=True)
+
+
+def _polynomial_by_tree_count(tree: Sequence[int], rest: Sequence[int], n: int) -> List[int]:
+    """Ascending coefficients of the count on n coordinates as a polynomial
+    in t: the coefficient of t^(n-k) is n! [x^n] T^k/k! exp(R).
+
+    ``forests[m]`` is m! [x^m] T^k/k!, the number of ways to cover m
+    labeled vertices by k trees.  Multiplying by T adds one more tree, which
+    counts each forest of k + 1 trees k + 1 times, so the division by k + 1
+    is exact.
+
+    A general binomial convolution over vertex counts, for any tree series
+    and rest: the reference for the package's period-1 sum
+    (egf._polynomial_by_lagrange) on the full tree series, and for its odd
+    constituent (egf._odd_constituent) on the even-tree series (T(x) +
+    T(-x))/2.
+    """
+    binom = [[comb(m, j) for j in range(m + 1)] for m in range(n + 1)]
+    # exp(R) by the integer form of the recurrence E' = R' E
+    rest_exp = [1] + [0] * n
+    for m in range(1, n + 1):
+        row = binom[m - 1]
+        rest_exp[m] = sum(row[s - 1] * rest[s] * rest_exp[m - s] for s in range(1, m + 1) if rest[s])
+    # Both convolutions pair forests[j] with a weight fixed before the loop
+    # over k: n! [x^n] (forests) exp(R) with outer[j] = C(n, j) rest_exp[n-j],
+    # and m! [x^m] T (forests) with joins[m][j] = C(m, m-j) t_(m-j), j < m.
+    outer = [c * e for c, e in zip(binom[n], reversed(rest_exp))]
+    joins = [
+        [c * t for c, t in zip(reversed(binom[m][1:]), reversed(tree[1 : m + 1]))] for m in range(n + 1)
+    ]
+    coeffs = [0] * (n + 1)
+    forests = [1] + [0] * n
+    for k in range(n + 1):
+        # k trees cover at least k vertices, so forests[j] = 0 for j < k
+        coeffs[n - k] = sum(map(mul, outer[k:], forests[k:]))
+        if k == n:
+            break
+        grown = [0] * (n + 1)
+        for m in range(k + 1, n + 1):
+            total = sum(map(mul, joins[m][k:], forests[k:m]))
+            grown[m], remainder = divmod(total, k + 1)
+            if remainder:
+                raise ArithmeticError(f"forest count {total} is not divisible by {k + 1}")
+        forests = grown
+    return coeffs

@@ -136,6 +136,7 @@ def test_every_format_encodes_one_document(tmp_path, capsys, argv):
         code, outputs[fmt] = run(capsys, argv + ["--format", fmt])
         assert code == 0, fmt
     data = json.loads(outputs["json"])
+    assert outputs["json"] == json.dumps(data, ensure_ascii=False, indent=2) + "\n"
     assert list(data)[:2] == ["request", "provenance"]
     if argv[0] == "roots":
         assert data["rows"] == []  # rows are printed even when there are none
@@ -145,6 +146,29 @@ def test_every_format_encodes_one_document(tmp_path, capsys, argv):
     assert [line for line in lines if line.startswith("route: ")] == [f"route: {data['provenance']}"]
     notes = [line for line in lines if line.startswith("note: ")]
     assert notes == [f"note: {note}" for note in data.get("notes", [])]
+
+
+def test_json_text_writes_the_bytes_of_the_standard_encoder():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    huge = 7**1500  # 1,268 digits
+    scalars = st.text() | st.booleans() | st.integers() | st.integers(-huge, huge)
+    documents = st.recursive(
+        scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(documents)
+    @hypothesis.example({"é ☃": ['"quoted" \\ \u00e9', "\x00\x1f\n\t\u2028", -huge, huge, True, False, 0]})
+    @hypothesis.example([[], {}, [[]], {"": {"": []}}, ""])
+    def check(value):
+        assert cli._json_text(value) == json.dumps(value, ensure_ascii=False, indent=2)
+
+    check()
+    for value in (1.5, None, (1, 2), {1: "int key"}, [b"bytes"]):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 def test_output_is_deterministic(capsys):
@@ -314,6 +338,11 @@ def test_zonotope_shift_is_reduced_on_read(tmp_path, capsys):
     code, out = run(capsys, ["zonotope", str(path), "--format", "json"])
     assert code == 0
     assert json.loads(out)["request"]["shift"] == ["1/2", "3", "1/2"]
+    # a sign and a string integer are part of the p/q spelling
+    path.write_text('{"generators": [[1, 0, 0]], "shift": ["-2/4", "+3", "-07"]}')
+    code, out = run(capsys, ["zonotope", str(path), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["request"]["shift"] == ["-1/2", "3", "-7"]
 
 
 def test_zonotope_shifted_unit_segment(tmp_path, capsys):
@@ -368,6 +397,12 @@ def test_zonotope_bad_file_exit(tmp_path, capsys):
         ('{"generators": [[true, 0], [0, 1]]}', "generators[0]"),
         ('{"generators": [[1.0, 0], [0, 1]]}', "generators[0]"),
         ('{"generators": [[1, 0]], "shift": ["1/0", 0]}', "shift[0]: zero denominator"),
+        # Fraction reads these strings too, but a shift entry is an integer or p/q
+        ('{"generators": [[1, 0]], "shift": ["0.5", 0]}', "shift[0]: expected an integer or a 'p/q' string"),
+        ('{"generators": [[1, 0]], "shift": [0, "1e2"]}', "shift[1]: expected an integer or a 'p/q' string"),
+        ('{"generators": [[1, 0]], "shift": [" 1/2", 0]}', "shift[0]: expected an integer or a 'p/q' string"),
+        ('{"generators": [[1, 0]], "shift": ["1_000/3", 0]}', "shift[0]: expected an integer or a 'p/q' string"),
+        ('{"generators": [[1, 0]], "shift": [0.5, 0]}', "shift[0]: expected an integer or a 'p/q' string"),
     ],
 )
 def test_zonotope_rejects_non_integer_entries(tmp_path, capsys, document, message):

@@ -12,6 +12,7 @@ from series_reference import (
     RatSeries,
     _exponent_parts,
     _integer_coefficients,
+    _polynomial_by_tree_count,
     component_egfs,
     egf_ehrhart_standard_odd,
     egf_ehrhart_values,
@@ -78,10 +79,13 @@ def test_integral_values_match_forest_census():
                 assert row[n] == census.evaluate(t)
 
 
-def by_convolution(family, n):
+def by_convolution(family, n, odd=False):
     """The period-1 constituent by the binomial convolution on the full tree
-    series."""
-    return egf._polynomial_by_tree_count(*egf._exponent_parts(family, n), n)
+    series; with ``odd``, the odd constituent, on the even-tree series."""
+    tree, rest = egf._exponent_parts(family, n)
+    if odd:
+        tree = [c if m % 2 == 0 else 0 for m, c in enumerate(tree)]
+    return _polynomial_by_tree_count(tree, rest, n)
 
 
 def test_lagrange_sum_equals_the_convolution():
@@ -99,6 +103,28 @@ def test_lagrange_sum_equals_the_convolution_up_to_the_parity_bound():
     @hypothesis.example("C", egf.PARITY_BOUND)
     def check(family, n):
         assert egf._polynomial_by_lagrange(family, n) == by_convolution(family, n)
+
+    check()
+
+
+def test_odd_constituent_equals_the_convolution():
+    # half-integral requests: B at every n, A at even n
+    for n in range(1, 61):
+        for family in "AB" if n % 2 == 0 else "B":
+            assert egf._odd_constituent(family, n) == by_convolution(family, n, odd=True), (family, n)
+
+
+def test_odd_constituent_equals_the_convolution_up_to_the_parity_bound():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=10, deadline=None)
+    @hypothesis.given(st.sampled_from("AB"), st.integers(1, egf.PARITY_BOUND))
+    @hypothesis.example("A", egf.PARITY_BOUND)
+    @hypothesis.example("B", egf.PARITY_BOUND)
+    def check(family, n):
+        hypothesis.assume(family == "B" or n % 2 == 0)  # A is half-integral at even n only
+        assert egf._odd_constituent(family, n) == by_convolution(family, n, odd=True)
 
     check()
 
