@@ -27,14 +27,15 @@ constituent reads every coefficient from that Lambert W form as one finite
 sum, by Bürmann's form of Lagrange inversion.  The odd constituent of a
 half-integral request keeps only the trees with an even vertex count, so
 its forests cover an even number of vertices; it sums over the number of
-trees by a binomial convolution indexed by vertex pairs.
+trees by a binomial convolution indexed by vertex pairs, and reads the
+tree-free part exp(R) from the same Lagrange sum.
 """
 
 from __future__ import annotations
 
 from math import comb, perm
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .ehrhart import EnumerationLimitError, QuasiPolynomial
 from .roots import _positive, is_half_integral
@@ -56,7 +57,7 @@ SEQUENCE_KINDS = (
 COORDINATE_BOUND = 1000
 # Ceiling on the coordinate count of a half-integral request, whose odd
 # constituent is the vertex-pair convolution of _odd_constituent, about
-# n^3/48 big-integer products: n = 200 takes 0.12 s of CPU for A and 0.21 s
+# n^3/48 big-integer products: n = 200 takes 0.12 s of CPU for A and 0.16 s
 # for B (0.2-0.3 s wall for the whole request), B250 0.5-0.55 s and B300
 # 1.0-1.2 s (CPython 3.11, one core of an x86-64 Xeon).
 PARITY_BOUND = 200
@@ -103,28 +104,17 @@ def component_counts(kind: str, order: int) -> Tuple[int, ...]:
 _HALFEDGE_WEIGHT = {"B": 1, "C": 2, "D": 0}
 
 
-def _exponent_parts(family: str, order: int) -> Tuple[Sequence[int], Sequence[int]]:
-    """Counts m! [x^m], m = 0..order, of the family's tree series T and of
-    the rest R of its exponent.
-
-    The t-th dilate of the integral permutahedron on n coordinates has
-    n! [x^n] exp(T(tx)/t + R(tx)) lattice points: a tree component weighs
-    1/t, an unbalanced pseudotree 2, a halfedge-tree 1 (family B), a
-    loop-tree 2 (family C).
-    """
+def _sigma(family: str, n: int) -> List[int]:
+    """sigma_0..sigma_n of _polynomial_by_lagrange on n coordinates."""
     if family == "A":
-        tree, rest = component_counts("tree", order), [0] * (order + 1)
+        step, shift, tail = 2, 2 * n - 2, 4 * n
     else:
-        tree = component_counts("signed_tree", order)
-        weight = _HALFEDGE_WEIGHT[family]
-        rest = [
-            2 * p + weight * h
-            for p, h in zip(
-                component_counts("signed_pseudotree", order),
-                component_counts("signed_halfedge_tree", order),
-            )
-        ]
-    return tree, rest
+        big_n = 2 * n + _HALFEDGE_WEIGHT[family] - 1
+        step, shift, tail = 4, 2 * big_n - 2, 8 * big_n
+    sigma = [1, shift]
+    for m in range(1, n):
+        sigma.append((step * m + shift) * sigma[m] - tail * m * sigma[m - 1])
+    return sigma
 
 
 def _polynomial_by_lagrange(family: str, n: int) -> List[int]:
@@ -147,14 +137,8 @@ def _polynomial_by_lagrange(family: str, n: int) -> List[int]:
     sigma_(m+1) = 2 lam (m + beta - alpha) sigma_m - 4 lam^2 beta m
     sigma_(m-1).  The division by 2^r is exact.
     """
-    if family == "A":
-        lam, step, shift, tail = 1, 2, 2 * n - 2, 4 * n
-    else:
-        big_n = 2 * n + _HALFEDGE_WEIGHT[family] - 1
-        lam, step, shift, tail = 2, 4, 2 * big_n - 2, 8 * big_n
-    sigma = [1, shift]
-    for m in range(1, n):
-        sigma.append((step * m + shift) * sigma[m] - tail * m * sigma[m - 1])
+    lam = 1 if family == "A" else 2
+    sigma = _sigma(family, n)
     coeffs = []
     for r in range(n + 1):
         k = n - r
@@ -182,21 +166,19 @@ def _odd_constituent(family: str, n: int) -> List[int]:
     Multiplying by E adds one more tree, which counts each forest of k + 1
     trees k + 1 times, so the division by k + 1 is exact.  E mixes w(x)
     with w(-x), and no one-variable form for _polynomial_by_lagrange to sum
-    is known.
+    is known.  But exp(R) is 1 for A, and for B its count m! [x^m] exp(R)
+    is the tree-free term of that sum on m coordinates, sigma_m / 2^m.
     """
-    tree, rest = _exponent_parts(family, n)
+    tree = component_counts("tree" if family == "A" else "signed_tree", n)
     h = n // 2
-    # exp(R) by the integer form of the recurrence E' = R' E
-    rest_exp = [1] + [0] * n
-    for m in range(1, n + 1):
-        rest_exp[m] = sum(
-            comb(m - 1, s - 1) * rest[s] * rest_exp[m - s] for s in range(1, m + 1) if rest[s]
-        )
     # Both convolutions pair forests[b] with a weight fixed before the loop
-    # over k: n! [x^n] (forests) exp(R) with outer[b] = C(n, 2b)
-    # rest_exp[n-2b], and (2a)! [x^(2a)] E (forests) with joins[a][b] =
+    # over k: n! [x^n] (forests) exp(R) with outer[b] = C(n, 2b) m! [x^m]
+    # exp(R), m = n - 2b, and (2a)! [x^(2a)] E (forests) with joins[a][b] =
     # C(2a, 2b) t_(2a-2b), b < a.
-    outer = [comb(n, 2 * b) * rest_exp[n - 2 * b] for b in range(h + 1)]
+    outer = []
+    for b in range(h + 1):
+        m = n - 2 * b
+        outer.append(comb(n, 2 * b) * (int(m == 0) if family == "A" else _sigma(family, m)[m] >> m))
     joins = [[comb(2 * a, 2 * b) * tree[2 * (a - b)] for b in range(a)] for a in range(h + 1)]
     coeffs = [0] * (n + 1)
     forests = [1] + [0] * h

@@ -24,7 +24,6 @@ above PERIOD_BOUND.
 from __future__ import annotations
 
 import json
-import re
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd, lcm, log10
@@ -65,6 +64,11 @@ class ZonotopeSpec(namedtuple("ZonotopeSpec", "generators shift dim")):
     The body is ``shift + sum of [0, g] over generators``.  Generators form
     a multiset: a repeated generator lengthens the corresponding segment and
     is counted separately by the subset enumeration.
+
+    Every entry is checked once, the generators' by ``int_vector`` and the
+    shift's by ``rat_vector``.  ``dim`` defaults to the length of the first
+    generator, or of the shift when there are no generators, and ``shift``
+    to the origin.
     """
 
     __slots__ = ()
@@ -72,33 +76,31 @@ class ZonotopeSpec(namedtuple("ZonotopeSpec", "generators shift dim")):
     shift: RatVector
     dim: int
 
-    def __new__(cls, generators, shift, dim: int) -> "ZonotopeSpec":
-        generators = tuple(int_vector(g) for g in generators)
-        shift = rat_vector(shift)
-        if dim < 1:
-            raise ValueError("ambient dimension must be positive")
-        if len(shift) != dim:
+    def __new__(cls, generators, shift=None, dim: Optional[int] = None) -> "ZonotopeSpec":
+        gens = tuple(int_vector(g, f"generators[{i}]") for i, g in enumerate(generators))
+        if shift is not None:
+            shift = rat_vector(shift, "shift")
+        if dim is None:
+            if not gens and shift is None:
+                raise ValueError("dimension is required when generators and shift are both absent")
+            dim = len(gens[0] if gens else shift)
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"ambient dimension must be positive and an int, got {dim!r}")
+        if shift is None:
+            shift = (Fraction(0),) * dim
+        elif len(shift) != dim:
             raise ValueError(f"shift has dimension {len(shift)}, expected {dim}")
-        for g in generators:
+        for i, g in enumerate(gens):
             if len(g) != dim:
-                raise ValueError(f"generator {g} has dimension {len(g)}, expected {dim}")
+                raise ValueError(f"generators[{i}]: generator {g} has dimension {len(g)}, expected {dim}")
             if not any(g):
-                raise ValueError("zero generators are not allowed")
-        return super().__new__(cls, generators, shift, dim)
+                raise ValueError(f"generators[{i}]: zero generators are not allowed")
+        return super().__new__(cls, gens, shift, dim)
 
     @staticmethod
     def make(generators: Sequence[Sequence[int]], shift=None, dim: Optional[int] = None) -> "ZonotopeSpec":
-        gens = tuple(int_vector(g) for g in generators)
-        if dim is None:
-            if gens:
-                dim = len(gens[0])
-            elif shift is not None:
-                dim = len(tuple(shift))
-            else:
-                raise ValueError("dimension is required when generators and shift are both absent")
-        if shift is None:
-            shift = (Fraction(0),) * dim
-        return ZonotopeSpec(gens, rat_vector(shift), dim)
+        """``ZonotopeSpec(generators, shift, dim)``, under its older name."""
+        return ZonotopeSpec(generators, shift, dim)
 
     @property
     def shift_denominator(self) -> int:
@@ -348,16 +350,11 @@ def coxeter_zonotope(family: str, n: int, variant: str = "standard") -> Zonotope
     """The permutahedron as a shifted zonotope (up to a lattice translation)."""
     half_integral = is_half_integral(family, n, variant)
     rs = positive_roots(family, n)
-    return ZonotopeSpec(rs.roots, rs.shift if half_integral else (Fraction(0),) * n, n)
+    return ZonotopeSpec(rs.roots, rs.shift if half_integral else None, n)
 
 
 class ZonotopeFormatError(ValueError):
     """Raised for malformed zonotope input documents."""
-
-
-# A shift entry written as a string: an integer or p/q in ASCII digits, and
-# none of the other spellings Fraction reads ("0.5", "1e2", " 1/2", "1_000/3").
-_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_zonotope_document(text: str) -> ZonotopeSpec:
@@ -365,9 +362,11 @@ def parse_zonotope_document(text: str) -> ZonotopeSpec:
 
     The document is JSON with a required ``generators`` field (list of
     integer vectors) and an optional ``shift`` field (list of rationals
-    written as integers, or as strings like ``"-3"`` or ``"1/2"`` matching
-    _RATIONAL_TEXT); a missing shift means the origin.  Rationals are
-    reduced on read, so ``"2/4"`` is accepted.
+    written as integers, or as strings like ``"-3"`` or ``"1/2"``); a
+    missing shift means the origin.  Rationals are reduced on read, so
+    ``"2/4"`` is accepted.  Only the JSON structure is checked here; the
+    entries are checked by ``ZonotopeSpec``, whose ``ValueError`` becomes
+    a ZonotopeFormatError.
     """
     try:
         doc = json.loads(text)
@@ -382,38 +381,16 @@ def parse_zonotope_document(text: str) -> ZonotopeSpec:
         raise ZonotopeFormatError(f"unknown fields: {', '.join(sorted(unknown))}")
     if "generators" not in doc:
         raise ZonotopeFormatError("missing required field 'generators'")
-    raw_gens = doc["generators"]
-    if not isinstance(raw_gens, list):
+    generators, shift = doc["generators"], doc.get("shift")
+    if not isinstance(generators, list):
         raise ZonotopeFormatError("'generators' must be a list of integer vectors")
-    generators = []
-    for idx, raw in enumerate(raw_gens):
+    for idx, raw in enumerate(generators):
         if not isinstance(raw, list) or not raw:
             raise ZonotopeFormatError(f"generators[{idx}]: expected a non-empty list")
-        if generators and len(raw) != len(generators[0]):
-            raise ZonotopeFormatError(
-                f"generators[{idx}]: expected {len(generators[0])} entries, got {len(raw)}"
-            )
-        if any(isinstance(e, bool) or not isinstance(e, int) for e in raw):
-            raise ZonotopeFormatError(f"generators[{idx}]: expected integer entries")
-        vec = tuple(raw)
-        if not any(vec):
-            raise ZonotopeFormatError(f"generators[{idx}]: the zero vector is not a generator")
-        generators.append(vec)
-    shift = None
-    if "shift" in doc:
-        raw_shift = doc["shift"]
-        if not isinstance(raw_shift, list):
-            raise ZonotopeFormatError("'shift' must be a list of rationals")
-        shift = []
-        for idx, raw in enumerate(raw_shift):
-            if type(raw) is not int and not (isinstance(raw, str) and _RATIONAL_TEXT.fullmatch(raw)):
-                raise ZonotopeFormatError(f"shift[{idx}]: expected an integer or a 'p/q' string")
-            try:
-                shift.append(Fraction(raw))
-            except ZeroDivisionError as exc:
-                raise ZonotopeFormatError(f"shift[{idx}]: zero denominator") from exc
+    if "shift" in doc and not isinstance(shift, list):
+        raise ZonotopeFormatError("'shift' must be a list of rationals")
     try:
-        return ZonotopeSpec.make(generators, shift)
+        return ZonotopeSpec(generators, shift)
     except ValueError as exc:
         raise ZonotopeFormatError(str(exc)) from exc
 

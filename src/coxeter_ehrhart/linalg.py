@@ -8,31 +8,41 @@ point.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
 RatVector = Tuple[Fraction, ...]
 
+# A rational entry written as a string: an integer or p/q in ASCII digits, and
+# none of the other spellings Fraction reads ("0.5", "1e2", " 1/2", "1_000/3").
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
-def int_vector(entries: Iterable) -> IntVector:
-    """Coerce to a tuple of ints, rejecting non-integer and ``bool`` entries."""
+
+def int_vector(entries: Iterable, name: str = "lattice vector") -> IntVector:
+    """The entries as a tuple of ints.  Any other entry (``bool``, float and
+    Fraction among them) is refused, with ``name`` in the message."""
+    vector = tuple(entries)
+    for e in vector:
+        if type(e) is not int:
+            raise ValueError(f"non-integer entry {e!r} in {name}: expected integer entries")
+    return vector
+
+
+def rat_vector(entries: Iterable, name: str = "rational vector") -> RatVector:
+    """The entries as a tuple of Fractions, each an ``int``, a ``Fraction`` or
+    a _RATIONAL_TEXT string with a nonzero denominator.  Any other entry
+    (``bool`` and float among them) is refused, with ``name`` and the
+    entry's index in the message."""
     out = []
-    for e in entries:
-        i = int(e)
-        if i != e or isinstance(e, bool):
-            raise ValueError(f"non-integer entry {e!r} in lattice vector")
-        out.append(i)
-    return tuple(out)
-
-
-def rat_vector(entries: Iterable) -> RatVector:
-    """Coerce to a tuple of Fractions, rejecting ``bool`` entries."""
-    out = []
-    for e in entries:
-        if isinstance(e, bool):
-            raise ValueError(f"non-rational entry {e!r} in rational vector")
-        out.append(Fraction(e))
+    for i, e in enumerate(entries):
+        if not (type(e) in (int, Fraction) or type(e) is str and _RATIONAL_TEXT.fullmatch(e)):
+            raise ValueError(f"non-rational entry {e!r} in {name}[{i}]: expected an integer or a 'p/q' string")
+        try:
+            out.append(Fraction(e))
+        except ZeroDivisionError:
+            raise ValueError(f"non-rational entry {e!r} in {name}[{i}]: zero denominator") from None
     return tuple(out)
 
 

@@ -82,7 +82,14 @@ def test_integral_values_match_forest_census():
 def by_convolution(family, n, odd=False):
     """The period-1 constituent by the binomial convolution on the full tree
     series; with ``odd``, the odd constituent, on the even-tree series."""
-    tree, rest = egf._exponent_parts(family, n)
+    if family == "A":
+        tree, rest = component_counts("tree", n), [0] * (n + 1)
+    else:
+        # an unbalanced pseudotree weighs 2, a halfedge-tree 1 (B), a loop-tree 2 (C)
+        tree, weight = component_counts("signed_tree", n), {"B": 1, "C": 2, "D": 0}[family]
+        pseudo = component_counts("signed_pseudotree", n)
+        halfedge = component_counts("signed_halfedge_tree", n)
+        rest = [2 * p + weight * e for p, e in zip(pseudo, halfedge)]
     if odd:
         tree = [c if m % 2 == 0 else 0 for m, c in enumerate(tree)]
     return _polynomial_by_tree_count(tree, rest, n)

@@ -1,5 +1,6 @@
 """Tests for quasipolynomials, subset enumeration, and the census routes."""
 
+import json
 from fractions import Fraction
 from math import comb
 
@@ -469,6 +470,55 @@ def test_parse_zonotope_document_errors():
         with pytest.raises(ZonotopeFormatError) as err:
             parse_zonotope_document(text)
         assert needle in str(err.value), text
+
+
+def test_library_and_file_read_entries_by_one_rule():
+    # ZonotopeSpec refuses exactly the entries a zonotope file refuses, and
+    # both build the same spec otherwise; a Fraction goes into the file as
+    # its "p/q" text
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    texts = ["1/2", "2/4", "-3", "+07", "0.5", "1e2", " 1/2", "1_000/3", "1/0", "\u0661/2"]
+    entry = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(max_denominator=4),
+        st.booleans(),
+        st.floats(),
+        st.sampled_from(texts),
+        st.text(max_size=3),
+    )
+
+    def documents(d):
+        vector = st.lists(entry, min_size=d, max_size=d)
+        return st.tuples(st.lists(vector, max_size=3), st.none() | vector)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(1, 3).flatmap(documents))
+    @hypothesis.example(([[1, 0]], ["1e2", " 1/2"]))
+    @hypothesis.example(([[1, 0]], [0.5, 0]))
+    @hypothesis.example(([[2.0, 0]], None))
+    @hypothesis.example(([[1, 0]], [Fraction(4, 2), "2/4"]))
+    def check(case):
+        generators, shift = case
+        document = {"generators": generators}
+        if shift is not None:
+            document["shift"] = shift
+        text = json.dumps(document, default=str)
+        try:
+            spec = ZonotopeSpec.make(generators, shift)
+        except ValueError:
+            with pytest.raises(ZonotopeFormatError):
+                parse_zonotope_document(text)
+        else:
+            assert parse_zonotope_document(text) == spec
+
+    check()
+
+
+def test_zonotope_spec_refuses_a_dimension_that_is_not_a_positive_int():
+    for dim in (True, 2.0, 0):
+        with pytest.raises(ValueError, match=f"ambient dimension must be positive and an int, got {dim!r}"):
+            ZonotopeSpec([], dim=dim)
 
 
 def test_load_zonotope_file(tmp_path):
