@@ -89,36 +89,39 @@ def integer_kernel_basis(vectors: Sequence[Sequence[int]], dim: Optional[int] = 
     vecs = [int_vector(v) for v in vectors]
     d = common_dim(vecs, dim)
     k = len(vecs)
-    acols = [[vecs[i][j] for i in range(k)] for j in range(d)]
-    ucols = [[1 if i == j else 0 for i in range(d)] for j in range(d)]
-    fixed = 0
-    for r in range(k):
-        while True:
-            nonzero = [j for j in range(fixed, d) if acols[j][r]]
-            if len(nonzero) <= 1:
-                if nonzero:
-                    j = nonzero[0]
-                    acols[fixed], acols[j] = acols[j], acols[fixed]
-                    ucols[fixed], ucols[j] = ucols[j], ucols[fixed]
-                    fixed += 1
-                break
-            jmin = min(nonzero, key=lambda j: abs(acols[j][r]))
-            a = acols[jmin][r]
-            for j in nonzero:
-                if j == jmin:
-                    continue
-                q = acols[j][r] // a
-                if q:
-                    acols[j] = [x - q * y for x, y in zip(acols[j], acols[jmin])]
-                    ucols[j] = [x - q * y for x, y in zip(ucols[j], ucols[jmin])]
+    # column j of the input matrix, then column j of the transform
+    rows = [[v[j] for v in vecs] + [int(i == j) for i in range(d)] for j in range(d)]
     basis = []
-    for j in range(fixed, d):
-        col = ucols[j]
+    for row in rows[echelon(rows, k) :]:
+        col = row[k:]
         lead = next(e for e in col if e)
         if lead < 0:
             col = [-e for e in col]
         basis.append(tuple(col))
     return basis
+
+
+def echelon(rows: List[List[int]], width: int) -> int:
+    """Unimodular row operations, in place, until the first ``rank`` rows are
+    independent on the first ``width`` columns and the others vanish there;
+    returns ``rank``.  Entries past ``width`` are carried, not eliminated."""
+    fixed = 0
+    for col in range(width):
+        while True:
+            nonzero = [i for i in range(fixed, len(rows)) if rows[i][col]]
+            if len(nonzero) <= 1:
+                if nonzero:
+                    i = nonzero[0]
+                    rows[fixed], rows[i] = rows[i], rows[fixed]
+                    fixed += 1
+                break
+            p = min(nonzero, key=lambda i: abs(rows[i][col]))
+            pivot = rows[p]
+            for i in nonzero:
+                if i != p:
+                    q = rows[i][col] // pivot[col]
+                    rows[i] = [x - q * y for x, y in zip(rows[i], pivot)]
+    return fixed
 
 
 def kernel_step(

@@ -386,28 +386,40 @@ def test_generic_walk_matches_subset_reference():
     @hypothesis.example(
         ZonotopeSpec.make([(2, 0, 2), (0, 2, 0), (1, 1, 1), (1, 1, 1)], ("1/6", "1/2", "1/3"))
     )
-    # the walk scores bases at |W| = rank - 1: d = 1 makes that the empty subset
+    # d = 1: the root is a single row, scored by |entries|
     @hypothesis.example(ZonotopeSpec.make([(2,), (-3,), (1,)], ("1/2",)))
-    # rank 2 in Z^3 (the plane x - y + z = 0): two kernel vectors at that level
+    # rank 2 in Z^3 (the plane x - y + z = 0): the root reduction leaves two
+    # rows and one vanishing row
     @hypothesis.example(
         ZonotopeSpec.make([(1, 1, 0), (0, 1, 1), (1, 2, 1), (2, 0, -2)], ("1/2", "1/3", "1/6"))
     )
-    # (2, 0) pairs to 0 with the kernel of (1, 0), so it completes no basis
+    # (1, 0) and (2, 0) share a direction at the two-row root: minor 0, no basis
     @hypothesis.example(ZonotopeSpec.make([(1, 0), (2, 0), (0, 1)], ("1/2", "1/4")))
-    # (0, 4, 2) pairs to (4, 2) with the kernel e_2, e_3 of (1, 0, 0): factor 2
+    # (0, 4, 2) pairs to a column of gcd 2 with the kernel of (1, 0, 0): factor 2
     @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 4, 2), (1, 2, 4)], ("1/3", "1/2", 0)))
     # (2, 2, 1, 0) = 2 * (1, 0, 0, 0) + (0, 2, 1, 0) keeps a nonzero column until
-    # both are picked, then is dependent at a step below the leaf level
+    # both are picked, then has a zero column at the two-row level
     @hypothesis.example(
         ZonotopeSpec.make(
             [(1, 0, 0, 0), (0, 2, 1, 0), (2, 2, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2)], ("1/2", "1/3", 0, "1/2")
         )
     )
-    # one basis: the leaf {e_1, e_2} reads the last column, gcd 3, and the
-    # leaves that hold the last generator have rows with no columns left
+    # one basis: at the two-row node {e_1} the minor of e_2 and (0, 0, 3) is 3,
+    # and the two-row node {(0, 0, 3)} has rows with no columns left
     @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 1, 0), (0, 0, 3)], ("1/2", "1/3", "1/3")))
-    # no generators: only the empty subset, gated by the shift alone
+    # no generators: only the empty subset, gated by the shift alone (the
+    # generator matrix then has d coordinate rows with no entries, not 0 rows)
     @hypothesis.example(ZonotopeSpec.make([], ("1/2", "1/3"), dim=2))
+    # rank 2: the root is already the two-row level
+    @hypothesis.example(ZonotopeSpec.make([(1, 2), (2, 1), (1, -1), (3, 0), (2, 4)], ("1/2", "1/3")))
+    # rank 1 in Z^3: the root is a single row, the two vanishing rows gate it
+    @hypothesis.example(ZonotopeSpec.make([(1, 2, -1), (-2, -4, 2), (3, 6, -3)], ("1/2", "1/4", 0)))
+    # generators in z = 0 and shift z = 1/2: the vanishing row e_3 gates
+    # every subset, the bases too, to even dilations
+    @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0)], ("1/3", 0, "1/2")))
+    # c = 6: the child {(2, 0)} reads the residue of the column's direction
+    # (1, 0), 3, with gate 2; the column itself, (2, 0), would give 6 and gate 1
+    @hypothesis.example(ZonotopeSpec.make([(2, 0), (1, 1), (1, -2)], ("1/3", "1/2")))
     def check(zonotope):
         assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope)
 
@@ -519,6 +531,22 @@ def test_zonotope_spec_refuses_a_dimension_that_is_not_a_positive_int():
     for dim in (True, 2.0, 0):
         with pytest.raises(ValueError, match=f"ambient dimension must be positive and an int, got {dim!r}"):
             ZonotopeSpec([], dim=dim)
+
+
+def test_zonotope_spec_make_and_replace_check_entries_as_the_constructor_does():
+    spec = ZonotopeSpec([(1, 0)], ("1/2", 0))
+    assert spec._replace(shift=("1/3", 1)) == ZonotopeSpec([(1, 0)], ("1/3", 1))
+    assert ZonotopeSpec._make(spec) == spec
+    for bad in (
+        lambda: spec._replace(shift=(0.5, "x")),
+        lambda: spec._replace(generators=[(True, 0)]),
+        lambda: spec._replace(generators=[(0, 0)]),
+        lambda: spec._replace(dim=3),
+        lambda: ZonotopeSpec._make(([(2.0, 0)], None, 2)),
+        lambda: ZonotopeSpec._make(([(1, 0)], ("1/0", 0), 2)),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_load_zonotope_file(tmp_path):
