@@ -35,7 +35,6 @@ from .ehrhart import (
     QuasiPolynomial,
     ZonotopeFormatError,
     _readable,
-    coxeter_zonotope,
     ehrhart_almost_integral,
     ehrhart_coxeter,
     ehrhart_coxeter_generic,
@@ -44,6 +43,7 @@ from .ehrhart import (
 from .oracle import (
     SIGNED_STRUCTURE_MAX,
     UNSIGNED_STRUCTURE_MAX,
+    _orbit_sum,
     brute_force_structures,
     count_points,
 )
@@ -272,14 +272,15 @@ def _family_request(command: str, args) -> Dict:
     }
 
 
-def _evaluations(qp: QuasiPolynomial, ts, spec=None) -> Tuple[List[Dict], bool]:
-    """One entry per dilation, with the box-scan count beside the value when
-    a zonotope is given; also whether every count matched."""
+def _evaluations(qp: QuasiPolynomial, ts, count=None) -> Tuple[List[Dict], bool]:
+    """One entry per dilation, with the oracle's ``count(t)`` beside the
+    value when a counting function is given; also whether every count
+    matched."""
     entries, ok = [], True
     for t in ts:
         entry = {"t": t, "value": qp.evaluate(t)}
-        if spec is not None:
-            entry["oracle"] = count_points(spec, t)
+        if count is not None:
+            entry["oracle"] = count(t)
             entry["match"] = entry["oracle"] == entry["value"]
             ok = ok and entry["match"]
         entries.append(entry)
@@ -287,10 +288,10 @@ def _evaluations(qp: QuasiPolynomial, ts, spec=None) -> Tuple[List[Dict], bool]:
 
 
 def _quasipolynomial_document(
-    request: Dict, provenance: str, qp: QuasiPolynomial, dilations, spec=None
+    request: Dict, provenance: str, qp: QuasiPolynomial, dilations, count=None
 ) -> Tuple[Dict, bool]:
     """The document of a quasipolynomial with its ``_evaluations`` at the
-    dilations; also whether every box-scan count matched."""
+    dilations; also whether every oracle count matched."""
     ts = sorted(set(dilations or ()))
     if ts:
         request["t"] = ts
@@ -307,7 +308,7 @@ def _quasipolynomial_document(
             for r, coeffs in enumerate(qp.constituents)
         ],
     }
-    evaluations, ok = _evaluations(qp, ts, spec)
+    evaluations, ok = _evaluations(qp, ts, count)
     if evaluations:
         doc["evaluations"] = evaluations
     return doc, ok
@@ -378,9 +379,8 @@ def cmd_zonotope(args) -> Tuple[Dict, bool]:
     if args.verify and not args.t:
         raise UsageError("--verify needs at least one dilation; pass --t")
     qp = ehrhart_almost_integral(spec)
-    doc, ok = _quasipolynomial_document(
-        request, "independent-subset route", qp, args.t, spec if args.verify else None
-    )
+    count = (lambda t: count_points(spec, t)) if args.verify else None
+    doc, ok = _quasipolynomial_document(request, "independent-subset route", qp, args.t, count)
     if args.verify:
         doc["notes"] = ["verification compares against the box-scan oracle"]
     return doc, ok
@@ -412,11 +412,11 @@ def cmd_sequences(args) -> Tuple[Dict, bool]:
 def cmd_count(args) -> Tuple[Dict, bool]:
     family, n, variant = args.family, args.n, args.variant
     qp = ehrhart_coxeter(family, n, variant)
-    spec = coxeter_zonotope(family, n, variant) if args.oracle else None
-    evaluations, ok = _evaluations(qp, [args.t], spec)
+    count = (lambda t: _orbit_sum(family, n, variant, t)) if args.oracle else None
+    evaluations, ok = _evaluations(qp, [args.t], count)
     return {
         "request": {**_family_request("count", args), "variant": variant},
-        "provenance": "forest census route" + (" with box-scan oracle" if args.oracle else ""),
+        "provenance": "forest census route" + (" with orbit-sum oracle" if args.oracle else ""),
         "evaluations": evaluations,
     }, ok
 
@@ -510,7 +510,7 @@ VERBS = {
             _FORMAT,
             ("--t", 1, _positive_int, None, 1, "dilation to count"),
             ("--variant", 1, str, VARIANTS, "standard", "permutahedron variant"),
-            ("--oracle", 0, None, None, False, "also run the box-scan oracle"),
+            ("--oracle", 0, None, None, False, "also count by the orbit-sum oracle"),
         ),
     ),
     "roots": (cmd_roots, "positive roots and shift", (_FAMILY, _N), (_FORMAT,)),

@@ -2,8 +2,10 @@
 
 Lattice points of a dilated zonotope are counted by scanning the free
 coordinates a line at a time against the affine hull and the facet
-inequalities, and small labeled structures are counted by direct
-enumeration with a union-find check.  These are the oracles the
+inequalities; lattice points of a dilated permutahedron are counted by
+Weyl orbits, summing the orbit sizes of the dominant points that Rado's
+majorization test admits; and small labeled structures are counted by
+direct enumeration with a union-find check.  These are the oracles the
 closed-form routes are tested against; none of them consult the Ehrhart
 formulas.
 """
@@ -19,7 +21,7 @@ from typing import Optional, Tuple
 from .egf import SEQUENCE_KINDS
 from .ehrhart import EnumerationLimitError, ZonotopeSpec, _readable
 from .linalg import dot, integer_kernel_basis
-from .roots import _positive
+from .roots import _positive, is_half_integral
 
 # Ceilings on the two phases of a count, each checked before its phase.
 # FACET_BOUND is on the generator subsets that one facet search tries,
@@ -29,11 +31,17 @@ from .roots import _positive
 # level i and width_j the range of free coordinate j: level i has at most
 # prod_{j<i} width_j nodes, so this bounds the rows the scan reads, at about
 # 0.11-0.16 us each (CPython 3.11, one core of an x86-64 Xeon).  Both admit
-# every permutahedron count with n <= 8 whose bounding box holds at most
-# 10^7 points; C6 at t = 1 comes nearest, at 376,992 subsets and
-# 185,197,040 rows.
+# the zonotope of every permutahedron with n <= 8, read from a file, at
+# every dilation whose bounding box holds at most 10^7 points; C6 at t = 1
+# comes nearest, at 376,992 subsets and 185,197,040 rows.
 FACET_BOUND = 400_000
 SCAN_BOUND = 200_000_000
+# Ceiling on the orbit sum's work, counted as it runs: one unit per value
+# layer and one per placement (a state and a multiplicity tried), at about
+# 0.4-1 us each, so a refusal takes about a second.  At t = 1 it admits A
+# up to n = 47, B and C up to 31 and D up to 32; at t = 2 A35, B23, C23 and
+# D24; A3 up to t = 653.
+ORBIT_BOUND = 1_500_000
 # Generator sets whose facets stay cached; one count needs one entry per
 # free coordinate (the projections of the dilate onto its prefixes).
 GEOMETRY_CACHE_SIZE = 128
@@ -237,6 +245,80 @@ def _meet(a: int, m: int, b: int, n: int) -> Optional[Tuple[int, int]]:
     step = n // g
     a += m * ((b - a) // g * pow(m // g, -1, step) % step)
     return a % (m * step), m * step
+
+
+def _orbit_sum(family: str, n: int, variant: str, t: int) -> int:
+    """Number of lattice points in the t-th dilate of the family's
+    permutahedron on n coordinates, summed over Weyl orbits.
+
+    Up to a lattice translation the dilate is conv(W λ) with λ = tρ, ρ half
+    the sum of the positive roots, and 2ρ is (n-1, n-3, ..., 1-n) for A,
+    (2n-1, ..., 1) for B, (2n, ..., 2) for C and (2n-2, ..., 2, 0) for D.
+    The standard variant counts the points of Z^n in it, the integral
+    variant those of Z^n - λ.  In doubled coordinates y = 2x both are the
+    points of one parity: even, or for the integral variant that of 2λ.
+    By Rado's theorem y lies in the dilate exactly when y (for A) or |y|
+    (for B, C and D), sorted decreasingly, has every prefix sum at most the
+    matching prefix sum of 2λ, with equal totals for A; D's λ ends in 0, so
+    its orbit is B's.
+
+    The dominant points, those sorted sequences, are built one value at a
+    time from the top down, in a dynamic program over (positions filled,
+    prefix sum).  A value v placed k times after position i weighs
+    C(n - i, k), the positions it takes among those left, times 2^k for the
+    signs in B, C and D when v != 0; the weights multiply to the orbit size.
+    The prefix sums of 2λ are concave, so a block of k values passes the
+    test at every position once it passes at its last, and the first
+    multiplicity that fails ends the block.  For A a state that can no
+    longer reach 2λ's total, every later value being below v, is dropped.
+
+    Raises :class:`EnumerationLimitError` once the work, one unit per value
+    layer and one per placement tried, passes ORBIT_BOUND.
+    """
+    _positive(t, "dilation factor")
+    is_half_integral(family, n, variant)  # rejects an unknown family, n or variant
+    top = t * {"A": n - 1, "B": 2 * n - 1, "C": 2 * n, "D": 2 * n - 2}[family]
+    limits = [k * top - t * k * (k - 1) for k in range(n + 1)]  # prefix sums of 2λ
+    total = limits[n]
+    reach = family == "A"  # whether the total must be met
+    v = top - top % 2 if variant == "standard" else top
+    bottom = -top if reach else 0
+    # weights[m][k]: C(m, k), times 2^k in the signed tables
+    plain = [[comb(m, k) for k in range(m + 1)] for m in range(n + 1)]
+    signed = [[c << k for k, c in enumerate(row)] for row in plain]
+    # states[i]: prefix sum -> ways, over the dominant prefixes of i values
+    states = [{0: 1}] + [{} for _ in range(n - 1)]
+    count = work = 0
+    while v >= bottom and any(states):
+        work += 1
+        weights = signed if v and not reach else plain
+        # needs[j]: the least prefix sum from which j values, each below v,
+        # can still reach the total (every prefix sum is at least 0 in B, C, D)
+        needs = [total - j * (v - 2) for j in range(n + 1)] if reach else [0] * (n + 1)
+        stepped = [{} for _ in range(n)]
+        for i, row in enumerate(states):
+            left = n - i
+            weight, caps, need, targets = weights[left], limits[i:], needs[left::-1], stepped[i:]
+            for s, ways in row.items():
+                for k in range(left + 1):
+                    if s > caps[k]:
+                        break
+                    if s >= need[k]:
+                        if k == left:
+                            count += ways * weight[k]
+                        else:
+                            target = targets[k]
+                            target[s] = target.get(s, 0) + ways * weight[k]
+                    s += v
+                work += k + 1
+                if work > ORBIT_BOUND:
+                    raise EnumerationLimitError(
+                        f"the orbit sum of the {family}{n} dilation {_readable(t, 'of {} digits')} "
+                        f"passed {work} value layers and placements, above the orbit bound of {ORBIT_BOUND}"
+                    )
+        states = stepped
+        v -= 2
+    return count
 
 
 UNSIGNED_STRUCTURE_MAX = 5

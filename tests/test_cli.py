@@ -1,10 +1,12 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import functools
 import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from coxeter_ehrhart import cli
 from coxeter_ehrhart.cli import _polynomial_text, main
 from coxeter_ehrhart.egf import COORDINATE_BOUND, PARITY_BOUND
-from coxeter_ehrhart.ehrhart import PERIOD_BOUND, coxeter_zonotope
+from coxeter_ehrhart.ehrhart import PERIOD_BOUND, coxeter_zonotope, ehrhart_coxeter
 
 
 def run(capsys, argv):
@@ -246,12 +248,16 @@ def test_census_limit_exit_code(capsys):
 def test_size_guards_exit_code(tmp_path, capsys):
     path = tmp_path / "z.json"
     path.write_text(json.dumps({"generators": [[1, 0], [0, 1]], "shift": [f"1/{PERIOD_BOUND + 1}", 0]}))
+    # 25 unit vectors of Z^8: the box scan's last level would try C(25, 7) subsets
+    units = tmp_path / "units.json"
+    units.write_text(json.dumps({"generators": [[int(i == j % 8) for i in range(8)] for j in range(25)]}))
     for argv, message in (
         (["ehrhart", "A", str(COORDINATE_BOUND + 1), "--route", "egf"], "coordinate bound"),
         (["ehrhart", "B", str(PARITY_BOUND + 1), "--route", "egf"], "parity bound"),
         (["sequences", "signed_pseudotree", str(cli.SEQUENCE_BOUND + 1)], "sequence bound"),
         (["roots", "A", "101"], "the A101 roots have 510050 entries, above the root entry bound"),
         (["zonotope", str(path)], "period bound"),
+        (["zonotope", str(units), "--t", "1", "--verify"], "480700 generator subsets, above the facet bound"),
         (["ehrhart", "A", "200", "--route", "generic"], "a 483-digit number of independent subsets"),
     ):
         assert main(argv) == 3
@@ -283,7 +289,8 @@ def test_output_guards_admit_their_bound_and_refuse_before_any_work(monkeypatch,
 
 def test_every_route_rejects_an_unknown_variant():
     messages = set()
-    for route in [route for _, route in cli.ROUTES.values()] + [coxeter_zonotope]:
+    orbit_sum = functools.partial(cli._orbit_sum, t=1)
+    for route in [route for _, route in cli.ROUTES.values()] + [coxeter_zonotope, orbit_sum]:
         with pytest.raises(ValueError) as err:
             route("B", 2, "bogus")
         messages.add(str(err.value))
@@ -448,12 +455,35 @@ def test_count_command(capsys):
     assert "match" in out
 
 
+@pytest.mark.parametrize("family, n, variant, t", [("A", 9, "standard", 1), ("D", 7, "integral", 2)])
+def test_count_oracle_reaches_past_the_box_scan(capsys, family, n, variant, t):
+    # the box scan's facet bound refuses these; the orbit sum takes milliseconds
+    code, out = run(capsys, ["count", family, str(n), "--t", str(t), "--variant", variant, "--oracle"])
+    value = ehrhart_coxeter(family, n, variant).evaluate(t)
+    assert code == 0
+    lines = out.splitlines()
+    assert f"ehr({t}) = {value}   oracle {value}   match" in lines
+    assert "route: forest census route with orbit-sum oracle" in lines
+
+
+def test_count_oracle_mismatch_exit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_orbit_sum", lambda family, n, variant, t: 999)
+    code, out = run(capsys, ["count", "C", "2", "--t", "3", "--oracle"])
+    assert code == 1
+    assert "ehr(3) = 145   oracle 999   MISMATCH" in out
+
+
 def test_count_oracle_guard_exit(capsys):
-    code = main(["count", "A", "9", "--t", "1", "--oracle"])
+    # the orbit sum counts its work as it runs, so a huge dilation is
+    # refused after about ORBIT_BOUND steps, not after the whole sum
+    start = time.perf_counter()
+    code = main(["count", "A", "3", "--t", "100000000", "--oracle"])
+    elapsed = time.perf_counter() - start
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "facet bound" in err
+    assert "orbit bound" in err
+    assert elapsed < 2, elapsed
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from coxeter_ehrhart import oracle
-from coxeter_ehrhart.egf import SEQUENCE_KINDS, component_counts
+from coxeter_ehrhart.egf import SEQUENCE_KINDS, component_counts, egf_ehrhart_quasipolynomial
 from coxeter_ehrhart.ehrhart import (
     EnumerationLimitError,
     ZonotopeSpec,
@@ -19,8 +20,10 @@ from coxeter_ehrhart.linalg import dot, integer_kernel_basis
 from coxeter_ehrhart.roots import positive_roots
 from coxeter_ehrhart.oracle import (
     SIGNED_STRUCTURE_MAX,
+    ORBIT_BOUND,
     UNSIGNED_STRUCTURE_MAX,
     _facets,
+    _orbit_sum,
     _solve_dependent,
     brute_force_structures,
     count_points,
@@ -173,8 +176,9 @@ def test_count_matches_formula_in_dimensions_four_and_five():
         lambda spec: count_points(spec, True),
         lambda spec: zonotope_contains(spec, True, (0, 0)),
         lambda spec: ehrhart_coxeter("B", 2).evaluate(True),
+        lambda spec: _orbit_sum("B", 2, "standard", True),
     ],
-    ids=["count_points", "zonotope_contains", "QuasiPolynomial.evaluate"],
+    ids=["count_points", "zonotope_contains", "QuasiPolynomial.evaluate", "_orbit_sum"],
 )
 def test_bool_dilation_is_rejected(call):
     spec = coxeter_zonotope("B", 2, "standard")
@@ -255,6 +259,56 @@ def test_scan_bound_refuses_before_the_scan(monkeypatch):
 def test_large_boxes_with_little_work_are_counted(spec, t):
     # bounding boxes of 11,390,625 and about 2 * 10^36 points
     assert count_points(spec, t) == ehrhart_almost_integral(spec).evaluate(t)
+
+
+def test_orbit_sum_equals_the_box_scan_on_every_family():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # every permutahedron whose box scan takes well under a second
+    @st.composite
+    def permutahedra(draw):
+        family = draw(st.sampled_from("ABCD"))
+        n = draw(st.integers(1, 6 if family == "A" else 4))
+        return family, n, draw(st.sampled_from(("standard", "integral"))), draw(st.integers(1, 3))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(permutahedra())
+    @hypothesis.example(("A", 6, "integral", 3))
+    @hypothesis.example(("C", 4, "standard", 3))
+    def check(case):
+        family, n, variant, t = case
+        assert _orbit_sum(family, n, variant, t) == count_points(coxeter_zonotope(family, n, variant), t)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "family, n, variant, t",
+    [
+        ("A", 30, "standard", 1),
+        ("B", 20, "standard", 1),
+        ("C", 20, "standard", 1),
+        ("D", 30, "standard", 1),
+        ("A", 12, "standard", 3),
+        ("A", 30, "integral", 1),
+        ("B", 12, "integral", 3),
+    ],
+)
+def test_orbit_sum_equals_the_generating_functions(family, n, variant, t):
+    assert _orbit_sum(family, n, variant, t) == egf_ehrhart_quasipolynomial(family, n, variant).evaluate(t)
+
+
+def test_orbit_bound_is_counted_as_the_sum_runs(monkeypatch):
+    monkeypatch.setattr(oracle, "ORBIT_BOUND", 1000)
+    with pytest.raises(EnumerationLimitError, match="above the orbit bound of 1000") as err:
+        _orbit_sum("D", 18, "standard", 1)
+    passed = int(re.search(r"passed (\d+) ", str(err.value)).group(1))
+    # checked after each state's placements, at most n + 1 of them
+    assert 1000 < passed <= 1000 + 19
+    monkeypatch.undo()
+    with pytest.raises(EnumerationLimitError, match=f"the A3 dilation of 31 digits passed .* {ORBIT_BOUND}$"):
+        _orbit_sum("A", 3, "standard", 10**30)
 
 
 def test_solve_dependent_picks_greedy_pivots_and_solves_the_kernel():
