@@ -7,8 +7,9 @@ meets the lattice at dilation t.  It is one depth-first walk over the
 generators that carries, for the subset so far, the pairings of a saturated
 integer basis of ``span(W)^perp`` with the generators not yet tried, the
 shift's pairings with that basis (as integers mod the shift denominator) and
-``vol(W)``.  A row reduction at the root leaves ``rank - |W|`` rows; each
-step reads one column, and at two rows 2x2 minors score the last two levels.
+``vol(W)``.  A row reduction at the root leaves ``rank - |W|`` rows (zero
+rows pad a root of rank below 3 to three); each step reads one column,
+and at three rows cross products and 3x3 minors score the last three levels.
 The census route is specific to the classical permutahedra: it counts the
 signed-graph forests of the positive roots straight into the coefficients,
 each forest weighted by the power of 2 its loops and unbalanced cycles give
@@ -39,8 +40,9 @@ class EnumerationLimitError(RuntimeError):
 # Ceiling for the independent-subset walk, checked against
 # sum_{k <= rank} C(m, k), which bounds the independent subsets of m
 # generators.  It admits the permutahedra up to A8, B6, C6 and D6, which
-# take 0.91 / 0.79 / 0.79 / 0.39 s with ``--route generic`` (wall time with
-# start-up, median of 3, CPython 3.11 on a shared 2-core x86-64 Xeon host).
+# take 0.44-0.61 / 0.27-0.43 / 0.27-0.29 / 0.17-0.18 s with ``--route
+# generic`` (wall time with start-up, median of 3 in each of two sets of
+# runs, CPython 3.11 on a shared 2-core x86-64 Xeon host).
 SUBSET_BOUND = 2_500_000
 # Ceiling for the forest census, on its partial merges (the entries of each
 # ``grown`` dict in ``_vertex_census``), which cost 1.4-2.1 us each in every
@@ -218,14 +220,19 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     the end.  ``linalg.kernel_step`` extends all three by the generator
     behind one column, or reports it dependent.
 
-    At two rows u, v (``|W| = rank - 2``) a column ``g * (a, b)``, g the
-    gcd, leaves the one row ``a*v - b*u``, with residue ``a*q_v - b*q_u``,
-    so ``W + g_j`` scores ``vol(W) * g`` at that gate, and each basis
-    ``W + g_j + g_l`` scores ``vol(W) * |u_j*v_l - v_j*u_l|``.  Columns of
-    one direction up to sign share the gate and have minor 0 between them,
-    so they are scored together.  A single row is the root of a rank-1 set,
-    whose bases score ``|entries|``.  A shift denominator above
-    PERIOD_BOUND is refused before the walk.
+    At three rows (``|W| = rank - 3``; a root of rank below 3 gets zero
+    rows of residue 0 up to three, so it is that level) the walk steps no
+    further.  With q the node's residues, a column ``g * p``, g the gcd and
+    p primitive, leaves the saturated kernel ``p^perp = p x Z^3`` of Z^3, so
+    ``W + g_j`` scores ``vol(W) * g`` at the gate of residues ``p x q``.
+    Columns of one direction up to sign share that gate and are dependent on
+    one another, so they are scored together, with n the sum of their |g|.
+    Two directions p_i, p_j leave the one row ``nu / h``, for
+    ``nu = p_i x p_j`` and h its gcd, with residue ``nu.q / h``; their pairs
+    score ``vol(W) * n_i * n_j * h`` at that gate.  Three directions score
+    ``vol(W) * n_i * n_j * n_k * |nu_ij . p_k|`` at the bases' gate, 0 when
+    they are coplanar.  A shift denominator above PERIOD_BOUND is refused
+    before the walk.
     """
     gens, d = zonotope.generators, zonotope.dim
     c = zonotope.shift_denominator
@@ -240,28 +247,35 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     _check_subsets(m, r)
     g0 = gcd(c, *(row[m] for row in rows[r:]))
     full = (c // g0, r)
+    top = max(r, 3)
     volumes: Dict[Tuple[int, int], int] = {}
 
     def walk(start: int, rows: Tuple, residues: Tuple, volume: int) -> None:
-        size = r - len(rows)
+        size = top - len(rows)
         key = (c // gcd(g0, *residues), size)
         volumes[key] = volumes.get(key, 0) + volume
-        if len(rows) == 2:
-            # the summed gcd g per primitive column direction (a, b), sign fixed
-            (qu, qv), lengths = residues, {}
-            for a, b in zip(*rows):
-                if a or b:
-                    g = gcd(a, b) if a > 0 or not a and b > 0 else -gcd(a, b)
-                    lengths[a // g, b // g] = lengths.get((a // g, b // g), 0) + abs(g)
-            bases, seen = 0, []
-            for (a, b), n in lengths.items():
-                key = (c // gcd(g0, a * qv - b * qu), size + 1)
+        if len(rows) == 3:
+            # the summed gcd n per primitive column direction p, first nonzero entry positive
+            (qu, qv, qw), lengths = residues, {}
+            for col in zip(*rows):
+                lead = col[0] or col[1] or col[2]
+                if lead:
+                    g = gcd(*col) if lead > 0 else -gcd(*col)
+                    p = (col[0] // g, col[1] // g, col[2] // g)
+                    lengths[p] = lengths.get(p, 0) + abs(g)
+            bases, seen, pairs = 0, [], []
+            for (a, b, e), n in lengths.items():
+                key = (c // gcd(g0, b * qw - e * qv, e * qu - a * qw, a * qv - b * qu), size + 1)
                 volumes[key] = volumes.get(key, 0) + volume * n
-                bases += n * sum(k * abs(a * y - b * x) for x, y, k in seen)
-                seen.append((a, b, n))
+                bases += n * sum(k * abs(x * a + y * b + z * e) for x, y, z, k in pairs)
+                for x, y, z, k in seen:
+                    nu = (y * e - z * b, z * a - x * e, x * b - y * a)
+                    h = gcd(*nu)
+                    key = (c // gcd(g0, (nu[0] * qu + nu[1] * qv + nu[2] * qw) // h), size + 2)
+                    volumes[key] = volumes.get(key, 0) + volume * k * n * h
+                    pairs.append((*nu, k * n))
+                seen.append((a, b, e, n))
             volumes[full] = volumes.get(full, 0) + volume * bases
-        elif len(rows) == 1:
-            volumes[full] = volumes.get(full, 0) + volume * sum(map(abs, rows[0]))
         else:
             for j in range(m - start):
                 step = kernel_step(rows, residues, c, j)
@@ -269,7 +283,10 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
                     factor, extended, extended_residues = step
                     walk(start + j + 1, extended, extended_residues, volume * factor)
 
-    walk(0, tuple(tuple(row[:m]) for row in rows[:r]), tuple(row[m] % c for row in rows[:r]), 1)
+    # a root of rank below 3 gets zero rows of residue 0 up to the three-row level
+    pad = top - r
+    root = tuple(tuple(row[:m]) for row in rows[:r]) + ((0,) * m,) * pad
+    walk(0, root, tuple(row[m] % c for row in rows[:r]) + (0,) * pad, 1)
     coeffs = [[0] * (d + 1) for _ in range(c)]
     for (period, size), volume in volumes.items():
         # D divides c, so the class r (t = c when r = 0) is gated in when D | r.

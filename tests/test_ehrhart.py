@@ -386,40 +386,73 @@ def test_generic_walk_matches_subset_reference():
     @hypothesis.example(
         ZonotopeSpec.make([(2, 0, 2), (0, 2, 0), (1, 1, 1), (1, 1, 1)], ("1/6", "1/2", "1/3"))
     )
-    # d = 1: the root is a single row, scored by |entries|
+    # d = 1: two zero rows pad the single row to three; its columns share one
+    # direction of weight sum |entries|
     @hypothesis.example(ZonotopeSpec.make([(2,), (-3,), (1,)], ("1/2",)))
     # rank 2 in Z^3 (the plane x - y + z = 0): the root reduction leaves two
-    # rows and one vanishing row
+    # rows and one vanishing row, and one zero row pads the root to three
     @hypothesis.example(
         ZonotopeSpec.make([(1, 1, 0), (0, 1, 1), (1, 2, 1), (2, 0, -2)], ("1/2", "1/3", "1/6"))
     )
-    # (1, 0) and (2, 0) share a direction at the two-row root: minor 0, no basis
+    # (1, 0) and (2, 0) share a direction at the padded root: no pair, weight 3
     @hypothesis.example(ZonotopeSpec.make([(1, 0), (2, 0), (0, 1)], ("1/2", "1/4")))
-    # (0, 4, 2) pairs to a column of gcd 2 with the kernel of (1, 0, 0): factor 2
+    # (0, 4, 2) is a column of gcd 2 at the three-row root: direction weight 2
     @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 4, 2), (1, 2, 4)], ("1/3", "1/2", 0)))
-    # (2, 2, 1, 0) = 2 * (1, 0, 0, 0) + (0, 2, 1, 0) keeps a nonzero column until
-    # both are picked, then has a zero column at the two-row level
+    # (2, 2, 1, 0) = 2 * (1, 0, 0, 0) + (0, 2, 1, 0): at the three-row node of
+    # either summand its column shares a direction with the other's
     @hypothesis.example(
         ZonotopeSpec.make(
             [(1, 0, 0, 0), (0, 2, 1, 0), (2, 2, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2)], ("1/2", "1/3", 0, "1/2")
         )
     )
-    # one basis: at the two-row node {e_1} the minor of e_2 and (0, 0, 3) is 3,
-    # and the two-row node {(0, 0, 3)} has rows with no columns left
+    # one basis: at the three-row root the triple e_1, e_2, (0, 0, 3) has det 3
     @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 1, 0), (0, 0, 3)], ("1/2", "1/3", "1/3")))
     # no generators: only the empty subset, gated by the shift alone (the
-    # generator matrix then has d coordinate rows with no entries, not 0 rows)
+    # root is three zero rows of padding with no entries)
     @hypothesis.example(ZonotopeSpec.make([], ("1/2", "1/3"), dim=2))
-    # rank 2: the root is already the two-row level
+    # rank 2: one zero row pads the root to the three-row level
     @hypothesis.example(ZonotopeSpec.make([(1, 2), (2, 1), (1, -1), (3, 0), (2, 4)], ("1/2", "1/3")))
-    # rank 1 in Z^3: the root is a single row, the two vanishing rows gate it
+    # rank 1 in Z^3: two zero rows pad the single row, the two vanishing rows gate it
     @hypothesis.example(ZonotopeSpec.make([(1, 2, -1), (-2, -4, 2), (3, 6, -3)], ("1/2", "1/4", 0)))
     # generators in z = 0 and shift z = 1/2: the vanishing row e_3 gates
     # every subset, the bases too, to even dilations
     @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -1, 0)], ("1/3", 0, "1/2")))
-    # c = 6: the child {(2, 0)} reads the residue of the column's direction
-    # (1, 0), 3, with gate 2; the column itself, (2, 0), would give 6 and gate 1
+    # c = 6: the child {(2, 0)} reads p x q for the column's direction
+    # p = (1, 0, 0), (0, 0, 3), with gate 2; the column itself would give
+    # (0, 0, 6) and gate 1
     @hypothesis.example(ZonotopeSpec.make([(2, 0), (1, 1), (1, -2)], ("1/3", "1/2")))
+    # rank 3: the root is already the three-row level; (2, 0, -2) and
+    # (0, 3, 3) are columns of gcd 2 and 3
+    @hypothesis.example(
+        ZonotopeSpec.make(
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, -1, 2), (2, 0, -2), (0, 3, 3)], ("1/2", "1/3", "1/6")
+        )
+    )
+    # rank 4: at the three-row node {(1, 0, 0, 0)} the columns of (0, 1, 0, 0)
+    # and (1, -2, 0, 0) are parallel, g = 1 and -2, one direction of weight 3
+    @hypothesis.example(
+        ZonotopeSpec.make(
+            [(1, 0, 0, 0), (0, 1, 0, 0), (1, -2, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 1, -1)],
+            ("1/2", "1/3", 0, "1/2"),
+        )
+    )
+    # (1, 0, 0), (0, 1, 0) and (1, 1, 0) are distinct coplanar directions:
+    # det 0, no basis; each pair of them with (1, 0, -1) has det -1, -1 or 1
+    @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 0, -1)], ("1/2", 0, "1/3")))
+    # c = 6, q = (0, 1, 3): the pair (1, 0, 0), (1, 2, 0) has nu = (0, 0, 2),
+    # h = 2 and residue nu.q / h = 3, so gate 2, while each single has gate 6;
+    # nu.q = 6 itself would give gate 1
+    @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (1, 2, 0), (0, 0, 1)], (0, "1/6", "1/2")))
+    # rank 2 in Z^4: one zero row pads the root beside two vanishing rows,
+    # and the pair (1, 1, 0, 0), (1, -1, -2, 0) spans an index-2 sublattice
+    @hypothesis.example(
+        ZonotopeSpec.make(
+            [(1, 1, 0, 0), (0, 1, 1, 0), (1, 2, 1, 0), (1, -1, -2, 0), (-1, -1, 0, 0)], ("1/2", "1/3", "1/6", "1/2")
+        )
+    )
+    # rank 1 in Z^2, c = 6: two zero rows pad the root; the columns 2, -1 and 3
+    # of (2, 4), (-1, -2) and (3, 6) share one direction of weight 6
+    @hypothesis.example(ZonotopeSpec.make([(2, 4), (-1, -2), (3, 6)], ("1/6", "1/3")))
     def check(zonotope):
         assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope)
 

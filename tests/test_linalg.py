@@ -305,6 +305,34 @@ def test_kernel_step_carries_the_kernel_pairings_with_later_generators():
     check()
 
 
+def test_cross_product_with_a_primitive_vector_gates_as_its_saturated_kernel():
+    """For a primitive p in Z^3, p x Z^3 is the lattice p^perp ∩ Z^3, so the
+    entries of p x q and the pairings of q with a saturated kernel basis of
+    p have the same gcd with every modulus c."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def cases(draw):
+        p = draw(st.lists(st.integers(-6, 6), min_size=3, max_size=3).filter(any))
+        g = gcd(*p)
+        q = draw(st.lists(st.integers(-30, 30), min_size=3, max_size=3))
+        return tuple(x // g for x in p), tuple(q), draw(st.integers(1, 12))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(cases())
+    # the kernel of (1, 2, 0) is spanned by (2, -1, 0) and (0, 0, 1): pairings -1, 3
+    @hypothesis.example(((1, 2, 0), (0, 1, 3), 6))
+    # p x q = (4, -2, 2) and the pairings 2 and 4: both gcds with 4 are 2
+    @hypothesis.example(((0, -1, -1), (2, 2, -2), 4))
+    def check(case):
+        p, q, c = case
+        cross = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+        assert gcd(c, *cross) == gcd(c, *(dot(f, q) for f in integer_kernel_basis([p])))
+
+    check()
+
+
 def test_kernel_basis_of_empty_input_spans_everything():
     basis = integer_kernel_basis([], dim=3)
     assert len(basis) == 3
