@@ -231,8 +231,11 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     ``nu = p_i x p_j`` and h its gcd, with residue ``nu.q / h``; their pairs
     score ``vol(W) * n_i * n_j * h`` at that gate.  Three directions score
     ``vol(W) * n_i * n_j * n_k * |nu_ij . p_k|`` at the bases' gate, 0 when
-    they are coplanar.  A shift denominator above PERIOD_BOUND is refused
-    before the walk.
+    they are coplanar.  At a padded root the padding rows are zero, so every
+    triple is coplanar and none is formed, and every pair is a basis, with
+    ``nu = (0, 0, det)`` and residue 0, summed at the full gate: the work
+    stays within the C(m, 2) pairs that ``_check_subsets`` bounds.  A shift
+    denominator above PERIOD_BOUND is refused before the walk.
     """
     gens, d = zonotope.generators, zonotope.dim
     c = zonotope.shift_denominator
@@ -248,6 +251,7 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     g0 = gcd(c, *(row[m] for row in rows[r:]))
     full = (c // g0, r)
     top = max(r, 3)
+    pad = top - r
     volumes: Dict[Tuple[int, int], int] = {}
 
     def walk(start: int, rows: Tuple, residues: Tuple, volume: int) -> None:
@@ -267,13 +271,17 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
             for (a, b, e), n in lengths.items():
                 key = (c // gcd(g0, b * qw - e * qv, e * qu - a * qw, a * qv - b * qu), size + 1)
                 volumes[key] = volumes.get(key, 0) + volume * n
-                bases += n * sum(k * abs(x * a + y * b + z * e) for x, y, z, k in pairs)
-                for x, y, z, k in seen:
-                    nu = (y * e - z * b, z * a - x * e, x * b - y * a)
-                    h = gcd(*nu)
-                    key = (c // gcd(g0, (nu[0] * qu + nu[1] * qv + nu[2] * qw) // h), size + 2)
-                    volumes[key] = volumes.get(key, 0) + volume * k * n * h
-                    pairs.append((*nu, k * n))
+                if pad:
+                    # every pair is a basis, nu = (0, 0, det) at the full gate
+                    bases += n * sum(k * abs(x * b - y * a) for x, y, _, k in seen)
+                else:
+                    bases += n * sum(k * abs(x * a + y * b + z * e) for x, y, z, k in pairs)
+                    for x, y, z, k in seen:
+                        nu = (y * e - z * b, z * a - x * e, x * b - y * a)
+                        h = gcd(*nu)
+                        key = (c // gcd(g0, (nu[0] * qu + nu[1] * qv + nu[2] * qw) // h), size + 2)
+                        volumes[key] = volumes.get(key, 0) + volume * k * n * h
+                        pairs.append((*nu, k * n))
                 seen.append((a, b, e, n))
             volumes[full] = volumes.get(full, 0) + volume * bases
         else:
@@ -283,8 +291,6 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
                     factor, extended, extended_residues = step
                     walk(start + j + 1, extended, extended_residues, volume * factor)
 
-    # a root of rank below 3 gets zero rows of residue 0 up to the three-row level
-    pad = top - r
     root = tuple(tuple(row[:m]) for row in rows[:r]) + ((0,) * m,) * pad
     walk(0, root, tuple(row[m] % c for row in rows[:r]) + (0,) * pad, 1)
     coeffs = [[0] * (d + 1) for _ in range(c)]

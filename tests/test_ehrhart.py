@@ -1,6 +1,7 @@
 """Tests for quasipolynomials, subset enumeration, and the census routes."""
 
 import json
+import time
 from fractions import Fraction
 from math import comb
 
@@ -457,6 +458,21 @@ def test_generic_walk_matches_subset_reference():
         assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope)
 
     check()
+
+
+def test_generic_walk_rank_two_stays_within_pairs():
+    # 2,235 directions (1, k) in Z^2 are just admitted by the subset bound.
+    # The padded root sums their C(2235, 2) pairs as bases and forms none of
+    # the C(2235, 3) ~ 1.9e9 coplanar triples.
+    n = 2235
+    assert sum(comb(n, k) for k in range(3)) <= ehrhart.SUBSET_BOUND
+    zonotope = ZonotopeSpec.make([(1, k) for k in range(n)], (0, 0))
+    start = time.process_time()
+    qp = ehrhart_almost_integral(zonotope)
+    elapsed = time.process_time() - start
+    # the pair (1, i), (1, j) has det j - i, and sum_{i < j} (j - i) = C(n + 1, 3)
+    assert qp == QuasiPolynomial.from_residue_polys([[1, n, comb(n + 1, 3)]])
+    assert elapsed < 5, elapsed
 
 
 def test_period_matches_integrality():
