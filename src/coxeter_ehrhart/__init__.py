@@ -17,6 +17,7 @@ exactly, in mutually independent ways:
 * a brute-force lattice-point count that scans the free coordinates of
   the dilate a line at a time, deciding membership from the affine hull
   and the facet inequalities (:mod:`~coxeter_ehrhart.oracle`), beside a
+  Weyl-orbit sum over the dominant points of a dilated permutahedron and a
   direct enumeration of the small labeled structures the generating
   functions count.
 

@@ -4,12 +4,14 @@ Two formula routes live here.  The generic route works for any
 almost-integral zonotope: sum, over linearly independent subsets W of the
 generators, of ``vol(W) * t^|W|`` gated by whether the shifted span of W
 meets the lattice at dilation t.  It is one depth-first walk over the
-generators that carries, for the subset so far, the pairings of a saturated
-integer basis of ``span(W)^perp`` with the generators not yet tried, the
-shift's pairings with that basis (as integers mod the shift denominator) and
-``vol(W)``.  A row reduction at the root leaves ``rank - |W|`` rows (zero
-rows pad a root of rank below 3 to three); each step reads one column,
-and at three rows cross products and 3x3 minors score the last three levels.
+generators that carries, for the subset so far, ``vol(W)`` and one integer
+matrix: a row per vector of a saturated integer basis of ``span(W)^perp``,
+its pairings with the untried generators and, last, with c times the shift,
+c the shift denominator.  Only the root reduces that column mod c: the gates
+read it only through gcds with a divisor of c.  A row reduction at the root
+leaves ``rank - |W|`` rows (zero rows pad a root of rank below 3 to three);
+each step reads one column, and at three rows cross products and 3x3 minors
+score the last three levels.
 The census route is specific to the classical permutahedra: it counts the
 signed-graph forests of the positive roots straight into the coefficients,
 each forest weighted by the power of 2 its loops and unbalanced cycles give
@@ -200,42 +202,40 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     Each independent generator subset W contributes ``vol(W) * t^|W|`` to
     the constituents of exactly those residue classes where the dilated
     shift keeps the affine span of W on the lattice.  One depth-first walk
-    over the generators, in index order, carries for the subset W so far,
-    with f_1..f_k a saturated integer basis of ``span(W)^perp``:
+    over the generators, in index order, carries ``vol(W)`` (the gcd of the
+    maximal minors of W) and one integer matrix for the subset W so far: a
+    row per vector f_i of a saturated integer basis of ``span(W)^perp``,
+    holding ``<f_i, g_j>`` for the generators not yet tried and, last,
+    ``q_i = c*<f_i, shift>``, with c the shift denominator.
 
-    - ``rows``: the pairings ``<f_i, g_j>`` with the generators not yet
-      tried, one row per f_i and one column per generator;
-    - ``residues``: ``q_i = c*<f_i, shift> mod c``, with c the shift
-      denominator;
-    - ``volume``: ``vol(W)``, the gcd of the maximal minors of W.
-
-    At the empty subset the f_i are the unit vectors, so the rows are the
-    coordinate rows of the generators.  ``linalg.echelon`` reduces them,
-    with their residues, to ``rank`` rows independent on the generators and
-    ``d - rank`` rows that vanish on all of them; the latter stay in every
-    subset's basis, so their residues fold once into ``g0 = gcd(c, q_i)``.
-    The flat ``t*shift + span(W)`` meets Z^d exactly when ``D | t``, for
-    ``D = c // gcd(g0, residues)`` (``c // g0`` for the bases), so volumes
-    are summed per ``(D, |W|)`` and spread over the residue classes once at
-    the end.  ``linalg.kernel_step`` extends all three by the generator
-    behind one column, or reports it dependent.
+    At the empty subset the f_i are the unit vectors.  ``linalg.echelon``
+    reduces the rows to ``rank`` rows independent on the generators and
+    ``d - rank`` that vanish on all of them; the latter stay in every
+    subset's basis, so their q_i fold once into ``g0 = gcd(c, q_i)``.  The
+    flat ``t*shift + span(W)`` meets Z^d exactly when ``D | t``, for
+    ``D = c // gcd(g0, q)`` (``c // g0`` for the bases), so volumes are
+    summed per ``(D, |W|)`` and spread over the residue classes once at the
+    end.  ``linalg.kernel_step`` extends the matrix by the generator behind
+    one column, or reports it dependent.  Only the root reduces q mod c:
+    every gate is ``gcd(g0, .)`` of an integer linear form in q, and g0
+    divides c, so multiples of c change no gate.
 
     At three rows (``|W| = rank - 3``; a root of rank below 3 gets zero
-    rows of residue 0 up to three, so it is that level) the walk steps no
-    further.  With q the node's residues, a column ``g * p``, g the gcd and
-    p primitive, leaves the saturated kernel ``p^perp = p x Z^3`` of Z^3, so
-    ``W + g_j`` scores ``vol(W) * g`` at the gate of residues ``p x q``.
+    rows, q entry included, up to three, so it is that level) the walk steps
+    no further.  With q the node's last column, a column ``g * p``, g the gcd
+    and p primitive, leaves the saturated kernel ``p^perp = p x Z^3`` of Z^3,
+    so ``W + g_j`` scores ``vol(W) * g`` at the gate of ``p x q``.
     Columns of one direction up to sign share that gate and are dependent on
     one another, so they are scored together, with n the sum of their |g|.
     Two directions p_i, p_j leave the one row ``nu / h``, for
-    ``nu = p_i x p_j`` and h its gcd, with residue ``nu.q / h``; their pairs
-    score ``vol(W) * n_i * n_j * h`` at that gate.  Three directions score
-    ``vol(W) * n_i * n_j * n_k * |nu_ij . p_k|`` at the bases' gate, 0 when
-    they are coplanar.  At a padded root the padding rows are zero, so every
-    triple is coplanar and none is formed, and every pair is a basis, with
-    ``nu = (0, 0, det)`` and residue 0, summed at the full gate: the work
-    stays within the C(m, 2) pairs that ``_check_subsets`` bounds.  A shift
-    denominator above PERIOD_BOUND is refused before the walk.
+    ``nu = p_i x p_j`` and h = gcd(nu), with q entry ``nu.q / h``; their
+    pairs score ``vol(W) * n_i * n_j * h`` at that gate.  Three directions
+    score ``vol(W) * n_i * n_j * n_k * |nu_ij . p_k|`` at the bases' gate,
+    0 when they are coplanar.  At a padded root the padding rows are zero,
+    so every triple is coplanar and none is formed, and every pair is a
+    basis, with ``nu = (0, 0, det)`` and q entry 0, summed at the full gate:
+    the work stays within the C(m, 2) pairs that ``_check_subsets`` bounds.
+    A shift denominator above PERIOD_BOUND is refused before the walk.
     """
     gens, d = zonotope.generators, zonotope.dim
     c = zonotope.shift_denominator
@@ -254,14 +254,15 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     pad = top - r
     volumes: Dict[Tuple[int, int], int] = {}
 
-    def walk(start: int, rows: Tuple, residues: Tuple, volume: int) -> None:
+    def walk(rows: Tuple, volume: int) -> None:
         size = top - len(rows)
-        key = (c // gcd(g0, *residues), size)
+        key = (c // gcd(g0, *(row[-1] for row in rows)), size)
         volumes[key] = volumes.get(key, 0) + volume
         if len(rows) == 3:
             # the summed gcd n per primitive column direction p, first nonzero entry positive
-            (qu, qv, qw), lengths = residues, {}
-            for col in zip(*rows):
+            *cols, (qu, qv, qw) = zip(*rows)
+            lengths = {}
+            for col in cols:
                 lead = col[0] or col[1] or col[2]
                 if lead:
                     g = gcd(*col) if lead > 0 else -gcd(*col)
@@ -285,14 +286,14 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
                 seen.append((a, b, e, n))
             volumes[full] = volumes.get(full, 0) + volume * bases
         else:
-            for j in range(m - start):
-                step = kernel_step(rows, residues, c, j)
+            for j in range(len(rows[0]) - 1):
+                step = kernel_step(rows, j)
                 if step is not None:
-                    factor, extended, extended_residues = step
-                    walk(start + j + 1, extended, extended_residues, volume * factor)
+                    factor, extended = step
+                    walk(extended, volume * factor)
 
-    root = tuple(tuple(row[:m]) for row in rows[:r]) + ((0,) * m,) * pad
-    walk(0, root, tuple(row[m] % c for row in rows[:r]) + (0,) * pad, 1)
+    root = tuple((*row[:m], row[m] % c) for row in rows[:r]) + ((0,) * (m + 1),) * pad
+    walk(root, 1)
     coeffs = [[0] * (d + 1) for _ in range(c)]
     for (period, size), volume in volumes.items():
         # D divides c, so the class r (t = c when r = 0) is gated in when D | r.
@@ -416,7 +417,7 @@ def parse_zonotope_document(text: str) -> ZonotopeSpec:
     missing shift means the origin.  Rationals are reduced on read, so
     ``"2/4"`` is accepted.  Only the JSON structure is checked here; the
     entries are checked by ``ZonotopeSpec``, whose ``ValueError`` becomes
-    a ZonotopeFormatError.
+    a ZonotopeFormatError, as does a JSON integer past the int-digit limit.
     """
     try:
         doc = json.loads(text)
@@ -424,6 +425,8 @@ def parse_zonotope_document(text: str) -> ZonotopeSpec:
         raise ZonotopeFormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ZonotopeFormatError("the document nests too deeply to parse") from exc
+    except ValueError as exc:
+        raise ZonotopeFormatError(f"an entry is too long to read: {exc}") from exc
     if not isinstance(doc, dict):
         raise ZonotopeFormatError("top level must be an object")
     unknown = set(doc) - {"generators", "shift"}

@@ -124,39 +124,34 @@ def echelon(rows: List[List[int]], width: int) -> int:
     return fixed
 
 
-def kernel_step(
-    rows: Sequence[IntVector], residues: Sequence[int], modulus: int, column: int
-) -> Optional[Tuple[int, Tuple[IntVector, ...], Tuple[int, ...]]]:
+def kernel_step(rows: Sequence[IntVector], column: int) -> Optional[Tuple[int, Tuple[IntVector, ...]]]:
     """Extend a subset W by the generator g behind ``column`` of the pairing rows.
 
     ``rows[i]`` holds the pairings ``<f_i, g_j>`` of a saturated integer
     basis f_1..f_k of ``span(W)^perp`` with the generators still to try, one
-    column per generator, and ``residues[i]`` an integer attached to f_i
-    modulo ``modulus`` (the walk in ``ehrhart`` uses ``c*<f_i, shift> mod
-    c``).  Returns None when g lies in ``span(W)``, that is when the column
-    ``a_i = <f_i, g>`` is all 0.  Otherwise returns ``(gcd(a), rows',
-    residues')``: pairing with a saturated kernel maps Z^d onto Z^k with
-    kernel ``Z^d ∩ span(W)``, so the relative volume grows by the factor
-    gcd(a).  Unimodular operations on the rows (and on the residues, mod
-    ``modulus``) reduce the column to a single nonzero entry; the other
-    rows are the pairings of the saturated kernel of ``W + g``.  They are
-    returned cut to the columns after ``column``.
+    column per generator, and may carry more columns after them (the walk
+    in ``ehrhart`` carries the shift's pairings ``c*<f_i, shift>`` last).
+    Returns None when g lies in ``span(W)``, that is when the column
+    ``a_i = <f_i, g>`` is all 0.  Otherwise returns ``(gcd(a), rows')``:
+    pairing with a saturated kernel maps Z^d onto Z^k with kernel
+    ``Z^d ∩ span(W)``, so the relative volume grows by the factor gcd(a).
+    Unimodular operations on the rows reduce the column to a single nonzero
+    entry; the other rows are the pairings of the saturated kernel of
+    ``W + g``.  They are returned cut to the columns after ``column``.
     """
     a = [row[column] for row in rows]
     nonzero = [i for i, e in enumerate(a) if e]
     if not nonzero:
         return None
     tails = [row[column + 1 :] for row in rows]
-    res = list(residues)
     while len(nonzero) > 1:
         p = min(nonzero, key=lambda i: abs(a[i]))
-        ap, tp, rp = a[p], tails[p], res[p]
+        ap, tp = a[p], tails[p]
         for i in nonzero:
             if i != p:
                 q = a[i] // ap
                 a[i] -= q * ap
                 tails[i] = tuple(x - q * y for x, y in zip(tails[i], tp))
-                res[i] = (res[i] - q * rp) % modulus
         nonzero = [i for i in nonzero if a[i]]
     p = nonzero[0]
-    return abs(a[p]), tuple(tails[:p] + tails[p + 1 :]), tuple(res[:p] + res[p + 1 :])
+    return abs(a[p]), tuple(tails[:p] + tails[p + 1 :])

@@ -1,6 +1,7 @@
 """Tests for quasipolynomials, subset enumeration, and the census routes."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -21,7 +22,7 @@ from coxeter_ehrhart.ehrhart import (
     load_zonotope_file,
 )
 from coxeter_ehrhart.egf import component_counts, egf_ehrhart_quasipolynomial
-from coxeter_ehrhart.linalg import integer_kernel_basis
+from coxeter_ehrhart.linalg import integer_kernel_basis, rank
 from coxeter_ehrhart.roots import is_integral, positive_roots, root_count_and_rank
 from helpers import (
     IntegerEchelon,
@@ -148,6 +149,42 @@ def test_integer_shift_behaves_like_no_shift():
     assert plain == moved
     assert plain.period == 1
     assert plain.constituents == ((1, 2, 2),)
+
+
+def test_integer_moves_of_the_shift_leave_the_walk_unchanged():
+    """The walk reduces the shift's pairings mod c only at the root; the
+    steps below it carry them as plain integers, so a large integer move of
+    the shift must not change any gate."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def moved_zonotopes(draw):
+        d = draw(st.integers(4, 5))
+        c = draw(st.integers(1, 6))
+        entries = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+        gens = draw(st.lists(entries, min_size=4, max_size=8))
+        hypothesis.assume(rank(gens, d) >= 4)
+        shift = [Fraction(draw(st.integers(-2 * c, 2 * c)), c) for _ in range(d)]
+        move = draw(st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=d))
+        return gens, shift, move
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(moved_zonotopes())
+    @hypothesis.example(
+        (
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 1], [1, 0, -1, 1]],
+            [Fraction(1, 2), Fraction(1, 3), 0, Fraction(1, 6)],
+            [10**6, -(10**6), 999_999, -999_999],
+        )
+    )
+    def check(case):
+        gens, shift, move = case
+        moved = [s + k for s, k in zip(shift, move)]
+        expected = ehrhart_almost_integral(ZonotopeSpec(gens, shift))
+        assert ehrhart_almost_integral(ZonotopeSpec(gens, moved)) == expected
+
+    check()
 
 
 def test_lower_dimensional_zonotope():
@@ -531,6 +568,22 @@ def test_parse_zonotope_document_errors():
         with pytest.raises(ZonotopeFormatError) as err:
             parse_zonotope_document(text)
         assert needle in str(err.value), text
+
+
+def test_parse_zonotope_document_refuses_integers_past_the_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text in (
+            '{"generators": [[%s, 0]]}' % ("1" * 701),
+            '{"generators": [[1, 0]], "shift": [%s, 0]}' % ("2" * 701),
+        ):
+            with pytest.raises(ZonotopeFormatError, match="too long"):
+                parse_zonotope_document(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_library_and_file_read_entries_by_one_rule():

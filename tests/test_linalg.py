@@ -209,25 +209,25 @@ def test_kernel_step_folds_to_volume_and_saturated_kernel():
         # parallel and repeated draws make many steps dependent
         vectors = [tuple(rng.choice((-2, -1, 1, 2)) * x for x in rng.choice(pool)) for _ in range(6)]
         # trailing unit columns are never tried: their pairings are the
-        # coordinates of the kernel basis the rows stand for
+        # coordinates of the kernel basis the rows stand for; the shift's
+        # pairings, unreduced, ride last
         identity = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-        rows = tuple(zip(*(vectors + identity)))
-        residues = tuple(int(c * s) % c for s in shift)
+        rows = tuple((*col, int(c * s)) for col, s in zip(zip(*(vectors + identity)), shift))
         echelon, chosen, volume, offset = IntegerEchelon(d), [], 1, 0
         for i, v in enumerate(vectors):
-            step = kernel_step(rows, residues, c, i - offset)
+            step = kernel_step(rows, i - offset)
             extended = echelon.try_add(v)
             assert (step is None) == (extended is None)
             if step is None:
                 continue
-            factor, rows, residues = step
+            factor, rows = step
             echelon, volume, offset = extended, volume * factor, i + 1
             chosen.append(v)
             assert volume == relative_volume(chosen)
-            kernel = tuple(row[-d:] for row in rows)
+            kernel = tuple(row[-d - 1 : -1] for row in rows)
             reference = integer_kernel_basis(chosen, dim=d)
             assert len(kernel) == len(reference)
-            assert residues == tuple(int(c * dot(f, shift)) % c for f in kernel)
+            assert tuple(row[-1] % c for row in rows) == tuple(int(c * dot(f, shift)) % c for f in kernel)
             if kernel:
                 # both bases lie in the same rational space and both are
                 # saturated, so they span the same lattice
@@ -263,7 +263,7 @@ def test_kernel_step_carries_the_kernel_pairings_with_later_generators():
     @hypothesis.example(
         (3, 2, [Fraction(1, 2), 0, Fraction(1, 2)], [(1, 0, 0), (0, 1, 0), (2, 2, 0), (0, 0, 2)], [True] * 4)
     )
-    # skips the first column; the last pick leaves rows of no columns
+    # skips the first column; the last pick leaves rows of the residue alone
     @hypothesis.example(
         (2, 3, [Fraction(1, 3), Fraction(2, 3)], [(1, 1), (1, -1), (2, 0)], [False, True, True])
     )
@@ -272,9 +272,10 @@ def test_kernel_step_carries_the_kernel_pairings_with_later_generators():
         d, c, shift, gens, tried = walk
 
         def check_rows():
-            """The rows pair a saturated kernel of span(chosen) with gens[offset:]."""
-            assert len(residues) == d - len(chosen)
-            assert len(rows) == (d - len(chosen) if gens else 0)
+            """The rows pair a saturated kernel of span(chosen) with gens[offset:]
+            and, last, with c * shift."""
+            assert len(rows) == d - len(chosen)
+            assert all(len(row) == len(gens) - offset + 1 for row in rows)
             for j, g in enumerate(gens[offset:]):
                 column = [row[j] for row in rows]
                 independent = echelon.try_add(g) is not None
@@ -282,24 +283,24 @@ def test_kernel_step_carries_the_kernel_pairings_with_later_generators():
                 if independent:
                     assert gcd(*column) * volume == relative_volume(chosen + [g])
             pairings = (int(c * dot(f, shift)) % c for f in integer_kernel_basis(chosen, dim=d))
-            assert c // gcd(c, *residues) == c // gcd(c, *pairings)
+            assert c // gcd(c, *(row[-1] % c for row in rows)) == c // gcd(c, *pairings)
 
-        rows, residues = tuple(zip(*gens)), tuple(int(c * s) % c for s in shift)
+        # with no generators, d rows of the residue alone
+        rows = tuple((*(g[i] for g in gens), int(c * s)) for i, s in enumerate(shift))
         echelon, chosen, volume, offset = IntegerEchelon(d), [], 1, 0
         check_rows()
         for i, g in enumerate(gens):
             if not tried[i]:
                 continue
-            step = kernel_step(rows, residues, c, i - offset)
+            step = kernel_step(rows, i - offset)
             extended = echelon.try_add(g)
             assert (step is None) == (extended is None)
             if step is None:
                 continue
-            factor, rows, residues = step
+            factor, rows = step
             echelon, volume, offset = extended, volume * factor, i + 1
             chosen.append(g)
             assert volume == relative_volume(chosen)
-            assert all(len(row) == len(gens) - offset for row in rows)
             check_rows()
 
     check()
