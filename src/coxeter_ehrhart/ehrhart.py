@@ -10,8 +10,8 @@ its pairings with the untried generators and, last, with c times the shift,
 c the shift denominator.  Only the root reduces that column mod c: the gates
 read it only through gcds with a divisor of c.  A row reduction at the root
 leaves ``rank - |W|`` rows (zero rows pad a root of rank below 3 to three);
-each step reads one column, and at three rows cross products and 3x3 minors
-score the last three levels.
+each step runs the same reduction on one column, and at three rows cross
+products and 3x3 minors score the last three levels.
 The census route is specific to the classical permutahedra: it counts the
 signed-graph forests of the positive roots straight into the coefficients,
 each forest weighted by the power of 2 its loops and unbalanced cycles give
@@ -215,10 +215,12 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     flat ``t*shift + span(W)`` meets Z^d exactly when ``D | t``, for
     ``D = c // gcd(g0, q)`` (``c // g0`` for the bases), so volumes are
     summed per ``(D, |W|)`` and spread over the residue classes once at the
-    end.  ``linalg.kernel_step`` extends the matrix by the generator behind
-    one column, or reports it dependent.  Only the root reduces q mod c:
-    every gate is ``gcd(g0, .)`` of an integer linear form in q, and g0
-    divides c, so multiples of c change no gate.
+    end.  ``linalg.kernel_step`` runs the same ``echelon`` on the column of
+    one generator to extend the matrix by it, or reports it dependent.  The
+    child keeps that column, all 0, as its first, so the root gets one
+    leading zero column and the walk steps from the second.  Only the root
+    reduces q mod c: every gate is ``gcd(g0, .)`` of an integer linear form
+    in q, and g0 divides c, so multiples of c change no gate.
 
     At three rows (``|W| = rank - 3``; a root of rank below 3 gets zero
     rows, q entry included, up to three, so it is that level) the walk steps
@@ -286,13 +288,13 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
                 seen.append((a, b, e, n))
             volumes[full] = volumes.get(full, 0) + volume * bases
         else:
-            for j in range(len(rows[0]) - 1):
+            for j in range(1, len(rows[0]) - 1):
                 step = kernel_step(rows, j)
                 if step is not None:
                     factor, extended = step
                     walk(extended, volume * factor)
 
-    root = tuple((*row[:m], row[m] % c) for row in rows[:r]) + ((0,) * (m + 1),) * pad
+    root = tuple((0, *row[:m], row[m] % c) for row in rows[:r]) + ((0,) * (m + 2),) * pad
     walk(root, 1)
     coeffs = [[0] * (d + 1) for _ in range(c)]
     for (period, size), volume in volumes.items():

@@ -34,7 +34,8 @@ def rat_vector(entries: Iterable, name: str = "rational vector") -> RatVector:
     """The entries as a tuple of Fractions, each an ``int``, a ``Fraction`` or
     a _RATIONAL_TEXT string with a nonzero denominator.  Any other entry
     (``bool`` and float among them) is refused, with ``name`` and the
-    entry's index in the message."""
+    entry's index in the message, as is a string with more digits than the
+    interpreter's int-digit limit lets ``Fraction`` read."""
     out = []
     for i, e in enumerate(entries):
         if not (type(e) in (int, Fraction) or type(e) is str and _RATIONAL_TEXT.fullmatch(e)):
@@ -43,6 +44,9 @@ def rat_vector(entries: Iterable, name: str = "rational vector") -> RatVector:
             out.append(Fraction(e))
         except ZeroDivisionError:
             raise ValueError(f"non-rational entry {e!r} in {name}[{i}]: zero denominator") from None
+        except ValueError as exc:
+            # past the int-digit limit: name the entry without echoing its digits
+            raise ValueError(f"entry {name}[{i}] is too long to read: {exc}") from None
     return tuple(out)
 
 
@@ -69,12 +73,12 @@ def common_dim(vectors: Sequence[Sequence], dim: Optional[int] = None) -> int:
 def rank(vectors: Sequence[Sequence[int]], dim: Optional[int] = None) -> int:
     """Dimension of the rational span; 0 for the empty list.
 
-    Read off the saturated kernel: ``d - len(integer_kernel_basis(vectors))``.
+    The count of rows ``echelon`` leaves independent on the vectors themselves.
     """
     vecs = [int_vector(v) for v in vectors]
     if not vecs:
         return 0
-    return common_dim(vecs, dim) - len(integer_kernel_basis(vecs, dim))
+    return echelon(vecs, common_dim(vecs, dim))
 
 
 def integer_kernel_basis(vectors: Sequence[Sequence[int]], dim: Optional[int] = None) -> List[IntVector]:
@@ -101,10 +105,12 @@ def integer_kernel_basis(vectors: Sequence[Sequence[int]], dim: Optional[int] = 
     return basis
 
 
-def echelon(rows: List[List[int]], width: int) -> int:
+def echelon(rows: List[Sequence[int]], width: int) -> int:
     """Unimodular row operations, in place, until the first ``rank`` rows are
     independent on the first ``width`` columns and the others vanish there;
-    returns ``rank``.  Entries past ``width`` are carried, not eliminated."""
+    returns ``rank``.  Entries past ``width`` are carried, not eliminated.
+    A reduced row is a new list put in place of the old one in ``rows``; the
+    row objects passed in are never changed."""
     fixed = 0
     for col in range(width):
         while True:
@@ -124,34 +130,23 @@ def echelon(rows: List[List[int]], width: int) -> int:
     return fixed
 
 
-def kernel_step(rows: Sequence[IntVector], column: int) -> Optional[Tuple[int, Tuple[IntVector, ...]]]:
+def kernel_step(rows: Sequence[Sequence[int]], column: int) -> Optional[Tuple[int, Tuple[Sequence[int], ...]]]:
     """Extend a subset W by the generator g behind ``column`` of the pairing rows.
 
     ``rows[i]`` holds the pairings ``<f_i, g_j>`` of a saturated integer
     basis f_1..f_k of ``span(W)^perp`` with the generators still to try, one
     column per generator, and may carry more columns after them (the walk
     in ``ehrhart`` carries the shift's pairings ``c*<f_i, shift>`` last).
-    Returns None when g lies in ``span(W)``, that is when the column
-    ``a_i = <f_i, g>`` is all 0.  Otherwise returns ``(gcd(a), rows')``:
-    pairing with a saturated kernel maps Z^d onto Z^k with kernel
-    ``Z^d ∩ span(W)``, so the relative volume grows by the factor gcd(a).
-    Unimodular operations on the rows reduce the column to a single nonzero
-    entry; the other rows are the pairings of the saturated kernel of
-    ``W + g``.  They are returned cut to the columns after ``column``.
+    ``echelon`` reduces the rows, cut to start at ``column``, on their first
+    column.  Rank 0 means that the column ``a_i = <f_i, g>`` is all 0, so g
+    lies in ``span(W)``, and the step returns None.  Otherwise it returns
+    ``(|pivot|, rows')``: pairing with a saturated kernel maps Z^d onto Z^k
+    with kernel ``Z^d ∩ span(W)``, so the relative volume grows by the
+    factor gcd(a), the pivot up to sign.  ``rows'``, the rows but the
+    pivot's, are the pairings of a saturated kernel of ``W + g``, from
+    ``column`` on: their first column is 0.  ``rows`` is left as it is.
     """
-    a = [row[column] for row in rows]
-    nonzero = [i for i, e in enumerate(a) if e]
-    if not nonzero:
+    tails = [row[column:] for row in rows]
+    if not echelon(tails, 1):
         return None
-    tails = [row[column + 1 :] for row in rows]
-    while len(nonzero) > 1:
-        p = min(nonzero, key=lambda i: abs(a[i]))
-        ap, tp = a[p], tails[p]
-        for i in nonzero:
-            if i != p:
-                q = a[i] // ap
-                a[i] -= q * ap
-                tails[i] = tuple(x - q * y for x, y in zip(tails[i], tp))
-        nonzero = [i for i in nonzero if a[i]]
-    p = nonzero[0]
-    return abs(a[p]), tuple(tails[:p] + tails[p + 1 :])
+    return abs(tails[0][0]), tuple(tails[1:])

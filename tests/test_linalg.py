@@ -1,13 +1,15 @@
 """Tests for the exact integer linear algebra layer."""
 
 import itertools
+import json
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from coxeter_ehrhart.ehrhart import ZonotopeSpec
+from coxeter_ehrhart.ehrhart import ZonotopeFormatError, ZonotopeSpec, parse_zonotope_document
 from coxeter_ehrhart.linalg import (
     dot,
     int_vector,
@@ -57,6 +59,24 @@ def test_rat_vector_accepts_mixed_input():
     )
 
 
+def test_rat_vector_names_an_entry_past_the_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-digit limit")
+    limit = sys.get_int_max_str_digits()
+    digits = "3" * 641
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError, match=r"shift\[0\] is too long to read") as raised:
+            rat_vector(["1/" + digits, 0], "shift")
+        assert digits not in str(raised.value)
+        document = json.dumps({"generators": [[1, 0]], "shift": ["1/" + digits, 0]})
+        with pytest.raises(ZonotopeFormatError, match=r"shift\[0\] is too long to read") as raised:
+            parse_zonotope_document(document)
+        assert digits not in str(raised.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_dot_requires_matching_lengths():
     assert dot((1, 2), (3, 4)) == 11
     with pytest.raises(ValueError):
@@ -96,6 +116,13 @@ def test_rank_examples():
     assert rank([(1, 2), (2, 4)]) == 1
     assert rank([(1, 0), (0, 1), (1, 1)]) == 2
     assert rank([(1, 1, 0), (0, 1, 1), (1, 0, -1)]) == 2
+    assert rank([(0, 0, 0), (0, 0, 0)], dim=3) == 0
+    # the third row is twice the first plus the second
+    assert rank([(1, 2, 0, -1), (0, 1, 1, 2), (2, 5, 1, 0)]) == 2
+    with pytest.raises(ValueError):
+        rank([(1, 2), (1, 2, 3)])
+    with pytest.raises(ValueError):
+        rank([(1, 2)], dim=3)
 
 
 def test_relative_volume_rejects_bad_input():
@@ -186,7 +213,7 @@ def test_kernel_basis_orthogonal_and_saturated():
         nrows = rng.randint(0, d)
         rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(nrows)]
         basis = integer_kernel_basis(rows, dim=d)
-        # the echelon, not linalg.rank, which reads the kernel
+        # the helper's echelon, not linalg.rank, which shares the package's reduction
         assert len(basis) == d - echelon_rank(rows, d)
         for f in basis:
             for row in rows:
@@ -212,16 +239,21 @@ def test_kernel_step_folds_to_volume_and_saturated_kernel():
         # coordinates of the kernel basis the rows stand for; the shift's
         # pairings, unreduced, ride last
         identity = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-        rows = tuple((*col, int(c * s)) for col, s in zip(zip(*(vectors + identity)), shift))
+        rows = [[*col, int(c * s)] for col, s in zip(zip(*(vectors + identity)), shift)]
         echelon, chosen, volume, offset = IntegerEchelon(d), [], 1, 0
         for i, v in enumerate(vectors):
+            before = [list(row) for row in rows]
             step = kernel_step(rows, i - offset)
+            # the walk steps every column of one node from the same rows
+            assert [list(row) for row in rows] == before
             extended = echelon.try_add(v)
             assert (step is None) == (extended is None)
             if step is None:
                 continue
             factor, rows = step
-            echelon, volume, offset = extended, volume * factor, i + 1
+            # the child starts at the stepped column, which is all 0 there
+            echelon, volume, offset = extended, volume * factor, i
+            assert not any(row[0] for row in rows)
             chosen.append(v)
             assert volume == relative_volume(chosen)
             kernel = tuple(row[-d - 1 : -1] for row in rows)
@@ -286,19 +318,21 @@ def test_kernel_step_carries_the_kernel_pairings_with_later_generators():
             assert c // gcd(c, *(row[-1] % c for row in rows)) == c // gcd(c, *pairings)
 
         # with no generators, d rows of the residue alone
-        rows = tuple((*(g[i] for g in gens), int(c * s)) for i, s in enumerate(shift))
+        rows = [[*(g[i] for g in gens), int(c * s)] for i, s in enumerate(shift)]
         echelon, chosen, volume, offset = IntegerEchelon(d), [], 1, 0
         check_rows()
         for i, g in enumerate(gens):
             if not tried[i]:
                 continue
+            before = [list(row) for row in rows]
             step = kernel_step(rows, i - offset)
+            assert [list(row) for row in rows] == before
             extended = echelon.try_add(g)
             assert (step is None) == (extended is None)
             if step is None:
                 continue
             factor, rows = step
-            echelon, volume, offset = extended, volume * factor, i + 1
+            echelon, volume, offset = extended, volume * factor, i
             chosen.append(g)
             assert volume == relative_volume(chosen)
             check_rows()
