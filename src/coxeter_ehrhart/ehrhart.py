@@ -157,12 +157,10 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period constituents")):
         return self.constituents[t % self.period]
 
     def evaluate(self, t: int) -> int:
-        coeffs = self.constituent_for(t)
+        """L(t) from the constituent for t, by Horner's rule."""
         value = 0
-        power = 1
-        for c in coeffs:
-            value += c * power
-            power *= t
+        for c in reversed(self.constituent_for(t)):
+            value = value * t + c
         return value
 
 

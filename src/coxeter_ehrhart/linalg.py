@@ -20,13 +20,19 @@ RatVector = Tuple[Fraction, ...]
 _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
+def _shown(entry) -> str:
+    """The entry's ``repr`` for a message, cut to a prefix and its length when long."""
+    text = repr(entry)
+    return text if len(text) <= 40 else f"{text[:32]}... ({len(text)} characters)"
+
+
 def int_vector(entries: Iterable, name: str = "lattice vector") -> IntVector:
     """The entries as a tuple of ints.  Any other entry (``bool``, float and
     Fraction among them) is refused, with ``name`` in the message."""
     vector = tuple(entries)
     for e in vector:
         if type(e) is not int:
-            raise ValueError(f"non-integer entry {e!r} in {name}: expected integer entries")
+            raise ValueError(f"non-integer entry {_shown(e)} in {name}: expected integer entries")
     return vector
 
 
@@ -39,11 +45,11 @@ def rat_vector(entries: Iterable, name: str = "rational vector") -> RatVector:
     out = []
     for i, e in enumerate(entries):
         if not (type(e) in (int, Fraction) or type(e) is str and _RATIONAL_TEXT.fullmatch(e)):
-            raise ValueError(f"non-rational entry {e!r} in {name}[{i}]: expected an integer or a 'p/q' string")
+            raise ValueError(f"non-rational entry {_shown(e)} in {name}[{i}]: expected an integer or a 'p/q' string")
         try:
             out.append(Fraction(e))
         except ZeroDivisionError:
-            raise ValueError(f"non-rational entry {e!r} in {name}[{i}]: zero denominator") from None
+            raise ValueError(f"non-rational entry {_shown(e)} in {name}[{i}]: zero denominator") from None
         except ValueError as exc:
             # past the int-digit limit: name the entry without echoing its digits
             raise ValueError(f"entry {name}[{i}] is too long to read: {exc}") from None

@@ -5,7 +5,8 @@ coordinates a line at a time against the affine hull and the facet
 inequalities; lattice points of a dilated permutahedron are counted by
 Weyl orbits, summing the orbit sizes of the dominant points that Rado's
 majorization test admits; and small labeled structures are counted by
-direct enumeration with a union-find check.  These are the oracles the
+growing their item sets depth first, one item at a time, with each
+vertex's component and switching sign.  These are the oracles the
 closed-form routes are tested against; none of them consult the Ehrhart
 formulas.
 """
@@ -334,12 +335,17 @@ def brute_force_structures(kind: str, n: int) -> int:
     The items are the edges between distinct vertices, with both signs for
     the signed kinds, plus one halfedge or negative loop per vertex for the
     kinds that carry one; those join nothing and close no cycle, so the two
-    kinds enumerate alike.  Only item sets of the one feasible size are
-    enumerated: n-1 items for trees, n items for the one-extra-feature
-    kinds.  A set counts when its edges join all n vertices and any cycle
-    they close is allowed: none for the trees, and for a pseudotree its one
-    cycle, which in a signed pseudotree must be unbalanced (an odd number
-    of negative edges, parallel opposite-sign pairs included).
+    kinds enumerate alike.  Item sets of the one feasible size, n-1 items
+    for trees and n for the one-extra-feature kinds, grow depth first, one
+    item per level in the item order, with a component label and a
+    switching sign per vertex (an edge's sign is the product of its ends').
+    An edge across two components merges them, flipping one side's signs
+    as needed; an edge within one closes a cycle of sign its own times its
+    ends', which must be allowed: never for the trees, and for a pseudotree
+    its one cycle, which in a signed pseudotree must be unbalanced (an odd
+    number of negative edges, parallel opposite-sign pairs included).  A
+    branch stops once more components are left than its items can join,
+    and a full set counts when its edges join all n vertices.
     """
     if kind not in SEQUENCE_KINDS:
         raise ValueError(f"unknown structure kind {kind!r}")
@@ -355,38 +361,27 @@ def brute_force_structures(kind: str, n: int) -> int:
     items = [(u, v, s) for s in ((1, -1) if signed else (1,)) for u, v in combinations(range(n), 2)]
     if kind in ("signed_halfedge_tree", "signed_loop_tree"):
         items += [(v, v, 0) for v in range(n)]
-    size = n - 1 if kind in ("tree", "signed_tree") else n
     cycle_signs = _CYCLE_SIGNS.get(kind, ())
-    return sum(1 for chosen in combinations(items, size) if _is_structure(n, chosen, cycle_signs))
 
+    def grow(start, left, label, sign, components):
+        # the sets of `left` more items from items[start:] that leave one
+        # component; with more components than items left, each must join two
+        count = 0
+        joins_only = components > left
+        for i in range(start, len(items) - left + 1):
+            u, v, s = items[i]
+            if s and label[u] != label[v]:
+                if left == 1:
+                    count += components == 2
+                else:
+                    old, new, flip = label[u], label[v], sign[u] * s * sign[v]
+                    merged = [new if l == old else l for l in label]
+                    signs = [g * flip if l == old else g for l, g in zip(label, sign)]
+                    count += grow(i + 1, left - 1, merged, signs, components - 1)
+            elif not joins_only and (not s or s * sign[u] * sign[v] in cycle_signs):
+                count += components == 1 if left == 1 else grow(i + 1, left - 1, label, sign, components)
+        return count
 
-def _is_structure(n: int, items, cycle_signs) -> bool:
-    """Whether the edges join all n vertices and every cycle they close
-    has a sign in ``cycle_signs``.
-
-    A union-find keeps, per vertex, the sign of the path to its parent (its
-    switching potential relative to the parent), so the sign of the cycle
-    an edge closes is the product of its sign and the two path signs.
-    """
-    parent = list(range(n))
-    potential = [1] * n
-
-    def find(x):
-        sign = 1
-        while parent[x] != x:
-            sign *= potential[x]
-            x = parent[x]
-        return x, sign
-
-    components = n
-    for u, v, sign in items:
-        if not sign:
-            continue
-        (ru, su), (rv, sv) = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            potential[ru] = su * sign * sv
-            components -= 1
-        elif su * sign * sv not in cycle_signs:
-            return False
-    return components == 1
+    size = n - 1 if kind in ("tree", "signed_tree") else n
+    # the one-vertex tree is the empty set
+    return grow(0, size, list(range(n)), [1] * n, n) if size else 1

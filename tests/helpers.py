@@ -12,7 +12,7 @@ the roots, counting subsets per labeled component state), the reading of
 census keys into Ehrhart coefficients (``census_quasipolynomial``) that
 the package's weighted census over unlabeled component multisets is
 checked against, and the classifier-based structure enumeration
-(``reference_structures``) behind the oracle's union-find check.
+(``reference_structures``) behind the oracle's depth-first growth.
 """
 
 import itertools

@@ -120,6 +120,14 @@ def test_quasipolynomial_evaluation():
         qp.evaluate(0)
 
 
+def test_evaluation_of_a_long_constituent_past_64_bits():
+    coeffs = [(-1) ** k * (3**k + k) for k in range(41)]
+    qp = QuasiPolynomial.from_residue_polys([[0] * 41, coeffs])
+    t = 2**64 + 1
+    assert qp.evaluate(t) == sum(c * t**k for k, c in enumerate(coeffs))
+    assert qp.evaluate(t + 1) == 0
+
+
 def test_zonotope_spec_validation():
     with pytest.raises(ValueError):
         ZonotopeSpec.make([(0, 0)])

@@ -77,6 +77,22 @@ def test_rat_vector_names_an_entry_past_the_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize(
+    "document, name",
+    [
+        ({"generators": [[1, 0]], "shift": ["1/" + "3" * 5001 + "x", 0]}, "shift[0]"),
+        ({"generators": [["3" * 5001, 0]]}, "generators[0]"),
+    ],
+    ids=["shift", "generator"],
+)
+def test_a_long_refused_entry_is_not_echoed_in_full(document, name):
+    with pytest.raises(ZonotopeFormatError) as raised:
+        parse_zonotope_document(json.dumps(document))
+    message = str(raised.value)
+    assert name in message
+    assert len(message) < 200
+
+
 def test_dot_requires_matching_lengths():
     assert dot((1, 2), (3, 4)) == 11
     with pytest.raises(ValueError):

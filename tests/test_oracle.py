@@ -381,10 +381,13 @@ def test_component_counts_by_enumeration():
         assert component_counts(kind, order) == counts, kind
 
 
-def test_structure_enumeration_matches_the_classifier():
+def test_structure_enumeration_matches_the_classifier(monkeypatch):
+    # one past each bound, where the depth-first growth is deepest
+    monkeypatch.setattr(oracle, "SIGNED_STRUCTURE_MAX", SIGNED_STRUCTURE_MAX + 1)
+    monkeypatch.setattr(oracle, "UNSIGNED_STRUCTURE_MAX", UNSIGNED_STRUCTURE_MAX + 1)
     for kind in SEQUENCE_KINDS:
         limit = SIGNED_STRUCTURE_MAX if kind.startswith("signed_") else UNSIGNED_STRUCTURE_MAX
-        for n in range(1, limit + 1):
+        for n in range(1, limit + 2):
             assert brute_force_structures(kind, n) == reference_structures(kind, n), (kind, n)
 
 
