@@ -242,7 +242,19 @@ def _json_text(value, indent: str = "\n") -> str:
 
 def emit(doc: Dict, fmt: str) -> None:
     if fmt == "json":
-        print(_json_text(doc))
+        # the bytes of _json_text(doc), written one top-level item at a time,
+        # and a list item one entry at a time, so a large answer's text is
+        # never held whole
+        write = sys.stdout.write
+        for i, (key, item) in enumerate(doc.items()):
+            write(("{" if i == 0 else ",") + "\n  " + encode_basestring(key) + ": ")
+            if type(item) is list and item:
+                for j, entry in enumerate(item):
+                    write(("[" if j == 0 else ",") + "\n    " + _json_text(entry, "\n    "))
+                write("\n  ]")
+            else:
+                write(_json_text(item, "\n  "))
+        write("\n}\n" if doc else "{}\n")
     elif fmt == "csv":
         import csv  # only this encoding needs the module; keep it off start-up
 

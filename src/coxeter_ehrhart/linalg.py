@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import log10
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
@@ -21,8 +22,18 @@ _RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _shown(entry) -> str:
-    """The entry's ``repr`` for a message, cut to a prefix and its length when long."""
-    text = repr(entry)
+    """The entry's ``repr`` for a message, cut to a prefix and its length when
+    long.  Past the interpreter's int-digit limit no ``repr`` can be formed,
+    so the entry shows as its type and, for an int or Fraction, the digit
+    count of its longer part, from the bit length, up to one."""
+    try:
+        text = repr(entry)
+    except ValueError:
+        kind = type(entry).__name__
+        if not isinstance(entry, (int, Fraction)):
+            return f"{kind} too long to show"
+        size = max(abs(entry.numerator), entry.denominator)
+        return f"{kind} of about {int(size.bit_length() * log10(2)) + 1} digits"
     return text if len(text) <= 40 else f"{text[:32]}... ({len(text)} characters)"
 
 

@@ -2,21 +2,25 @@
 
 Lattice points of a dilated zonotope are counted by scanning the free
 coordinates a line at a time against the affine hull and the facet
-inequalities; lattice points of a dilated permutahedron are counted by
-Weyl orbits, summing the orbit sizes of the dominant points that Rado's
-majorization test admits; and small labeled structures are counted by
-growing their item sets depth first, one item at a time, with each
-vertex's component and switching sign.  These are the oracles the
-closed-form routes are tested against; none of them consult the Ehrhart
-formulas.
+inequalities, in integers over the shift denominator.  The facet normals
+come from a depth-first walk over the generators that carries the exterior
+product of the subset so far and reads each hyperplane's normal as the
+Hodge dual of a (d-1)-fold product, so the facet search shares no row
+reduction with the formula routes.  Lattice points of a dilated
+permutahedron are counted by Weyl orbits, summing the orbit sizes of the
+dominant points that Rado's majorization test admits; and small labeled
+structures are counted by growing their item sets depth first, one item
+at a time, with each vertex's component and switching sign.  These are
+the oracles the closed-form routes are tested against; none of them
+consult the Ehrhart formulas.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, comb, floor, gcd, lcm, prod
+from math import comb, gcd, lcm, prod
+from operator import itemgetter, mul
 from typing import Optional, Tuple
 
 from .egf import SEQUENCE_KINDS
@@ -27,7 +31,7 @@ from .roots import _positive, is_half_integral
 # Ceilings on the two phases of a count, each checked before its phase.
 # FACET_BOUND is on the generator subsets that one facet search tries,
 # C(m, i) at scan level i for the m nonzero projections onto its i+1 free
-# coordinates; each costs about 30-50 us.  SCAN_BOUND is on
+# coordinates; its walk takes about 5-11 us per subset.  SCAN_BOUND is on
 # sum_i rows_i * prod_{j<i} width_j, where rows_i counts the facet rows of
 # level i and width_j the range of free coordinate j: level i has at most
 # prod_{j<i} width_j nodes, so this bounds the rows the scan reads, at about
@@ -55,21 +59,88 @@ def _facets(generators: Tuple[Tuple[int, ...], ...], d: int):
     The facet normals are the primitive normals h of the hyperplanes
     spanned by (d-1)-subsets of the generators, in both orientations, each
     with its positive generator sum ``sum_g max(<h, g>, 0)``: the facet is
-    ``<h, x - shift> <= sum_g max(<h, g>, 0)`` at any shift.  At d = 1 the
-    only subset is the empty one and its normal line is the axis.
+    ``<h, x - shift> <= sum_g max(<h, g>, 0)`` at any shift.
+
+    The subsets are grown depth first, one generator per level in index
+    order, carrying the exterior product of the generators so far: its
+    Plücker coordinates, one per k-subset of the d axes.  Wedging with g is
+    linear in g, so each node writes that map once as a matrix (from
+    :func:`_wedges`) and pays one row-by-g product per coordinate for each
+    child.  A product
+    of 0 is a dependent prefix, which spans no hyperplane with any
+    extension, and its branch stops.  A (d-1)-subset's normal is the Hodge
+    dual of its product, which the last level's matrix reads directly, made
+    primitive by its gcd with the first nonzero entry positive.  Each
+    normal's pairings with the generators are taken once, and give both
+    orientations' sums.  At d = 1 the only subset is the empty one, whose
+    product is the scalar 1 and whose normal line is the axis.
     """
+    wedges = _wedges(d)
+    last = len(wedges) - 1
+    m = len(generators)
     normals = {}
-    for picked in combinations(generators, d - 1):
-        # a dependent subset leaves a kernel of two or more vectors
-        line = integer_kernel_basis(picked, dim=d)
-        if len(line) == 1:
-            normals[line[0]] = None
+
+    def grow(start, product, k):
+        # product: the k-vector of the generators so far, all before start
+        signed = product + [-e for e in product] + [0]
+        rows = [pick(signed) for pick in wedges[k]]
+        if k < last:
+            for i in range(start, m - last + k):
+                g = generators[i]
+                child = [sum(map(mul, row, g)) for row in rows]
+                if any(child):
+                    grow(i + 1, child, k + 1)
+            return
+        for g in generators[start:]:
+            h = [sum(map(mul, row, g)) for row in rows]
+            q = gcd(*h)
+            if q:
+                if next(e for e in h if e) < 0:
+                    q = -q
+                normals[tuple(e // q for e in h)] = None
+
+    if d == 1:
+        normals[(1,)] = None
+    else:
+        grow(0, [1], 0)
     facets = []
     for h in normals:
-        for sign in (1, -1):
-            vec = tuple(sign * e for e in h)
-            facets.append((vec, sum(max(dot(vec, g), 0) for g in generators)))
+        pairings = [sum(map(mul, h, g)) for g in generators]
+        up = sum(p for p in pairings if p > 0)
+        facets += [(h, up), (tuple(-e for e in h), up - sum(pairings))]
     return tuple(facets)
+
+
+@lru_cache(maxsize=None)
+def _wedges(d: int):
+    """For k = 0..d-2, the map from a k-vector P of R^d to the matrix of
+    ``g -> P ^ g``, as one ``itemgetter`` per row over ``P + (-P) + [0]``.
+
+    Coordinates are indexed by the subsets of the axes in ``combinations``
+    order.  Coordinate S = {s_0 < ... < s_k} of ``P ^ g`` is
+    ``sum_t (-1)^(k-t) P[S - s_t] g[s_t]``.  The last map (k = d-2) gives
+    the Hodge dual instead, ``h_j = (-1)^j (P ^ g)[axes - j]``, so that
+    ``<h, x>`` is the product's wedge with x up to sign.
+    """
+    maps = []
+    for k in range(d - 1):
+        index = {s: i for i, s in enumerate(combinations(range(d), k))}
+        n = len(index)
+        rows = []
+        for subset in combinations(range(d), k + 1):
+            row = [2 * n] * d
+            for t, axis in enumerate(subset):
+                row[axis] = index[subset[:t] + subset[t + 1 :]] + n * ((k - t) % 2)
+            rows.append(row)
+        if k == d - 2:
+            # row j of the dual is (-1)^j times the row of the subset without
+            # j: odd rows swap the P and -P halves
+            rows = [
+                [(e + n) % (2 * n) if j % 2 and e < 2 * n else e for e in row]
+                for j, row in enumerate(reversed(rows))
+            ]
+        maps.append([itemgetter(*row) for row in rows])
+    return maps
 
 
 def count_points(zonotope: ZonotopeSpec, t: int) -> int:
@@ -90,7 +161,9 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     coordinate, the widest, is the line: integrality of the dependent
     coordinates is a congruence on it and every facet inequality bounds it
     from one side, so the line adds the number of terms of an arithmetic
-    progression in an interval.  All arithmetic is exact ``int``; the tests
+    progression in an interval.  All arithmetic is exact ``int``: with c the
+    shift denominator, t*shift is an integer vector over c, so the bounding
+    box and the facet right-hand sides are floor divisions by c.  The tests
     check the count against a per-point rational membership test with its
     own facet search.
 
@@ -99,11 +172,13 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     before the scan when it could read more than SCAN_BOUND facet rows.
     """
     _positive(t, "dilation factor")
+    # the dilated shift is target / c: every bound below is an integer over c
+    c = zonotope.shift_denominator
+    target = [t * s.numerator * (c // s.denominator) for s in zonotope.shift]
     lows, highs = [], []
-    for i in range(zonotope.dim):
-        base = t * zonotope.shift[i]
-        low = ceil(base + t * sum(min(g[i], 0) for g in zonotope.generators))
-        high = floor(base + t * sum(max(g[i], 0) for g in zonotope.generators))
+    for i, base in enumerate(target):
+        low = -(-base // c) + t * sum(min(g[i], 0) for g in zonotope.generators)
+        high = base // c + t * sum(max(g[i], 0) for g in zonotope.generators)
         if low > high:
             return 0
         lows.append(low)
@@ -112,9 +187,8 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     if len(kernel) == zonotope.dim:
         # no generators: the box is the single point t*shift, and it is integral
         return 1
-    target = tuple(t * s for s in zonotope.shift)
     widths = [h - l + 1 for l, h in zip(lows, highs)]
-    outer, line, den, solved = _solve_dependent(kernel, widths, target)
+    outer, line, den, solved = _solve_dependent(kernel, widths, target, c)
     free = outer + [line]
 
     # Scan level i runs x_free[i] between the bounds of its rows, each an
@@ -124,7 +198,7 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     # its level's coordinate never cuts and is dropped.
     shadows = []
     for i in range(len(free)):
-        shadow = (tuple(g[c] for c in free[: i + 1]) for g in zonotope.generators)
+        shadow = (tuple(g[j] for j in free[: i + 1]) for g in zonotope.generators)
         shadows.append(tuple(g for g in shadow if any(g)))
         subsets = comb(len(shadows[i]), i)
         if subsets > FACET_BOUND:
@@ -139,7 +213,7 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
         padding = (0,) * (len(free) - i - 1)
         levels.append(
             [
-                (h + padding, floor(dot(h, [target[c] for c in coords]) + t * positive_sum))
+                (h + padding, sum(map(mul, h, [target[j] for j in coords])) // c + t * positive_sum)
                 for h, positive_sum in _facets(shadow, i + 1)
             ]
         )
@@ -155,7 +229,7 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
         downs = [row for row in level if row[0][i] < 0]
         bounds.append((len(ups) + len(downs), [row[0][i] for row in ups], [-row[0][i] for row in downs]))
         rows += ups + downs
-    reads = sum(bound[0] * prod(widths[c] for c in free[:i]) for i, bound in enumerate(bounds))
+    reads = sum(bound[0] * prod(widths[j] for j in free[:i]) for i, bound in enumerate(bounds))
     if reads > SCAN_BOUND:
         raise EnumerationLimitError(
             f"the box scan could read {_readable(reads, 'a {}-digit number of')} facet rows, "
@@ -175,8 +249,8 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     def scan(level, values):
         used, ups, downs = bounds[level]
         coordinate = free[level]
-        hi = min([highs[coordinate]] + [v // c for v, c in zip(values, ups)])
-        lo = max([lows[coordinate]] + [-(v // c) for v, c in zip(values[len(ups) :], downs)])
+        hi = min([highs[coordinate]] + [v // u for v, u in zip(values, ups)])
+        lo = max([lows[coordinate]] + [-(v // u) for v, u in zip(values[len(ups) :], downs)])
         values = values[used:]
         if level < len(outer):
             step = steps[level]
@@ -199,43 +273,55 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     return scan(0, start)
 
 
-def _solve_dependent(kernel, widths, target):
+def _solve_dependent(kernel, widths, target, c):
     """Choose the dependent coordinates J and solve the kernel equations for x_J.
 
-    One Gauss-Jordan elimination over ``Fraction`` reduces the equations
-    ``<f, x> = <f, target>`` with the columns taken from the widest range
-    down.  Its pivot columns J index a nonzero minor of the kernel, so the
-    equations solve for x_J, and they are the greedy basis of the column
-    matroid: the one with the largest product of ranges.  The first
-    non-pivot column is the line, the widest free coordinate.  The other
-    non-pivot columns, the outer coordinates, then have the smallest
-    product of ranges: they are an independent set of the dual matroid, the
-    lightest of their size by log-range, and greedy finds those too.
+    One Gauss-Jordan elimination over the integers, each row kept primitive,
+    reduces the equations ``<f, x> = <f, target> / c`` with the columns
+    taken from the widest range down.  Its pivot columns J index a nonzero
+    minor of the kernel, so the equations solve for x_J, and they are the
+    greedy basis of the column matroid: the one with the largest product of
+    ranges.  The first non-pivot column is the line, the widest free
+    coordinate.  The other non-pivot columns, the outer coordinates, then
+    have the smallest product of ranges: they are an independent set of the
+    dual matroid, the lightest of their size by log-range, and greedy finds
+    those too.
 
     Returns ``(outer, line, den, rows)`` with ``den * x_J[i] = sum_c
     rows[i][c] * x_free[c] + rows[i][-1]`` for ``x_free`` in the order
-    ``outer + [line]``, cleared to the common denominator ``den``; J holds
-    the other coordinates, widest first and ties by index.
+    ``outer + [line]``, cleared to the least common denominator ``den``; J
+    holds the other coordinates, widest first and ties by index.
     """
     order = sorted(range(len(widths)), key=lambda i: -widths[i])
-    rows = [[Fraction(f[i]) for i in order] + [dot(f, target)] for f in kernel]
-    free = []
+    rows = [[f[i] for i in order] + [dot(f, target)] for f in kernel]
+    free, pivots = [], []
     for col in range(len(order)):
-        k = col - len(free)  # the pivots so far
+        k = len(pivots)
         p = next((j for j in range(k, len(rows)) if rows[j][col]), None)
         if p is None:
             free.append(col)
             continue
-        pivot = [e / rows[p][col] for e in rows[p]]
+        pivot = rows[p]
         rows[p], rows[k] = rows[k], pivot
+        pivots.append(col)
+        a = pivot[col]
         for j, row in enumerate(rows):
             if j != k and row[col]:
-                c = row[col]
-                rows[j] = [a - c * b for a, b in zip(row, pivot)]
+                b = row[col]
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                q = gcd(*row)
+                rows[j] = [x // q for x in row]
     free = free[1:] + free[:1]  # the outer columns, then the line
-    den = lcm(1, *(row[c].denominator for row in rows for c in free + [-1]))
-    solved = [[-int(row[c] * den) for c in free] + [int(row[-1] * den)] for row in rows]
-    return [order[c] for c in free[:-1]], order[free[-1]], den, solved
+    # row k reads a*x_J[k] + sum_c b_c*x_c = r/c: x_J[k] = (r - c*sum_c b_c*x_c) / (c*a)
+    fractions = []
+    for col, row in zip(pivots, rows):
+        over = c * row[col]
+        tops = [-c * row[j] for j in free] + [row[-1]]
+        q = gcd(over, *tops) * (1 if over > 0 else -1)
+        fractions.append((over // q, [e // q for e in tops]))
+    den = lcm(1, *(over for over, _ in fractions))
+    solved = [[e * (den // over) for e in tops] for over, tops in fractions]
+    return [order[j] for j in free[:-1]], order[free[-1]], den, solved
 
 
 def _meet(a: int, m: int, b: int, n: int) -> Optional[Tuple[int, int]]:

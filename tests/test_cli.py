@@ -173,6 +173,28 @@ def test_json_text_writes_the_bytes_of_the_standard_encoder():
             cli._json_text(value)
 
 
+def test_json_emit_writes_the_bytes_of_json_text(capsys):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    scalars = st.text() | st.booleans() | st.integers()
+    values = st.recursive(
+        scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4)
+    )
+
+    # emit writes a top-level list one entry at a time, so lists are drawn often
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.dictionaries(st.text(), values | st.lists(values, max_size=4), max_size=4))
+    @hypothesis.example({})
+    @hypothesis.example({"rows": [], "notes": [[], {}, [1, [2]]], "": {"": [3]}})
+    def check(doc):
+        capsys.readouterr()
+        cli.emit(doc, "json")
+        assert capsys.readouterr().out == cli._json_text(doc) + "\n"
+
+    check()
+
+
 def test_output_is_deterministic(capsys):
     for fmt in ("human", "json", "csv"):
         argv = ["ehrhart", "C", "3", "--format", fmt, "--t", "1", "2"]

@@ -77,6 +77,22 @@ def test_rat_vector_names_an_entry_past_the_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_an_entry_past_the_digit_limit_is_named_by_its_size():
+    # the Fraction's repr cannot be formed, so the message shows its type and size
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError, match=r"generators\[0\]") as raised:
+            ZonotopeSpec([(Fraction(10**700, 3), 0)])
+        message = str(raised.value)
+        assert "Fraction of about 701 digits" in message
+        assert len(message) < 200
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize(
     "document, name",
     [

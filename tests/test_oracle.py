@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from coxeter_ehrhart import oracle
+from coxeter_ehrhart import linalg, oracle
 from coxeter_ehrhart.egf import SEQUENCE_KINDS, component_counts, egf_ehrhart_quasipolynomial
 from coxeter_ehrhart.ehrhart import (
     EnumerationLimitError,
@@ -209,19 +209,96 @@ def test_facet_search_matches_the_reference_geometry():
 
     @st.composite
     def spanning(draw):
-        d = draw(st.integers(1, 4))
+        d = draw(st.integers(1, 6))
         entry = st.integers(-2, 2)
-        gens = draw(st.lists(st.tuples(*[entry] * d).filter(any), min_size=d, max_size=6))
+        gens = draw(st.lists(st.tuples(*[entry] * d).filter(any), min_size=d, max_size=8))
+        # parallel and negated copies, so that many subsets are dependent or
+        # span one hyperplane
+        for _ in range(draw(st.integers(0, 8 - len(gens)))):
+            g = draw(st.sampled_from(gens))
+            k = draw(st.sampled_from((-2, -1, 1, 2)))
+            gens.insert(draw(st.integers(0, len(gens))), tuple(k * e for e in g))
         hypothesis.assume(not integer_kernel_basis(gens, dim=d))
         return d, tuple(gens)
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(spanning())
+    # the first d-1 generators are dependent, so the walk prunes that branch
+    @hypothesis.example((4, ((1, 0, 0, 0), (-2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))))
+    # d = 1: the empty subset's normal line is the axis
+    @hypothesis.example((1, ((2,), (-1,), (3,))))
+    # each normal of B3 is spanned by several pairs of roots
+    @hypothesis.example((3, tuple(positive_roots("B", 3).roots)))
     def check(case):
         d, gens = case
         kernel, reference = _geometry(ZonotopeSpec.make(gens, dim=d))
         assert kernel == ()
         assert set(_facets(gens, d)) == set(reference)
+
+    check()
+
+
+def test_facet_search_runs_no_row_reduction(monkeypatch):
+    # the walk's kernels come from linalg.echelon; the facet search must not
+    def refuse(*args, **kwargs):
+        raise AssertionError("the facet search ran a row reduction")
+
+    roots = tuple(positive_roots("D", 4).roots)
+    _, reference = _geometry(ZonotopeSpec(roots))
+    _facets.cache_clear()
+    monkeypatch.setattr(oracle, "integer_kernel_basis", refuse)
+    monkeypatch.setattr(linalg, "integer_kernel_basis", refuse)
+    monkeypatch.setattr(linalg, "echelon", refuse)
+    for d in range(1, 5):
+        shadow = tuple(g[:d] for g in roots if any(g[:d]))
+        facets = _facets(shadow, d)
+        assert len(facets) == len(set(facets))
+    assert set(facets) == set(reference)
+
+
+def test_facet_search_stops_at_a_dependent_prefix(monkeypatch):
+    # The same generators in two orders.  With -g right after g, the branch
+    # through both is dependent and stops before its leaves; with -g last,
+    # that pair is never a branch.  Everything else is the same work.
+    products = []
+
+    def counted(a, b):
+        products.append(None)
+        return a * b
+
+    monkeypatch.setattr(oracle, "mul", counted)
+    g, rest = (1, 1, 0, 0), [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 1, 1), (0, 1, -1, 2)]
+    work, found = [], []
+    for gens in ([g, (-1, -1, 0, 0)] + rest, [g] + rest + [(-1, -1, 0, 0)]):
+        products.clear()
+        found.append(set(_facets.__wrapped__(tuple(gens), 4)))
+        work.append(len(products))
+    assert found[0] == found[1]
+    assert work[0] < work[1]
+
+
+def test_count_matches_formula_under_large_integer_moves_of_the_shift():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    # negative shift entries far from the origin: every bound is a floor
+    # division of a negative numerator by the shift denominator
+    @st.composite
+    def zonotopes(draw):
+        d = draw(st.integers(1, 4))
+        entry = st.integers(-2, 2)
+        gens = draw(st.lists(st.tuples(*[entry] * d).filter(any), max_size=5))
+        shift = [
+            Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 12))) + draw(st.integers(-(10**6), 10**6))
+            for _ in range(d)
+        ]
+        return ZonotopeSpec.make(gens, shift=shift, dim=d)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(zonotopes(), st.integers(1, 3))
+    @hypothesis.example(ZonotopeSpec.make([(1, 0), (1, 2), (0, 1)], shift=("-1000001/12", "-7/5")), 3)
+    def check(spec, t):
+        assert count_points(spec, t) == ehrhart_almost_integral(spec).evaluate(t)
 
     check()
 
@@ -342,7 +419,8 @@ def test_solve_dependent_picks_greedy_pivots_and_solves_the_kernel():
     @hypothesis.given(systems())
     def check(system):
         d, kernel, widths, target, free_values = system
-        outer, line, den, rows = _solve_dependent(kernel, widths, target)
+        c = math.lcm(*(s.denominator for s in target))
+        outer, line, den, rows = _solve_dependent(kernel, widths, [int(s * c) for s in target], c)
         free = outer + [line]
         dependent = [i for i in sorted(range(d), key=lambda i: -widths[i]) if i not in free]
         k = len(kernel)
@@ -362,6 +440,8 @@ def test_solve_dependent_picks_greedy_pivots_and_solves_the_kernel():
             x[j] = dot(row[:-1], free_values[: len(free)]) + row[-1]
         for f in kernel:
             assert dot(f, x) == den * dot(f, target)
+        # den is the least common denominator of the solution
+        assert math.gcd(den, *(e for row in rows for e in row)) == 1
 
     check()
 
