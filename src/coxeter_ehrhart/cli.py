@@ -549,4 +549,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    # A reader that closes the pipe early ("| head") ends the program by
+    # SIGPIPE, as it ends other filters, or where there is none quietly with
+    # status 141: exit 1 stays a verification mismatch.
+    import os
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        code = 128 + 13
+    sys.exit(code)

@@ -1,8 +1,10 @@
 """Brute-force ground truth, kept independent of the formula routes.
 
 Lattice points of a dilated zonotope are counted by scanning the free
-coordinates a line at a time against the affine hull and the facet
-inequalities, in integers over the shift denominator.  The facet normals
+coordinates level by level, in integers over the shift denominator: the
+affine hull's integrality is echeloned into at most one congruence per
+level, so each level runs over one arithmetic progression between its
+facet inequalities.  The facet normals
 come from a depth-first walk over the generators that carries the exterior
 product of the subset so far and reads each hyperplane's normal as the
 Hodge dual of a (d-1)-fold product, so the facet search shares no row
@@ -21,11 +23,11 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm, prod
 from operator import itemgetter, mul
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .egf import SEQUENCE_KINDS
 from .ehrhart import EnumerationLimitError, ZonotopeSpec, _readable
-from .linalg import dot, integer_kernel_basis
+from .linalg import dot, echelon, integer_kernel_basis
 from .roots import _positive, is_half_integral
 
 # Ceilings on the two phases of a count, each checked before its phase.
@@ -148,7 +150,8 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
 
     Every point of the dilate satisfies, coordinate by coordinate,
     ``t*shift_i + t*sum_g min(g_i, 0) <= x_i <= t*shift_i + t*sum_g
-    max(g_i, 0)``; that bounding box gives each coordinate its range.
+    max(g_i, 0)``; that bounding box gives each coordinate its range, which
+    orders the coordinates and sizes the scan.
 
     One Gauss-Jordan pass over a saturated basis of the integer kernel of
     the generators (:func:`_solve_dependent`) picks ``d - rank`` dependent
@@ -157,15 +160,18 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     denominator, so only free coordinates are scanned.  The projection of
     the dilate onto the free coordinates is one-to-one, and scan level i
     runs over the lattice points of its projection onto the first i+1 of
-    them, bounded by that projection's :func:`_facets`.  The last free
-    coordinate, the widest, is the line: integrality of the dependent
-    coordinates is a congruence on it and every facet inequality bounds it
-    from one side, so the line adds the number of terms of an arithmetic
-    progression in an interval.  All arithmetic is exact ``int``: with c the
-    shift denominator, t*shift is an integer vector over c, so the bounding
-    box and the facet right-hand sides are floor divisions by c.  The tests
-    check the count against a per-point rational membership test with its
-    own facet search.
+    them, bounded by that projection's :func:`_facets`.  Integrality of the
+    dependent coordinates is a system of congruences modulo the common
+    denominator, echeloned once with the free columns taken from the last
+    back: each level carries at most one congruence, on its own coordinate,
+    and a congruence with no coefficient left decides the count by its
+    constant.  So each level runs over one arithmetic progression between
+    its facet bounds.  The outer levels step through it; the last free
+    coordinate, the widest, is the line, which adds its number of terms.
+    All arithmetic is exact ``int``: with c the shift denominator, t*shift
+    is an integer vector over c, so the bounding box and the facet
+    right-hand sides are floor divisions by c.  The tests check the count
+    against a per-point rational membership test with its own facet search.
 
     Raises :class:`EnumerationLimitError` before any facet search when one
     level's search would try more than FACET_BOUND generator subsets, and
@@ -175,27 +181,21 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     # the dilated shift is target / c: every bound below is an integer over c
     c = zonotope.shift_denominator
     target = [t * s.numerator * (c // s.denominator) for s in zonotope.shift]
-    lows, highs = [], []
+    widths = []
     for i, base in enumerate(target):
         low = -(-base // c) + t * sum(min(g[i], 0) for g in zonotope.generators)
         high = base // c + t * sum(max(g[i], 0) for g in zonotope.generators)
         if low > high:
             return 0
-        lows.append(low)
-        highs.append(high)
+        widths.append(high - low + 1)
     kernel = integer_kernel_basis(zonotope.generators, dim=zonotope.dim)
     if len(kernel) == zonotope.dim:
         # no generators: the box is the single point t*shift, and it is integral
         return 1
-    widths = [h - l + 1 for l, h in zip(lows, highs)]
     outer, line, den, solved = _solve_dependent(kernel, widths, target, c)
     free = outer + [line]
+    last = len(free) - 1
 
-    # Scan level i runs x_free[i] between the bounds of its rows, each an
-    # inequality "coeffs . x_free <= rhs" whose last nonzero coefficient is
-    # on free[i]: the facets of the projection of the dilate onto
-    # free[:i+1].  The projections are exact, so a row without weight on
-    # its level's coordinate never cuts and is dropped.
     shadows = []
     for i in range(len(free)):
         shadow = (tuple(g[j] for j in free[: i + 1]) for g in zonotope.generators)
@@ -207,68 +207,61 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
                 f"{_readable(subsets, 'a {}-digit number of')} generator subsets, "
                 f"above the facet bound of {FACET_BOUND}"
             )
-    levels = []
-    for i, shadow in enumerate(shadows):
-        coords = free[: i + 1]
-        padding = (0,) * (len(free) - i - 1)
-        levels.append(
-            [
-                (h + padding, sum(map(mul, h, [target[j] for j in coords])) // c + t * positive_sum)
-                for h, positive_sum in _facets(shadow, i + 1)
-            ]
-        )
-    # x_J is integral when "solved . (x_free, 1) == 0 (mod den)"; its value
-    # carries -(constant + outer part) for the congruence on the line.
-    congruences = [(row[:-1], -row[-1]) for row in solved] if den > 1 else []
+    # x_J is integral when "solved . (x_free, 1) == 0 (mod den)".  Unimodular
+    # row operations keep that system: echeloned with the columns taken from
+    # the line back, each row's last nonzero coefficient is on its own level,
+    # and a row with no coefficient left holds at every point or at none.
+    congruences = [row[-2::-1] + row[-1:] for row in solved] if den > 1 else []
+    ranked = echelon(congruences, len(free))
+    owned = {last - next(j for j, a in enumerate(row) if a): (row[-2::-1], -row[-1]) for row in congruences[:ranked]}
 
-    # One list of right-hand sides, level by level with upper bounds first:
-    # each level reads its own rows and subtracts its coordinate from the rest.
-    bounds, rows = [], []
-    for i, level in enumerate(levels):
-        ups = [row for row in level if row[0][i] > 0]
-        downs = [row for row in level if row[0][i] < 0]
-        bounds.append((len(ups) + len(downs), [row[0][i] for row in ups], [-row[0][i] for row in downs]))
-        rows += ups + downs
-    reads = sum(bound[0] * prod(widths[j] for j in free[:i]) for i, bound in enumerate(bounds))
+    # Scan level i runs x_free[i] over one arithmetic progression.  Its rows
+    # are inequalities "coeffs . x_free <= rhs" whose last nonzero coefficient
+    # is on free[i]: the facets of the projection of the dilate onto
+    # free[:i+1].  The projections are exact and bounded, so a row without
+    # weight on free[i] never cuts and is dropped, and the others bound the
+    # level from both sides.  Its congruence "coeffs . x_free == rhs (mod
+    # den)", all zero where no row owns the level, leaves x_free[i] one class
+    # modulo den / g.  One list of right-hand sides holds every level's rows,
+    # upper bounds first and the congruence last: each level reads its own
+    # and subtracts its coordinate from the rest.
+    rows, levels, reads = [], [], 0
+    for i, shadow in enumerate(shadows):
+        base = [target[j] for j in free[: i + 1]]
+        padding = (0,) * (last - i)
+        facets = [(h + padding, sum(map(mul, h, base)) // c + t * up) for h, up in _facets(shadow, i + 1)]
+        ups = [row for row in facets if row[0][i] > 0]
+        downs = [row for row in facets if row[0][i] < 0]
+        used = len(ups) + len(downs)
+        coeffs, rhs = owned.get(i, ([0] * len(free), 0))
+        g = gcd(coeffs[i], den)
+        n = den // g
+        levels.append([[h[i] for h, _ in ups], [-h[i] for h, _ in downs], used, g, pow(coeffs[i] // g, -1, n), n])
+        rows += ups + downs + [(coeffs, rhs)]
+        reads += used * prod(widths[j] for j in free[:i])
     if reads > SCAN_BOUND:
         raise EnumerationLimitError(
             f"the box scan could read {_readable(reads, 'a {}-digit number of')} facet rows, "
             f"above the scan bound of {SCAN_BOUND}"
         )
-    rows += congruences
+    if any(row[-1] % den for row in congruences[ranked:]):
+        return 0
     start = [rhs for _, rhs in rows]
-    steps = []
-    for i in range(len(outer)):
-        rows = rows[bounds[i][0] :]
-        steps.append([row[0][i] for row in rows])
-    solvers = []
-    for coeffs, _ in congruences:
-        g = gcd(coeffs[-1], den)
-        solvers.append((g, pow(coeffs[-1] // g, -1, den // g), den // g))
+    for i, level in enumerate(levels):
+        rows = rows[level[2] + 1 :]
+        level.append([coeffs[i] for coeffs, _ in rows])
 
     def scan(level, values):
-        used, ups, downs = bounds[level]
-        coordinate = free[level]
-        hi = min([highs[coordinate]] + [v // u for v, u in zip(values, ups)])
-        lo = max([lows[coordinate]] + [-(v // u) for v, u in zip(values[len(ups) :], downs)])
-        values = values[used:]
-        if level < len(outer):
-            step = steps[level]
-            return sum(
-                scan(level + 1, [v - s * y for v, s in zip(values, step)])
-                for y in range(lo, hi + 1)
-            )
-        if lo > hi:
+        ups, downs, used, g, inverse, n, step = levels[level]
+        hi = min([v // u for v, u in zip(values, ups)])
+        lo = max([-(v // u) for v, u in zip(values[len(ups) :], downs)])
+        if values[used] % g:
             return 0
-        a, m = 0, 1
-        for v, (g, inverse, n) in zip(values, solvers):
-            if v % g:
-                return 0
-            met = _meet(a, m, v // g * inverse % n, n)
-            if met is None:
-                return 0
-            a, m = met
-        return (hi - a) // m - (lo - 1 - a) // m
+        progression = range(lo + (values[used] // g * inverse - lo) % n, hi + 1, n)
+        if level == last:
+            return len(progression)
+        values = values[used + 1 :]
+        return sum(scan(level + 1, [v - s * y for v, s in zip(values, step)]) for y in progression)
 
     return scan(0, start)
 
@@ -322,16 +315,6 @@ def _solve_dependent(kernel, widths, target, c):
     den = lcm(1, *(over for over, _ in fractions))
     solved = [[e * (den // over) for e in tops] for over, tops in fractions]
     return [order[j] for j in free[:-1]], order[free[-1]], den, solved
-
-
-def _meet(a: int, m: int, b: int, n: int) -> Optional[Tuple[int, int]]:
-    """The class ``x = a (mod m)`` and ``x = b (mod n)`` as one, or None."""
-    g = gcd(m, n)
-    if (b - a) % g:
-        return None
-    step = n // g
-    a += m * ((b - a) // g * pow(m // g, -1, step) % step)
-    return a % (m * step), m * step
 
 
 def _orbit_sum(family: str, n: int, variant: str, t: int) -> int:

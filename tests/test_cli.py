@@ -4,6 +4,8 @@ import csv
 import functools
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
@@ -72,6 +74,28 @@ def test_csv_format(capsys):
     assert lines[0] == "key,value"
     assert "request.family,A" in lines
     assert "constituents.0.coefficients.0,1" in lines
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+def test_a_closed_pipe_is_not_a_failed_check(fmt):
+    # more output than a pipe buffer holds, so the writer meets the closed
+    # end; exit 1 would read as a verification mismatch
+    src = str(Path(cli.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "coxeter_ehrhart", "roots", "B", "60", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert child.stdout.read(16)
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.wait()
+    child.stderr.close()
+    assert b"Traceback" not in stderr, stderr
+    assert child.returncode != 1
+    if hasattr(signal, "SIGPIPE"):
+        assert child.returncode == -signal.SIGPIPE
 
 
 def test_import_loads_only_what_every_request_runs():

@@ -111,6 +111,12 @@ def test_count_agrees_with_membership_scan():
         ZonotopeSpec.make([(-2, 1, 0), (-1, 1, 2)]),
         # the facets with normals e_0 and e_1 have zero weight on the line x_2
         ZonotopeSpec.make([(1, 0, 0), (0, 1, 0), (0, 0, 3), (1, 1, 0)], shift=("1/2", 0, "1/3")),
+        # an outer level carries a congruence of its own: a scan whose outer
+        # levels ignore it counts 24, 125 and 364, not 16, 75 and 208
+        ZonotopeSpec.make([(0, -2, 1, 1), (-2, 2, 0, 1), (0, 1, 2, 2)]),
+        # a congruence left with no coefficient fails at odd t, so the
+        # count is 0 there; without that check it is 3 at t = 1
+        ZonotopeSpec.make([(2, 4, 6, 2)], shift=(0, "1/2", 0, 0)),
     ]
     for spec in specs:
         for t in (1, 2, 3):
@@ -153,16 +159,34 @@ def test_count_matches_formula_in_dimensions_four_and_five():
     def zonotopes(draw):
         d = draw(st.integers(4, 5))
         entry = st.integers(-2, 2)
-        generator = st.tuples(*[entry] * d).filter(any)
-        gens = draw(st.lists(generator, max_size=6))
-        shift = [
-            Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in range(d)
+        if draw(st.booleans()):
+            generator = st.tuples(*[entry] * d).filter(any)
+            gens = draw(st.lists(generator, max_size=6))
+            shift = [
+                Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4))) for _ in range(d)
+            ]
+            return ZonotopeSpec.make(gens, shift=shift, dim=d)
+        # 2 to d - 2 vectors and integer combinations of them: two or more
+        # dependent coordinates, whose congruences can fall on outer levels,
+        # and a shift in their rational span, so that the affine hull meets
+        # the lattice at some dilations
+        vector = st.tuples(*[st.integers(-3, 3)] * d).filter(any)
+        pool = draw(st.lists(vector, min_size=2, max_size=d - 2))
+        mix = st.lists(entry, min_size=len(pool), max_size=len(pool))
+        gens = pool + [
+            tuple(sum(k * v[j] for k, v in zip(coeffs, pool)) for j in range(d))
+            for coeffs in draw(st.lists(mix, max_size=6 - len(pool)))
         ]
-        return ZonotopeSpec.make(gens, shift=shift, dim=d)
+        b = draw(st.integers(1, 4))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(pool), max_size=len(pool)))
+        shift = [sum(Fraction(k, b) * v[j] for k, v in zip(coeffs, pool)) for j in range(d)]
+        return ZonotopeSpec.make([g for g in gens if any(g)], shift=shift, dim=d)
 
     # The rational membership scan is too slow here; the formula is not.
     @hypothesis.settings(max_examples=30, deadline=None)
     @hypothesis.given(zonotopes(), st.integers(1, 3))
+    # rank 2 in Z^4: the outer level and the line each step by 2
+    @hypothesis.example(ZonotopeSpec.make([(-1, -1, 2, 0), (1, -2, 0, 2)]), 2)
     def check(spec, t):
         expected = ehrhart_almost_integral(spec).evaluate(t)
         assert count_points(spec, t) == expected
