@@ -11,7 +11,11 @@ c the shift denominator.  Only the root reduces that column mod c: the gates
 read it only through gcds with a divisor of c.  A row reduction at the root
 leaves ``rank - |W|`` rows (zero rows pad a root of rank below 3 to three);
 each step runs the same reduction on one column, and at three rows cross
-products and 3x3 minors score the last three levels.
+products and 3x3 minors score the last three levels.  A node of more than
+four rows first merges the columns that are parallel in its frame into one,
+their primitive direction times their summed content, as deletion and
+contraction do for the arithmetic Tutte polynomial; below a node whose gate
+is already the full one, the walk computes no gates.
 The census route is specific to the classical permutahedra: it counts the
 signed-graph forests of the positive roots straight into the coefficients,
 each forest weighted by the power of 2 its loops and unbalanced cycles give
@@ -26,7 +30,7 @@ MERGE_BOUND.  The walk also refuses shift denominators above PERIOD_BOUND.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import comb, gcd, lcm, log10
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,7 +46,7 @@ class EnumerationLimitError(RuntimeError):
 # Ceiling for the independent-subset walk, checked against
 # sum_{k <= rank} C(m, k), which bounds the independent subsets of m
 # generators.  It admits the permutahedra up to A8, B6, C6 and D6, which
-# take 0.44-0.61 / 0.27-0.43 / 0.27-0.29 / 0.17-0.18 s with ``--route
+# take 0.20-0.30 / 0.19-0.27 / 0.18-0.21 / 0.17-0.21 s with ``--route
 # generic`` (wall time with start-up, median of 3 in each of two sets of
 # runs, CPython 3.11 on a shared 2-core x86-64 Xeon host).
 SUBSET_BOUND = 2_500_000
@@ -183,6 +187,22 @@ def _readable(number: int, long_form: str) -> str:
     return long_form.format(digits)
 
 
+def _directions(columns) -> Dict[IntVector, int]:
+    """The nonzero columns of a list of equal-length tuples by primitive
+    direction up to sign, first nonzero entry positive, each with the summed
+    content (gcd) of its columns."""
+    lengths: Dict[IntVector, int] = {}
+    zero = (0,) * len(columns[0])
+    for col in columns:
+        g = gcd(*col)
+        if g:
+            if col < zero:  # the first nonzero entry is negative
+                g = -g
+            p = col if g == 1 else tuple([e // g for e in col])
+            lengths[p] = lengths.get(p, 0) + abs(g)
+    return lengths
+
+
 def _check_subsets(m: int, r: int) -> None:
     """Refuse m generators of rank r whose independent subsets, bounded by
     sum_{k <= r} C(m, k), could pass SUBSET_BOUND."""
@@ -212,26 +232,40 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     subset's basis, so their q_i fold once into ``g0 = gcd(c, q_i)``.  The
     flat ``t*shift + span(W)`` meets Z^d exactly when ``D | t``, for
     ``D = c // gcd(g0, q)`` (``c // g0`` for the bases), so volumes are
-    summed per ``(D, |W|)`` and spread over the residue classes once at the
-    end.  ``linalg.kernel_step`` runs the same ``echelon`` on the column of
-    one generator to extend the matrix by it, or reports it dependent.  The
-    child keeps that column, all 0, as its first, so the root gets one
-    leading zero column and the walk steps from the second.  Only the root
-    reduces q mod c: every gate is ``gcd(g0, .)`` of an integer linear form
-    in q, and g0 divides c, so multiples of c change no gate.
+    summed per ``|W|`` and gate ``gcd(g0, q)`` and spread over the residue
+    classes once at the end.  ``linalg.kernel_step`` runs the same
+    ``echelon`` on the column of one generator to extend the matrix by it,
+    or reports it dependent.  The child keeps that column, all 0, as its
+    first, so the root gets one leading zero column and the walk steps from
+    the second.  Only the root reduces q mod c: every gate is ``gcd(g0, .)``
+    of an integer linear form in q, and g0 divides c, so multiples of c
+    change no gate.  For the same reason, once g0 divides every q_i of a
+    node (from the root when c = 1, and wherever span(W) holds the shift up
+    to a lattice vector), every subset below it is at the full gate
+    ``c // g0``, and the walk stops computing gates there.
+
+    Before it steps, a node of more than four rows replaces the columns that
+    are parallel up to sign by one, their primitive direction p times n, the
+    sum of their contents (gcds).  That is exact: such generators are
+    dependent modulo ``span(W)``, so a subset below holds at most one of
+    them; a column's content scales every volume that uses it, since
+    ``vol(W + S)`` is ``vol(W)`` times the gcd of the maximal minors of the
+    columns of S; and the gates read only spans.  At four rows the merge
+    costs more than it saves on small inputs, and the leaf merges anyway.
 
     At three rows (``|W| = rank - 3``; a root of rank below 3 gets zero
     rows, q entry included, up to three, so it is that level) the walk steps
     no further.  With q the node's last column, a column ``g * p``, g the gcd
     and p primitive, leaves the saturated kernel ``p^perp = p x Z^3`` of Z^3,
     so ``W + g_j`` scores ``vol(W) * g`` at the gate of ``p x q``.
-    Columns of one direction up to sign share that gate and are dependent on
-    one another, so they are scored together, with n the sum of their |g|.
-    Two directions p_i, p_j leave the one row ``nu / h``, for
-    ``nu = p_i x p_j`` and h = gcd(nu), with q entry ``nu.q / h``; their
-    pairs score ``vol(W) * n_i * n_j * h`` at that gate.  Three directions
-    score ``vol(W) * n_i * n_j * n_k * |nu_ij . p_k|`` at the bases' gate,
-    0 when they are coplanar.  At a padded root the padding rows are zero,
+    Columns of one direction up to sign are merged by the same rule as
+    above, into one direction p with n the sum of their |g|.  Two directions
+    p_i, p_j leave the one row ``nu / h``, for ``nu = p_i x p_j`` and
+    h = gcd(nu), with q entry ``nu.q / h``; their pairs score
+    ``vol(W) * n_i * n_j * h`` at that gate, and ``n_i * n_j * nu`` is kept
+    for the triples.  Three directions score
+    ``vol(W) * n_i * n_j * n_k * |nu_ij . p_k|`` at the bases' gate, 0 when
+    they are coplanar.  At a padded root the padding rows are zero,
     so every triple is coplanar and none is formed, and every pair is a
     basis, with ``nu = (0, 0, det)`` and q entry 0, summed at the full gate:
     the work stays within the C(m, 2) pairs that ``_check_subsets`` bounds.
@@ -249,56 +283,57 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     r = echelon(rows, m)
     _check_subsets(m, r)
     g0 = gcd(c, *(row[m] for row in rows[r:]))
-    full = (c // g0, r)
     top = max(r, 3)
     pad = top - r
-    volumes: Dict[Tuple[int, int], int] = {}
+    # per |W|, the summed vol(W) of each gate gcd(g0, q)
+    sums: List[Dict[int, int]] = [defaultdict(int) for _ in range(top + 1)]
 
-    def walk(rows: Tuple, volume: int) -> None:
+    def walk(rows: Tuple, volume: int, gated: bool) -> None:
         size = top - len(rows)
-        key = (c // gcd(g0, *(row[-1] for row in rows)), size)
-        volumes[key] = volumes.get(key, 0) + volume
+        *cols, q = zip(*rows)
+        g = gcd(g0, *q) if gated else g0
+        gated = g != g0
+        sums[size][g] += volume
         if len(rows) == 3:
-            # the summed gcd n per primitive column direction p, first nonzero entry positive
-            *cols, (qu, qv, qw) = zip(*rows)
-            lengths = {}
-            for col in cols:
-                lead = col[0] or col[1] or col[2]
-                if lead:
-                    g = gcd(*col) if lead > 0 else -gcd(*col)
-                    p = (col[0] // g, col[1] // g, col[2] // g)
-                    lengths[p] = lengths.get(p, 0) + abs(g)
+            qu, qv, qw = q
+            ones, twos = sums[size + 1], sums[size + 2]
             bases, seen, pairs = 0, [], []
-            for (a, b, e), n in lengths.items():
-                key = (c // gcd(g0, b * qw - e * qv, e * qu - a * qw, a * qv - b * qu), size + 1)
-                volumes[key] = volumes.get(key, 0) + volume * n
+            for (a, b, e), n in _directions(cols).items():
+                g = gcd(g0, b * qw - e * qv, e * qu - a * qw, a * qv - b * qu) if gated else g0
+                ones[g] += volume * n
                 if pad:
                     # every pair is a basis, nu = (0, 0, det) at the full gate
                     bases += n * sum(k * abs(x * b - y * a) for x, y, _, k in seen)
                 else:
-                    bases += n * sum(k * abs(x * a + y * b + z * e) for x, y, z, k in pairs)
+                    if pairs:
+                        bases += n * sum(abs(x * a + y * b + z * e) for x, y, z in pairs)
                     for x, y, z, k in seen:
-                        nu = (y * e - z * b, z * a - x * e, x * b - y * a)
-                        h = gcd(*nu)
-                        key = (c // gcd(g0, (nu[0] * qu + nu[1] * qv + nu[2] * qw) // h), size + 2)
-                        volumes[key] = volumes.get(key, 0) + volume * k * n * h
-                        pairs.append((*nu, k * n))
+                        u, v, w = y * e - z * b, z * a - x * e, x * b - y * a
+                        h = gcd(u, v, w)
+                        k *= n
+                        g = gcd(g0, (u * qu + v * qv + w * qw) // h) if gated else g0
+                        twos[g] += volume * k * h
+                        pairs.append((k * u, k * v, k * w))
                 seen.append((a, b, e, n))
-            volumes[full] = volumes.get(full, 0) + volume * bases
+            sums[r][g0] += volume * bases
         else:
+            if len(rows) > 4:
+                merged = (tuple([n * e for e in p]) for p, n in _directions(cols).items())
+                rows = tuple(zip(cols[0], *merged, q))
             for j in range(1, len(rows[0]) - 1):
                 step = kernel_step(rows, j)
                 if step is not None:
                     factor, extended = step
-                    walk(extended, volume * factor)
+                    walk(extended, volume * factor, gated)
 
     root = tuple((0, *row[:m], row[m] % c) for row in rows[:r]) + ((0,) * (m + 2),) * pad
-    walk(root, 1)
+    walk(root, 1, True)
     coeffs = [[0] * (d + 1) for _ in range(c)]
-    for (period, size), volume in volumes.items():
-        # D divides c, so the class r (t = c when r = 0) is gated in when D | r.
-        for r in range(0, c, period):
-            coeffs[r][size] += volume
+    for size, gates in enumerate(sums):
+        for g, volume in gates.items():
+            # the flat meets the lattice when c // g divides t: r = 0 is t = c
+            for residue in range(0, c, c // g):
+                coeffs[residue][size] += volume
     return QuasiPolynomial.from_residue_polys(coeffs)
 
 

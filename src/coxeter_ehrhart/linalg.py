@@ -127,23 +127,31 @@ def echelon(rows: List[Sequence[int]], width: int) -> int:
     independent on the first ``width`` columns and the others vanish there;
     returns ``rank``.  Entries past ``width`` are carried, not eliminated.
     A reduced row is a new list put in place of the old one in ``rows``; the
-    row objects passed in are never changed."""
+    row objects passed in are never changed.
+
+    Column by column, the rows not yet fixed are split once into live rows,
+    nonzero on the column, and dead ones.  Each round reduces the live rows
+    by the one of least absolute entry, which stays live, and drops those
+    left 0; the last live row is the column's pivot, or none is."""
     fixed = 0
     for col in range(width):
-        while True:
-            nonzero = [i for i in range(fixed, len(rows)) if rows[i][col]]
-            if len(nonzero) <= 1:
-                if nonzero:
-                    i = nonzero[0]
-                    rows[fixed], rows[i] = rows[i], rows[fixed]
-                    fixed += 1
-                break
-            p = min(nonzero, key=lambda i: abs(rows[i][col]))
+        live = [i for i in range(fixed, len(rows)) if rows[i][col]]
+        while len(live) > 1:
+            p = min(live, key=lambda i: abs(rows[i][col]))
             pivot = rows[p]
-            for i in nonzero:
+            a = pivot[col]
+            kept = [p]
+            for i in live:
                 if i != p:
-                    q = rows[i][col] // pivot[col]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], pivot)]
+                    q = rows[i][col] // a
+                    row = rows[i] = [x - q * y for x, y in zip(rows[i], pivot)]
+                    if row[col]:
+                        kept.append(i)
+            live = kept
+        if live:
+            i = live[0]
+            rows[fixed], rows[i] = rows[i], rows[fixed]
+            fixed += 1
     return fixed
 
 

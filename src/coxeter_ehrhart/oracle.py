@@ -2,13 +2,13 @@
 
 Lattice points of a dilated zonotope are counted by scanning the free
 coordinates level by level, in integers over the shift denominator: the
-affine hull's integrality is echeloned into at most one congruence per
-level, so each level runs over one arithmetic progression between its
-facet inequalities.  The facet normals
-come from a depth-first walk over the generators that carries the exterior
-product of the subset so far and reads each hyperplane's normal as the
-Hodge dual of a (d-1)-fold product, so the facet search shares no row
-reduction with the formula routes.  Lattice points of a dilated
+affine hull's integrality is echeloned modulo that denominator into one
+congruence per level, so each level runs over one arithmetic progression
+between its facet inequalities.  The facet normals come from a
+depth-first walk over the generators that carries the exterior product of
+the subset so far and reads each hyperplane's normal as the Hodge dual of
+a (d-1)-fold product, so the facet search shares no row reduction with the
+formula routes.  Lattice points of a dilated
 permutahedron are counted by Weyl orbits, summing the orbit sizes of the
 dominant points that Rado's majorization test admits; and small labeled
 structures are counted by growing their item sets depth first, one item
@@ -162,12 +162,14 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     runs over the lattice points of its projection onto the first i+1 of
     them, bounded by that projection's :func:`_facets`.  Integrality of the
     dependent coordinates is a system of congruences modulo the common
-    denominator, echeloned once with the free columns taken from the last
-    back: each level carries at most one congruence, on its own coordinate,
-    and a congruence with no coefficient left decides the count by its
-    constant.  So each level runs over one arithmetic progression between
-    its facet bounds.  The outer levels step through it; the last free
-    coordinate, the widest, is the line, which adds its number of terms.
+    denominator, echeloned once together with the denominator times each
+    unit vector, the free columns taken from the last back: each level
+    carries one congruence, on its own coordinate, whose coefficient there
+    divides the denominator, and a congruence with no coefficient left
+    decides the count by its constant.  So each level runs over one
+    arithmetic progression between its facet bounds.  The outer levels step
+    through it; the last free coordinate, the widest, is the line, which
+    adds its number of terms.
     All arithmetic is exact ``int``: with c the shift denominator, t*shift
     is an integer vector over c, so the bounding box and the facet
     right-hand sides are floor divisions by c.  The tests check the count
@@ -208,12 +210,17 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
                 f"above the facet bound of {FACET_BOUND}"
             )
     # x_J is integral when "solved . (x_free, 1) == 0 (mod den)".  Unimodular
-    # row operations keep that system: echeloned with the columns taken from
-    # the line back, each row's last nonzero coefficient is on its own level,
-    # and a row with no coefficient left holds at every point or at none.
-    congruences = [row[-2::-1] + row[-1:] for row in solved] if den > 1 else []
-    ranked = echelon(congruences, len(free))
-    owned = {last - next(j for j, a in enumerate(row) if a): (row[-2::-1], -row[-1]) for row in congruences[:ranked]}
+    # row operations and multiples of den keep that system: echeloned with
+    # the rows den * e_j and the columns taken from the line back, row
+    # last - i has its last nonzero coefficient a_i on level i, a divisor of
+    # den, and a row past those has no coefficient left and holds at every
+    # point or at none.  Any multiple of row last - i that is free of level i
+    # lies in the span of the outer levels' rows and of den * e_i, so once
+    # the outer levels keep their congruences, a_i divides what is left of
+    # level i's, and level i steps by den / |a_i|.
+    units = [[den * (i == j) for j in free] + [0] for i in free]
+    congruences = [row[-2::-1] + row[-1:] for row in solved] + units
+    echelon(congruences, len(free))
 
     # Scan level i runs x_free[i] over one arithmetic progression.  Its rows
     # are inequalities "coeffs . x_free <= rhs" whose last nonzero coefficient
@@ -221,10 +228,10 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     # free[:i+1].  The projections are exact and bounded, so a row without
     # weight on free[i] never cuts and is dropped, and the others bound the
     # level from both sides.  Its congruence "coeffs . x_free == rhs (mod
-    # den)", all zero where no row owns the level, leaves x_free[i] one class
-    # modulo den / g.  One list of right-hand sides holds every level's rows,
-    # upper bounds first and the congruence last: each level reads its own
-    # and subtracts its coordinate from the rest.
+    # den)" leaves x_free[i] one class modulo den / |a_i|.  One list of
+    # right-hand sides holds every level's rows, upper bounds first and the
+    # congruence last: each level reads its own and subtracts its coordinate
+    # from the rest.
     rows, levels, reads = [], [], 0
     for i, shadow in enumerate(shadows):
         base = [target[j] for j in free[: i + 1]]
@@ -233,10 +240,9 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
         ups = [row for row in facets if row[0][i] > 0]
         downs = [row for row in facets if row[0][i] < 0]
         used = len(ups) + len(downs)
-        coeffs, rhs = owned.get(i, ([0] * len(free), 0))
-        g = gcd(coeffs[i], den)
-        n = den // g
-        levels.append([[h[i] for h, _ in ups], [-h[i] for h, _ in downs], used, g, pow(coeffs[i] // g, -1, n), n])
+        congruence = congruences[last - i]
+        coeffs, rhs = congruence[-2::-1], -congruence[-1]
+        levels.append([[h[i] for h, _ in ups], [-h[i] for h, _ in downs], used, coeffs[i], den // abs(coeffs[i])])
         rows += ups + downs + [(coeffs, rhs)]
         reads += used * prod(widths[j] for j in free[:i])
     if reads > SCAN_BOUND:
@@ -244,7 +250,7 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
             f"the box scan could read {_readable(reads, 'a {}-digit number of')} facet rows, "
             f"above the scan bound of {SCAN_BOUND}"
         )
-    if any(row[-1] % den for row in congruences[ranked:]):
+    if any(row[-1] % den for row in congruences[len(free) :]):
         return 0
     start = [rhs for _, rhs in rows]
     for i, level in enumerate(levels):
@@ -252,12 +258,10 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
         level.append([coeffs[i] for coeffs, _ in rows])
 
     def scan(level, values):
-        ups, downs, used, g, inverse, n, step = levels[level]
+        ups, downs, used, a, n, step = levels[level]
         hi = min([v // u for v, u in zip(values, ups)])
         lo = max([-(v // u) for v, u in zip(values[len(ups) :], downs)])
-        if values[used] % g:
-            return 0
-        progression = range(lo + (values[used] // g * inverse - lo) % n, hi + 1, n)
+        progression = range(lo + (values[used] // a - lo) % n, hi + 1, n)
         if level == last:
             return len(progression)
         values = values[used + 1 :]

@@ -125,6 +125,51 @@ def echelon_rank(vectors: Sequence[Sequence[int]], dim: int) -> int:
     return echelon.rank
 
 
+def hermite_form(rows: Sequence[Sequence[int]], width: int) -> List[Tuple[int, ...]]:
+    """Row Hermite normal form of the lattice the rows span: its nonzero
+    rows, pivots positive and the entries above each pivot reduced into
+    [0, pivot).  Two row sets span one lattice exactly when their forms
+    are equal.  Each column's rows are combined two at a time by the
+    extended Euclidean algorithm, with no pivot search by size, so this is
+    not ``linalg.echelon``."""
+    rows = [list(row) for row in rows]
+    form: List[List[int]] = []
+    for col in range(width):
+        pivot = None
+        for i, row in enumerate(rows):
+            if not row[col]:
+                continue
+            if pivot is None:
+                pivot = i
+                continue
+            a, b = rows[pivot][col], row[col]
+            g, x, y = _extended_gcd(a, b)
+            # [[x, y], [b/g, -a/g]] has determinant -1
+            rows[pivot], rows[i] = (
+                [x * p + y * q for p, q in zip(rows[pivot], row)],
+                [b // g * p - a // g * q for p, q in zip(rows[pivot], row)],
+            )
+        if pivot is not None:
+            top = rows.pop(pivot)
+            if top[col] < 0:
+                top = [-e for e in top]
+            for above in form:
+                k = above[col] // top[col]
+                above[:] = [p - k * q for p, q in zip(above, top)]
+            form.append(top)
+    return [tuple(row) for row in form]
+
+
+def _extended_gcd(a: int, b: int) -> Tuple[int, int, int]:
+    """``(g, x, y)`` with ``g = gcd(a, b) = x*a + y*b``."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - k * x1, y0 - k * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
 def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (Bareiss elimination)."""
     n = len(rows)

@@ -1,6 +1,7 @@
 """Tests for quasipolynomials, subset enumeration, and the census routes."""
 
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -503,6 +504,49 @@ def test_generic_walk_matches_subset_reference():
         assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope)
 
     check()
+
+
+def test_walk_merges_parallel_columns_and_stops_gating_below_a_full_gate():
+    # Nodes of more than four rows merge the columns parallel in their frame
+    # into one, of the summed content; below a node at the full gate g0 the
+    # walk computes no gates.  Rank 5 and 6 reach such nodes at the root and,
+    # for rank 6, one step below it.
+    e = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    cases = [
+        # at the node {e_1} the columns of e_2, e_1 + e_2 and e_1 + 2 e_2 are
+        # e_2, e_2 and 2 e_2: one column of content 4, where dropping any
+        # member's content gives 3 or 2; the shift e_1 / 2 makes that node's
+        # gate full, and the root's is not
+        ZonotopeSpec([*e, (1, 1, 0, 0, 0, 0), (1, 2, 0, 0, 0, 0)], ("1/2", 0, 0, 0, 0, 0)),
+        # rank 5, period 1: e_3, -2 e_3 and 3 e_3 merge at the root, content 6
+        ZonotopeSpec([v[:5] for v in e[:5]] + [(0, 0, -2, 0, 0), (0, 0, 3, 0, 0)], (0, 1, 0, -1, 0)),
+    ]
+    rng = random.Random(3434)
+    while len(cases) < 26:
+        r = rng.choice((5, 6))
+        d = rng.choice((r, 6))
+        gens = [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(r)]
+        if rank(gens, d) < r:
+            continue
+        while len(gens) < r + 3:
+            a, b = rng.choice(gens), rng.choice(gens)
+            # a multiple, a negation or a sum of generators already drawn
+            g = rng.choice((tuple(2 * x for x in a), tuple(-x for x in a), tuple(x + y for x, y in zip(a, b))))
+            if any(g):
+                gens.append(g)
+        if rng.random() < 0.5:
+            shift = [rng.randint(-2, 2) for _ in range(d)]
+        else:
+            # a rational point of the span of one or two generators, moved by
+            # an integer vector: the gate is full once they are in W
+            den = rng.choice((2, 3, 4))
+            shift = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+            for g in rng.sample(gens, rng.randint(1, 2)):
+                share = Fraction(rng.randint(1, den - 1), den)
+                shift = [s + share * x for s, x in zip(shift, g)]
+        cases.append(ZonotopeSpec(gens, shift, d))
+    for zonotope in cases:
+        assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope), zonotope
 
 
 def test_generic_walk_rank_two_stays_within_pairs():

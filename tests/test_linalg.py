@@ -12,6 +12,7 @@ import pytest
 from coxeter_ehrhart.ehrhart import ZonotopeFormatError, ZonotopeSpec, parse_zonotope_document
 from coxeter_ehrhart.linalg import (
     dot,
+    echelon,
     int_vector,
     integer_kernel_basis,
     kernel_step,
@@ -24,6 +25,7 @@ from helpers import (
     count_parallelepiped_points,
     determinant,
     echelon_rank,
+    hermite_form,
     relative_volume,
     zonotope_contains,
 )
@@ -236,6 +238,25 @@ def test_echelon_random_agrees_with_rank():
                 ech = nxt
                 added += 1
         assert added == rank(vecs, dim=d)
+
+
+def test_echelon_reduces_the_rows_it_is_given_on_its_width():
+    rng = random.Random(3401)
+    for _ in range(400):
+        cols = rng.randint(1, 6)
+        width = rng.randint(0, cols)
+        given = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(cols)] for _ in range(rng.randint(0, 6))]
+        copies = [list(row) for row in given]
+        rows = list(given)
+        r = echelon(rows, width)
+        # the rank of the first `width` columns, by the helper's own echelon
+        assert r == echelon_rank([row[:width] for row in given], width)
+        assert all(not any(row[:width]) for row in rows[r:])
+        # unimodular: the rows, carried columns and all, span the same lattice
+        assert hermite_form(rows, cols) == hermite_form(given, cols)
+        # reduced rows are new lists; the row objects passed in are unchanged
+        assert given == copies
+        assert len(rows) == len(given)
 
 
 def test_kernel_basis_orthogonal_and_saturated():

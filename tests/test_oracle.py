@@ -127,6 +127,23 @@ def test_count_agrees_with_membership_scan():
             assert count_points(spec, t) == ehrhart_almost_integral(spec).evaluate(t), (spec, t)
 
 
+def test_a_pivot_sharing_a_factor_with_den_steps_the_outer_level_it_constrains():
+    # rank 3 in Z^4 with shift denominator 4.  At t = 2 the one congruence
+    # mod den = 2 reads 2*x_3 - 7*x_2 - 6*x_0 + 9: its coefficient on the
+    # line x_3 shares the factor 2 with den, so it says only that x_2 is
+    # odd.  Echeloned with the rows den * e_j it becomes x_2 + 6*x_0 - 9 on
+    # level x_2, which then steps through odd values, and the line steps by
+    # den / 2 = 1.  At t = 1 a row is left with no coefficient and the
+    # constant 18, not 0 mod den = 4, so the count is 0.
+    spec = ZonotopeSpec(
+        [(1, -1, 0, 2), (0, -1, 0, -1), (-1, 1, 0, -2), (1, 2, -2, -2), (-1, 2, 0, -1), (-1, 2, 0, -1), (-1, 2, 0, -1)],
+        ("1/4", "1/4", "1/2", "1/2"),
+    )
+    formula = ehrhart_almost_integral(spec)
+    counts = [count_points(spec, t) for t in range(1, 5)]
+    assert counts == [formula.evaluate(t) for t in range(1, 5)] == [0, 144, 0, 1005]
+
+
 def test_count_matches_membership_and_formula_on_random_zonotopes():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
