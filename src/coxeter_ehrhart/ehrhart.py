@@ -9,13 +9,14 @@ matrix: a row per vector of a saturated integer basis of ``span(W)^perp``,
 its pairings with the untried generators and, last, with c times the shift,
 c the shift denominator.  Only the root reduces that column mod c: the gates
 read it only through gcds with a divisor of c.  A row reduction at the root
-leaves ``rank - |W|`` rows (zero rows pad a root of rank below 3 to three);
-each step runs the same reduction on one column, and at three rows cross
-products and 3x3 minors score the last three levels.  A node of more than
-four rows first merges the columns that are parallel in its frame into one,
-their primitive direction times their summed content, as deletion and
-contraction do for the arithmetic Tutte polynomial; below a node whose gate
-is already the full one, the walk computes no gates.
+leaves ``rank - |W|`` rows, and each step runs the same reduction on one
+column.  Before it steps, a node merges the columns that are parallel in
+its frame into one, their primitive direction times their summed content,
+as deletion and contraction do for the arithmetic Tutte polynomial.  At
+four rows the minors of the merged columns and the last column score the
+last four levels in closed form; a root of rank 3 or less (zero rows pad
+one of rank below 3) is scored so at three rows, by cross products.  Below
+a node whose gate is already the full one, the walk computes no gates.
 The census route is specific to the classical permutahedra: it counts the
 signed-graph forests of the positive roots straight into the coefficients,
 each forest weighted by the power of 2 its loops and unbalanced cycles give
@@ -46,9 +47,9 @@ class EnumerationLimitError(RuntimeError):
 # Ceiling for the independent-subset walk, checked against
 # sum_{k <= rank} C(m, k), which bounds the independent subsets of m
 # generators.  It admits the permutahedra up to A8, B6, C6 and D6, which
-# take 0.20-0.30 / 0.19-0.27 / 0.18-0.21 / 0.17-0.21 s with ``--route
-# generic`` (wall time with start-up, median of 3 in each of two sets of
-# runs, CPython 3.11 on a shared 2-core x86-64 Xeon host).
+# take 0.12 / 0.11 / 0.10-0.11 / 0.08-0.09 s with ``--route generic`` (wall
+# time with start-up, median of 3 in each of two sets of runs, CPython 3.11
+# on a shared 2-core x86-64 Xeon host).
 SUBSET_BOUND = 2_500_000
 # Ceiling for the forest census, on its partial merges (the entries of each
 # ``grown`` dict in ``_vertex_census``), which cost 1.4-2.1 us each in every
@@ -58,8 +59,9 @@ MERGE_BOUND = 1_000_000
 # Ceiling for the shift denominator c of the subset walk, which keeps one
 # coefficient list per residue class mod c; the period can be c itself, and
 # then every request prints c constituents.  At c = 50,000 a ``zonotope``
-# request takes 0.55 s and 56 MB in human and 0.8-0.95 s and 103 MB in JSON
-# format (CPython 3.11, x86-64 Xeon).
+# request takes 0.23-0.24 s and 57 MB in human, 0.33-0.34 s and 50 MB in
+# JSON and 0.62 s and 50 MB in CSV format (wall time with start-up and
+# peak RSS, three runs each, CPython 3.11 on a shared 2-core x86-64 Xeon).
 PERIOD_BOUND = 50_000
 # Numbers in refusal messages print in full up to this many digits; longer
 # ones print as their digit count.
@@ -244,28 +246,49 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     to a lattice vector), every subset below it is at the full gate
     ``c // g0``, and the walk stops computing gates there.
 
-    Before it steps, a node of more than four rows replaces the columns that
-    are parallel up to sign by one, their primitive direction p times n, the
-    sum of their contents (gcds).  That is exact: such generators are
-    dependent modulo ``span(W)``, so a subset below holds at most one of
-    them; a column's content scales every volume that uses it, since
-    ``vol(W + S)`` is ``vol(W)`` times the gcd of the maximal minors of the
-    columns of S; and the gates read only spans.  At four rows the merge
-    costs more than it saves on small inputs, and the leaf merges anyway.
+    Before it steps, a node replaces the columns that are parallel up to
+    sign by one, their primitive direction p times n, the sum of their
+    contents (gcds).  That is exact: such generators are dependent modulo
+    ``span(W)``, so a subset below holds at most one of them; a column's
+    content scales every volume that uses it, since ``vol(W + S)`` is
+    ``vol(W)`` times the gcd of the maximal minors of the columns of S; and
+    the gates read only spans.
 
-    At three rows (``|W| = rank - 3``; a root of rank below 3 gets zero
-    rows, q entry included, up to three, so it is that level) the walk steps
-    no further.  With q the node's last column, a column ``g * p``, g the gcd
-    and p primitive, leaves the saturated kernel ``p^perp = p x Z^3`` of Z^3,
-    so ``W + g_j`` scores ``vol(W) * g`` at the gate of ``p x q``.
-    Columns of one direction up to sign are merged by the same rule as
-    above, into one direction p with n the sum of their |g|.  Two directions
-    p_i, p_j leave the one row ``nu / h``, for ``nu = p_i x p_j`` and
-    h = gcd(nu), with q entry ``nu.q / h``; their pairs score
-    ``vol(W) * n_i * n_j * h`` at that gate, and ``n_i * n_j * nu`` is kept
-    for the triples.  Three directions score
-    ``vol(W) * n_i * n_j * n_k * |nu_ij . p_k|`` at the bases' gate, 0 when
-    they are coplanar.  At a padded root the padding rows are zero,
+    A node of four rows (``|W| = rank - 4``, so roots of rank 4 or more)
+    steps no further: minors of its merged directions p, of weight n, and of
+    its last column q score every subset below it.  In Z^4 the saturated
+    span of k independent vectors has the primitive k-vector ``w / h``, for
+    w their wedge product and h = gcd(w), and q pairs with a saturated basis
+    of its kernel to the gcd of the (k+1)x(k+1) minors ``(w ^ q) / h``.  So
+    a single p scores ``vol(W) * n`` at the gate of the 2x2 minors of
+    ``[p q]``.  A pair scores ``vol(W) * n_i * n_j * h``, for the six
+    Pluecker coordinates ``pi = p_i ^ p_j`` and h = gcd(pi), at the gate of
+    the four 3x3 minors ``(pi ^ q) / h``.  A triple, with ``nu = pi ^ p_k``
+    (four 3x3 minors) and h_3 = gcd(nu), scores
+    ``vol(W) * n_i * n_j * n_k * h_3`` at the gate of the 4x4 minor
+    ``(nu ^ q) / h_3``, and a basis ``vol(W) * n_i * n_j * n_k * n_l *
+    |nu ^ p_l|`` at the full gate, 0 when the four are dependent.  For each
+    p the later directions b are first grouped by their plane with p, the
+    primitive bivector ``(p ^ b) / h`` up to sign, each plane weighted by
+    its summed ``n_b * h``: h is b's content modulo p, and the directions of
+    one plane are parallel modulo p, so this is the merge above made in the
+    frame of ``W + p`` without stepping into it.  Two planes are never
+    parallel, so the triple of p and one member b, b' of each is
+    independent, with ``nu = (plane ^ b') / h'``, and a basis through three
+    planes scores ``|nu ^ b''| / h''``.
+
+    A root of rank 3 or less is scored in the same way at three rows, where
+    the wedges are cross products: a root of rank below 3 gets zero rows, q
+    entry included, up to three.  A column ``g * p``, g the gcd and p
+    primitive, leaves the saturated kernel ``p^perp = p x Z^3`` of Z^3, so
+    ``W + g_j`` scores ``vol(W) * g`` at the gate of ``p x q``.  Columns of
+    one direction up to sign are merged by the same rule as above, into one
+    direction p with n the sum of their |g|.  Two directions p_i, p_j leave
+    the one row ``nu / h``, for ``nu = p_i x p_j`` and h = gcd(nu), with q
+    entry ``nu.q / h``; their pairs score ``vol(W) * n_i * n_j * h`` at that
+    gate, and ``n_i * n_j * nu`` is kept for the triples.  Three directions
+    score ``vol(W) * n_i * n_j * n_k * |nu_ij . p_k|`` at the bases' gate, 0
+    when they are coplanar.  At a padded root the padding rows are zero,
     so every triple is coplanar and none is formed, and every pair is a
     basis, with ``nu = (0, 0, det)`` and q entry 0, summed at the full gate:
     the work stays within the C(m, 2) pairs that ``_check_subsets`` bounds.
@@ -287,6 +310,7 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     pad = top - r
     # per |W|, the summed vol(W) of each gate gcd(g0, q)
     sums: List[Dict[int, int]] = [defaultdict(int) for _ in range(top + 1)]
+    zero6 = (0,) * 6
 
     def walk(rows: Tuple, volume: int, gated: bool) -> None:
         size = top - len(rows)
@@ -294,7 +318,54 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
         g = gcd(g0, *q) if gated else g0
         gated = g != g0
         sums[size][g] += volume
-        if len(rows) == 3:
+        if len(rows) == 4:
+            q0, q1, q2, q3 = q
+            ones, twos, threes = sums[size + 1], sums[size + 2], sums[size + 3]
+            bases = 0
+            directions = list(_directions(cols).items())
+            for i, ((a0, a1, a2, a3), n) in enumerate(directions):
+                g = gcd(g0, a0 * q1 - a1 * q0, a0 * q2 - a2 * q0, a0 * q3 - a3 * q0,
+                        a1 * q2 - a2 * q1, a1 * q3 - a3 * q1, a2 * q3 - a3 * q2) if gated else g0
+                on = g != g0
+                ones[g] += volume * n
+                # plane with p, a primitive bivector up to sign -> [summed
+                # n_b * h, one member b, its h], h = b's content modulo p
+                planes = {}
+                for b, k in directions[i + 1 :]:
+                    b0, b1, b2, b3 = b
+                    pi = (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0,
+                          a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2)
+                    h = gcd(*pi)
+                    s = -h if pi < zero6 else h
+                    if s != 1:
+                        pi = (pi[0] // s, pi[1] // s, pi[2] // s, pi[3] // s, pi[4] // s, pi[5] // s)
+                    if pi in planes:
+                        planes[pi][0] += k * h
+                    else:
+                        planes[pi] = [k * h, b, h]
+                seen, triples = [], []
+                for (u01, u02, u03, u12, u13, u23), (nb, (b0, b1, b2, b3), h) in planes.items():
+                    k = n * nb
+                    g = gcd(g0, u01 * q2 - u02 * q1 + u12 * q0, u01 * q3 - u03 * q1 + u13 * q0,
+                            u02 * q3 - u03 * q2 + u23 * q0, u12 * q3 - u13 * q2 + u23 * q1) if on else g0
+                    twos[g] += volume * k
+                    if triples:
+                        bases += nb * sum([abs(x * b3 - y * b2 + z * b1 - w * b0) for x, y, z, w in triples]) // h
+                    for v01, v02, v03, v12, v13, v23, weight in seen:
+                        x = v01 * b2 - v02 * b1 + v12 * b0
+                        y = v01 * b3 - v03 * b1 + v13 * b0
+                        z = v02 * b3 - v03 * b2 + v23 * b0
+                        w = v12 * b3 - v13 * b2 + v23 * b1
+                        if h != 1:
+                            x, y, z, w = x // h, y // h, z // h, w // h
+                        h3 = gcd(x, y, z, w)
+                        weight *= k
+                        g = gcd(g0, (x * q3 - y * q2 + z * q1 - w * q0) // h3) if on else g0
+                        threes[g] += volume * weight * h3
+                        triples.append((weight * x, weight * y, weight * z, weight * w))
+                    seen.append((u01, u02, u03, u12, u13, u23, nb))
+            sums[r][g0] += volume * bases
+        elif len(rows) == 3:
             qu, qv, qw = q
             ones, twos = sums[size + 1], sums[size + 2]
             bases, seen, pairs = 0, [], []
@@ -317,9 +388,8 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
                 seen.append((a, b, e, n))
             sums[r][g0] += volume * bases
         else:
-            if len(rows) > 4:
-                merged = (tuple([n * e for e in p]) for p, n in _directions(cols).items())
-                rows = tuple(zip(cols[0], *merged, q))
+            merged = (tuple([n * e for e in p]) for p, n in _directions(cols).items())
+            rows = tuple(zip(cols[0], *merged, q))
             for j in range(1, len(rows[0]) - 1):
                 step = kernel_step(rows, j)
                 if step is not None:

@@ -445,8 +445,8 @@ def test_generic_walk_matches_subset_reference():
     @hypothesis.example(ZonotopeSpec.make([(1, 0), (2, 0), (0, 1)], ("1/2", "1/4")))
     # (0, 4, 2) is a column of gcd 2 at the three-row root: direction weight 2
     @hypothesis.example(ZonotopeSpec.make([(1, 0, 0), (0, 4, 2), (1, 2, 4)], ("1/3", "1/2", 0)))
-    # (2, 2, 1, 0) = 2 * (1, 0, 0, 0) + (0, 2, 1, 0): at the three-row node of
-    # either summand its column shares a direction with the other's
+    # (2, 2, 1, 0) = 2 * (1, 0, 0, 0) + (0, 2, 1, 0): at the four-row root,
+    # modulo either summand it lies in one plane with the other
     @hypothesis.example(
         ZonotopeSpec.make(
             [(1, 0, 0, 0), (0, 2, 1, 0), (2, 2, 1, 0), (0, 0, 1, 1), (1, 0, 0, 2)], ("1/2", "1/3", 0, "1/2")
@@ -475,8 +475,8 @@ def test_generic_walk_matches_subset_reference():
             [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, -1, 2), (2, 0, -2), (0, 3, 3)], ("1/2", "1/3", "1/6")
         )
     )
-    # rank 4: at the three-row node {(1, 0, 0, 0)} the columns of (0, 1, 0, 0)
-    # and (1, -2, 0, 0) are parallel, g = 1 and -2, one direction of weight 3
+    # rank 4: modulo (1, 0, 0, 0) the columns of (0, 1, 0, 0) and (1, -2, 0, 0)
+    # are parallel, of contents 1 and 2: one plane with it, of weight 3
     @hypothesis.example(
         ZonotopeSpec.make(
             [(1, 0, 0, 0), (0, 1, 0, 0), (1, -2, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 1, -1)],
@@ -500,6 +500,34 @@ def test_generic_walk_matches_subset_reference():
     # rank 1 in Z^2, c = 6: two zero rows pad the root; the columns 2, -1 and 3
     # of (2, 4), (-1, -2) and (3, 6) share one direction of weight 6
     @hypothesis.example(ZonotopeSpec.make([(2, 4), (-1, -2), (3, 6)], ("1/6", "1/3")))
+    # rank 4, so the root is the four-row level: modulo e_1 the later columns
+    # e_2, (1, 2, 0, 0) and (-1, 1, 0, 0) lie in one plane with e_1, of
+    # contents 1, 2 and 1, and are scored as one of weight 4
+    @hypothesis.example(
+        ZonotopeSpec.make(
+            [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 0, 0), (-1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 1), (1, 0, 1, -1)],
+            ("1/2", "1/3", 0, "1/2"),
+        )
+    )
+    # c = 6, q = (0, 1, 3, 0): the pair e_1, (1, 2, 0, 0) has h = 2 and minors
+    # with q (6, 0, 0, 0), so gate gcd(6, 6 / 2) = 3 (span(e_1, e_2) + t * shift
+    # meets the lattice at even t); without the division it would read 6
+    @hypothesis.example(ZonotopeSpec.make([(1, 0, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], (0, "1/6", "1/2", 0)))
+    # e_1, e_2, (1, 1, 0, 0) is a dependent triple, and e_1, e_2, e_3,
+    # (1, 1, 1, 0) a dependent quadruple whose triples are all independent
+    @hypothesis.example(
+        ZonotopeSpec.make(
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)], ("1/2", 0, "1/3", "1/2")
+        )
+    )
+    # rank 4 in Z^5: the vanishing row e_5 pairs with c * shift = 3 at c = 6,
+    # so g0 = 3 and every subset, the bases too, counts at even dilations only
+    @hypothesis.example(
+        ZonotopeSpec.make(
+            [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (1, 1, 0, 0, 0), (0, 1, 1, -1, 0), (2, 0, 1, 0, 0)],
+            ("1/3", 0, "1/2", 0, "1/2"),
+        )
+    )
     def check(zonotope):
         assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope)
 
@@ -547,6 +575,35 @@ def test_walk_merges_parallel_columns_and_stops_gating_below_a_full_gate():
         cases.append(ZonotopeSpec(gens, shift, d))
     for zonotope in cases:
         assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope), zonotope
+
+
+def test_walk_steps_only_above_four_rows(monkeypatch):
+    # A node of four rows scores every subset below it from minors, so the
+    # walk steps only from nodes of five rows or more.
+    rows_seen = []
+    step = ehrhart.kernel_step
+
+    def recording_step(rows, column):
+        rows_seen.append(len(rows))
+        return step(rows, column)
+
+    monkeypatch.setattr(ehrhart, "kernel_step", recording_step)
+    assert ehrhart_almost_integral(coxeter_zonotope("D", 5)) == ehrhart_coxeter("D", 5)
+    assert ehrhart_almost_integral(coxeter_zonotope("A", 6, "integral")) == ehrhart_coxeter("A", 6, "integral")
+    rng = random.Random(3535)
+    cases = 0
+    while cases < 8:
+        r = rng.choice((5, 6))
+        d = rng.choice((r, r + 1))
+        # in Z^(r + 1) the last row vanishes on every generator
+        gens = [tuple(rng.randint(-1, 1) for _ in range(r)) + (0,) * (d - r) for _ in range(r + 3)]
+        if not all(map(any, gens)) or rank(gens, d) < r:
+            continue
+        shift = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(d)]
+        zonotope = ZonotopeSpec(gens, shift, d)
+        assert ehrhart_almost_integral(zonotope) == reference_almost_integral(zonotope), zonotope
+        cases += 1
+    assert rows_seen and min(rows_seen) > 4, sorted(set(rows_seen))
 
 
 def test_generic_walk_rank_two_stays_within_pairs():

@@ -421,6 +421,54 @@ def test_cross_product_with_a_primitive_vector_gates_as_its_saturated_kernel():
     check()
 
 
+def test_minors_with_q_over_their_content_gate_as_the_saturated_kernel_in_z4():
+    """For k = 1, 2 or 3 independent vectors of Z^4 (a primitive vector, a
+    pair whose 2x2 minors have content h, a triple whose 3x3 minors have
+    content h_3), the (k+1)x(k+1) minors of the vectors beside q, divided by
+    that content, and the pairings of q with a saturated kernel basis of
+    their span have the same gcd with every modulus c."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def minors(columns):
+        return [
+            determinant([[v[i] for v in columns] for i in chosen])
+            for chosen in itertools.combinations(range(4), len(columns))
+        ]
+
+    vector = st.lists(st.integers(-4, 4), min_size=4, max_size=4).map(tuple)
+
+    @st.composite
+    def cases(draw):
+        k = draw(st.integers(1, 3))
+        vectors = draw(st.lists(vector, min_size=k, max_size=k).filter(lambda vs: any(minors(vs))))
+        if k == 1:
+            g = gcd(*vectors[0])
+            vectors = [tuple(x // g for x in vectors[0])]
+        q = draw(st.lists(st.integers(-30, 30), min_size=4, max_size=4).map(tuple))
+        return vectors, q, draw(st.integers(1, 12))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(cases())
+    # the pair e_1, (1, 2, 0, 0) has h = 2 and spans e_1, e_2: with q = (0, 1, 3, 0)
+    # the minors are (6, 0, 0, 0), so gcd(6, 6 / 2) = 3 is the gate of the
+    # pairing 3 with e_3; without the division the gate would read 6
+    @hypothesis.example(([(1, 0, 0, 0), (1, 2, 0, 0)], (0, 1, 3, 0), 6))
+    # the triple e_1, e_2, (0, 0, 3, 0) has h_3 = 3 and its kernel is e_4:
+    # det = 3 over 3 pairs to gate 1 with c = 6, not 3
+    @hypothesis.example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0)], (0, 0, 0, 1), 6))
+    # the primitive (2, 3, 0, 0) has no unit entry
+    @hypothesis.example(([(2, 3, 0, 0)], (1, 1, 0, 0), 4))
+    def check(case):
+        vectors, q, c = case
+        content = gcd(*minors(vectors))
+        with_q = [m // content for m in minors([*vectors, q])]
+        assert all(m % content == 0 for m in minors([*vectors, q]))
+        assert gcd(c, *with_q) == gcd(c, *(dot(f, q) for f in integer_kernel_basis(vectors)))
+
+    check()
+
+
 def test_kernel_basis_of_empty_input_spans_everything():
     basis = integer_kernel_basis([], dim=3)
     assert len(basis) == 3
