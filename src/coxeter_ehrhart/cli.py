@@ -34,7 +34,7 @@ from .ehrhart import (
     EnumerationLimitError,
     QuasiPolynomial,
     ZonotopeFormatError,
-    _readable,
+    coxeter_zonotope,
     ehrhart_almost_integral,
     ehrhart_coxeter,
     ehrhart_coxeter_generic,
@@ -52,9 +52,7 @@ from .roots import (
     FAMILIES,
     VARIANTS,
     is_integral,
-    positive_roots,
     rank_label,
-    root_count_and_rank,
     table_label,
 )
 
@@ -63,16 +61,11 @@ EXIT_MISMATCH = 1
 EXIT_LIMIT = 3
 
 
-# Ceilings on the two verbs whose output alone grows without limit, each
-# checked before any work (CPython 3.11, one core of an x86-64 Xeon, wall
-# time with start-up).  ``sequences`` refuses NMAX above SEQUENCE_BOUND:
-# at 2,000 the slowest kinds (pseudotree, signed_pseudotree) take 3.4-4.0 s
-# for 6.2-6.8 MB.  ``roots`` refuses when N times the root count, the
-# entries it prints, passes ROOT_ENTRY_BOUND: at about 500,000 entries (A100,
-# B79, D79) human output takes 0.3 s and 28 MB, JSON 0.35-0.5 s and 39-47 MB,
-# and CSV, which streams its rows, 0.9-1.3 s and 24 MB.
+# Ceiling on ``sequences``, whose output alone grows without limit, checked
+# before any work (CPython 3.11, one core of an x86-64 Xeon, wall time with
+# start-up): it refuses NMAX above SEQUENCE_BOUND.  At 2,000 the slowest
+# kinds (pseudotree, signed_pseudotree) take 3.4-4.0 s for 6.2-6.8 MB.
 SEQUENCE_BOUND = 2000
-ROOT_ENTRY_BOUND = 500_000
 
 
 class UsageError(ValueError):
@@ -435,20 +428,14 @@ def cmd_count(args) -> Tuple[Dict, bool]:
 
 
 def cmd_roots(args) -> Tuple[Dict, bool]:
-    entries = args.n * root_count_and_rank(args.family, args.n)[0]
-    if entries > ROOT_ENTRY_BOUND:
-        raise EnumerationLimitError(
-            f"the {args.family}{args.n} roots have {_readable(entries, 'a {}-digit number of')} "
-            f"entries, above the root entry bound of {ROOT_ENTRY_BOUND}"
-        )
-    rs = positive_roots(args.family, args.n)
+    roots, shift, _ = coxeter_zonotope(args.family, args.n)  # with the standard shift
     return {
         "request": _family_request("roots", args),
         "provenance": "root listing",
-        "rows": [{"vector": list(r)} for r in rs.roots],
+        "rows": [{"vector": list(r)} for r in roots],
         "notes": [
-            f"{len(rs.roots)} positive root" + ("" if len(rs.roots) == 1 else "s"),
-            "shift (" + ", ".join(str(s) for s in rs.shift) + ")",
+            f"{len(roots)} positive root" + ("" if len(roots) == 1 else "s"),
+            "shift (" + ", ".join(str(s) for s in shift) + ")",
             "integral" if is_integral(args.family, args.n) else "half-integral (period 2)",
         ],
     }, True

@@ -22,10 +22,9 @@ signed-graph forests of the positive roots straight into the coefficients,
 each forest weighted by the power of 2 its loops and unbalanced cycles give
 it.  It adds the vertices one at a time and counts the weighted independent
 subsets per multiset of component sizes and extras, so it never visits a
-subset on its own.  Each route has its own size guard: the walk refuses
-generator sets whose subset count could pass SUBSET_BOUND (a permutahedron
-before its roots are built), the census refuses once its partial merges pass
-MERGE_BOUND.  The walk also refuses shift denominators above PERIOD_BOUND.
+subset on its own.  Each route counts its own work as it runs and refuses
+once the count passes its bound: the walk WALK_BOUND, the census MERGE_BOUND.
+The walk also refuses shift denominators above PERIOD_BOUND.
 """
 
 from __future__ import annotations
@@ -44,13 +43,12 @@ class EnumerationLimitError(RuntimeError):
     """Raised when an exhaustive enumeration would be infeasibly large."""
 
 
-# Ceiling for the independent-subset walk, checked against sum_{k <= rank}
-# C(m, k) for the m directions of the generators up to sign, a bound on the
-# subsets the walk visits.  It admits the permutahedra up to A8, B6, C6 and
-# D6, which take 0.14-0.16 / 0.13-0.15 / 0.12-0.13 / 0.10-0.12 s with
-# ``--route generic``, 0.08 s of it start-up (wall time, median of 3 in each
-# of two sets of runs, CPython 3.11 on a shared 2-core x86-64 Xeon host).
-SUBSET_BOUND = 2_500_000
+# Ceiling for the independent-subset walk, on the work it counts as it runs
+# (see ``ehrhart_almost_integral``), at 0.26-0.30 us per unit in every family
+# (CPU time, CPython 3.11 on a shared 2-core x86-64 Xeon host).  It admits
+# the permutahedra up to A9, B7, C7 and D7, in 0.35-0.8 s, and refuses the
+# larger ones after about 1.5 s.
+WALK_BOUND = 5_000_000
 # Ceiling for the forest census, on its partial merges (the entries of each
 # ``grown`` dict in ``_vertex_census``), which cost 1.4-2.1 us each in every
 # family (CPython 3.11, one core of an x86-64 Xeon).  It admits the
@@ -63,6 +61,12 @@ MERGE_BOUND = 1_000_000
 # JSON and 0.62 s and 50 MB in CSV format (wall time with start-up and
 # peak RSS, three runs each, CPython 3.11 on a shared 2-core x86-64 Xeon).
 PERIOD_BOUND = 50_000
+# Ceiling on n times the root count, the entries of a permutahedron's roots,
+# checked before any root is built for ``roots`` and the generic route.  At
+# about 500,000 (A100, B79, D79) ``roots`` takes 0.3 s and 28 MB in human
+# output, 0.35-0.5 s and 39-47 MB in JSON, 0.9-1.3 s and 24 MB in CSV (wall
+# time with start-up, CPython 3.11, one core of an x86-64 Xeon).
+ROOT_ENTRY_BOUND = 500_000
 # Numbers in refusal messages print in full up to this many digits; longer
 # ones print as their digit count.
 SHOWN_DIGITS = 15
@@ -205,19 +209,6 @@ def _directions(columns) -> Dict[IntVector, int]:
     return lengths
 
 
-def _check_subsets(m: int, r: int, k: Optional[int] = None) -> None:
-    """Refuse m generators of rank r in k directions up to sign (m by
-    default) whose independent subsets, bounded by sum_{j <= r} C(k, j)
-    since the walk merges parallel generators, could pass SUBSET_BOUND."""
-    k = m if k is None else k
-    subsets = sum(comb(k, j) for j in range(r + 1))
-    if subsets > SUBSET_BOUND:
-        raise EnumerationLimitError(
-            f"{m} generators{f' in {k} directions' if k != m else ''} of rank {r} allow up to "
-            f"{_readable(subsets, 'a {}-digit number of')} independent subsets, above the subset bound of {SUBSET_BOUND}"
-        )
-
-
 def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     """Ehrhart quasipolynomial of a shifted integer zonotope.
 
@@ -293,8 +284,11 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     when they are coplanar.  At a padded root the padding rows are zero,
     so every triple is coplanar and none is formed, and every pair is a
     basis, with ``nu = (0, 0, det)`` and q entry 0, summed at the full gate:
-    the work stays within the pairs of directions that ``_check_subsets`` bounds.
-    A shift denominator above PERIOD_BOUND is refused before the walk.
+    the work stays within the pairs of directions.  Each node adds to one
+    count, before its loops, the pairs, triples and bases it can score or the
+    entries its ``kernel_step`` calls slice and 12 per step, and the walk is
+    refused once the count passes WALK_BOUND; a shift denominator above
+    PERIOD_BOUND is refused before the walk.
     """
     gens, d = zonotope.generators, zonotope.dim
     c = zonotope.shift_denominator
@@ -306,25 +300,38 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     m = len(gens)
     rows = [[g[i] for g in gens] + [s.numerator * (c // s.denominator)] for i, s in enumerate(zonotope.shift)]
     r = echelon(rows, m)
-    _check_subsets(m, r, len(_directions(gens)) if gens else 0)
     g0 = gcd(c, *(row[m] for row in rows[r:]))
     top = max(r, 3)
     pad = top - r
     # per |W|, the summed vol(W) of each gate gcd(g0, q)
     sums: List[Dict[int, int]] = [defaultdict(int) for _ in range(top + 1)]
     zero6 = (0,) * 6
+    work = 0
 
     def walk(rows: Tuple, volume: int, gated: bool) -> None:
+        nonlocal work
         size = top - len(rows)
         *cols, q = zip(*rows)
         g = gcd(g0, *q) if gated else g0
         gated = g != g0
         sums[size][g] += volume
+        directions = list(_directions(cols).items())
+        k = len(directions)
+        if len(rows) > 4:
+            # step j slices len(rows) * (k + 2 - j) entries, and costs about 12 more
+            work += len(rows) * k * (k + 3) // 2 + 12 * k
+        else:
+            # the pairs, triples (none at a padded root) and bases (at four rows) it can form
+            work += comb(k, 2) + (0 if pad else comb(k, 3)) + (comb(k, 4) if len(rows) == 4 else 0)
+        if work > WALK_BOUND:
+            raise EnumerationLimitError(
+                f"the subset walk over {m} generators of rank {r} passed {work} units of work, "
+                f"above the walk bound of {WALK_BOUND}"
+            )
         if len(rows) == 4:
             q0, q1, q2, q3 = q
             ones, twos, threes = sums[size + 1], sums[size + 2], sums[size + 3]
             bases = 0
-            directions = list(_directions(cols).items())
             for i, ((a0, a1, a2, a3), n) in enumerate(directions):
                 g = gcd(g0, a0 * q1 - a1 * q0, a0 * q2 - a2 * q0, a0 * q3 - a3 * q0,
                         a1 * q2 - a2 * q1, a1 * q3 - a3 * q1, a2 * q3 - a3 * q2) if gated else g0
@@ -371,7 +378,7 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
             qu, qv, qw = q
             ones, twos = sums[size + 1], sums[size + 2]
             bases, seen, pairs = 0, [], []
-            for (a, b, e), n in _directions(cols).items():
+            for (a, b, e), n in directions:
                 g = gcd(g0, b * qw - e * qv, e * qu - a * qw, a * qv - b * qu) if gated else g0
                 ones[g] += volume * n
                 if pad:
@@ -390,9 +397,9 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
                 seen.append((a, b, e, n))
             sums[r][g0] += volume * bases
         else:
-            merged = (tuple([n * e for e in p]) for p, n in _directions(cols).items())
+            merged = (tuple([n * e for e in p]) for p, n in directions)
             rows = tuple(zip(cols[0], *merged, q))
-            for j in range(1, len(rows[0]) - 1):
+            for j in range(1, k + 1):
                 step = kernel_step(rows, j)
                 if step is not None:
                     factor, extended = step
@@ -496,17 +503,20 @@ def ehrhart_coxeter(family: str, n: int, variant: str = "standard") -> QuasiPoly
 
 
 def ehrhart_coxeter_generic(family: str, n: int, variant: str = "standard") -> QuasiPolynomial:
-    """The independent-subset walk on the family's permutahedron on n
-    coordinates.  The subset bound is checked from the closed-form root
-    count and rank before any root is built."""
-    is_half_integral(family, n, variant)  # an unknown variant is refused first on every route
-    _check_subsets(*root_count_and_rank(family, n))
+    """The independent-subset walk on ``coxeter_zonotope(family, n, variant)``."""
     return ehrhart_almost_integral(coxeter_zonotope(family, n, variant))
 
 
 def coxeter_zonotope(family: str, n: int, variant: str = "standard") -> ZonotopeSpec:
-    """The permutahedron as a shifted zonotope (up to a lattice translation)."""
+    """The permutahedron as a shifted zonotope (up to a lattice translation),
+    refused before any root is built past ROOT_ENTRY_BOUND."""
     half_integral = is_half_integral(family, n, variant)
+    entries = n * root_count_and_rank(family, n)[0]
+    if entries > ROOT_ENTRY_BOUND:
+        raise EnumerationLimitError(
+            f"the {family}{n} roots have {_readable(entries, 'a {}-digit number of')} "
+            f"entries, above the root entry bound of {ROOT_ENTRY_BOUND}"
+        )
     rs = positive_roots(family, n)
     return ZonotopeSpec(rs.roots, rs.shift if half_integral else None, n)
 

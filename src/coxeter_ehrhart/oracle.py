@@ -32,15 +32,15 @@ from .roots import _positive, is_half_integral
 
 # Ceilings on the two phases of a count, each checked before its phase.
 # FACET_BOUND is on the generator subsets that one facet search tries,
-# C(m, i) at scan level i for the m nonzero projections onto its i+1 free
-# coordinates; its walk takes about 5-11 us per subset.  SCAN_BOUND is on
-# sum_i rows_i * prod_{j<i} width_j, where rows_i counts the facet rows of
-# level i and width_j the range of free coordinate j: level i has at most
-# prod_{j<i} width_j nodes, so this bounds the rows the scan reads, at about
-# 0.11-0.16 us each (CPython 3.11, one core of an x86-64 Xeon).  Both admit
-# the zonotope of every permutahedron with n <= 8, read from a file, at
-# every dilation whose bounding box holds at most 10^7 points; C6 at t = 1
-# comes nearest, at 376,992 subsets and 185,197,040 rows.
+# C(m, i) at scan level i for the m directions up to sign of the nonzero
+# projections onto its i+1 free coordinates, at about 5-11 us per subset.
+# SCAN_BOUND is on sum_i rows_i * prod_{j<i} width_j, where rows_i counts
+# the facet rows of level i and width_j the range of free coordinate j:
+# level i has at most prod_{j<i} width_j nodes, so this bounds the rows the
+# scan reads, at about 0.11-0.16 us each (CPython 3.11, one core of an
+# x86-64 Xeon).  Both admit the zonotope of every permutahedron with n <= 8,
+# read from a file, at every dilation whose bounding box holds at most 10^7
+# points; C6 at t = 1 comes nearest, at 376,992 subsets and 185,197,040 rows.
 FACET_BOUND = 400_000
 SCAN_BOUND = 200_000_000
 # Ceiling on the orbit sum's work, counted as it runs: one unit per value
@@ -61,10 +61,13 @@ def _facets(generators: Tuple[Tuple[int, ...], ...], d: int):
     The facet normals are the primitive normals h of the hyperplanes
     spanned by (d-1)-subsets of the generators, in both orientations, each
     with its positive generator sum ``sum_g max(<h, g>, 0)``: the facet is
-    ``<h, x - shift> <= sum_g max(<h, g>, 0)`` at any shift.
+    ``<h, x - shift> <= sum_g max(<h, g>, 0)`` at any shift.  The subsets
+    are of the generators' directions up to sign (:func:`_primitive`), which
+    span the same hyperplanes; the sums still run over every generator,
+    since merging g and -g into 2g would move a facet by g.
 
-    The subsets are grown depth first, one generator per level in index
-    order, carrying the exterior product of the generators so far: its
+    The subsets are grown depth first, one direction per level in order,
+    carrying the exterior product of the directions so far: its
     Plücker coordinates, one per k-subset of the d axes.  Wedging with g is
     linear in g, so each node writes that map once as a matrix (from
     :func:`_wedges`) and pays one row-by-g product per coordinate for each
@@ -79,7 +82,8 @@ def _facets(generators: Tuple[Tuple[int, ...], ...], d: int):
     """
     wedges = _wedges(d)
     last = len(wedges) - 1
-    m = len(generators)
+    directions = tuple(dict.fromkeys(map(_primitive, generators)))
+    m = len(directions)
     normals = {}
 
     def grow(start, product, k):
@@ -88,18 +92,15 @@ def _facets(generators: Tuple[Tuple[int, ...], ...], d: int):
         rows = [pick(signed) for pick in wedges[k]]
         if k < last:
             for i in range(start, m - last + k):
-                g = generators[i]
+                g = directions[i]
                 child = [sum(map(mul, row, g)) for row in rows]
                 if any(child):
                     grow(i + 1, child, k + 1)
             return
-        for g in generators[start:]:
+        for g in directions[start:]:
             h = [sum(map(mul, row, g)) for row in rows]
-            q = gcd(*h)
-            if q:
-                if next(e for e in h if e) < 0:
-                    q = -q
-                normals[tuple(e // q for e in h)] = None
+            if any(h):
+                normals[_primitive(h)] = None
 
     if d == 1:
         normals[(1,)] = None
@@ -111,6 +112,15 @@ def _facets(generators: Tuple[Tuple[int, ...], ...], d: int):
         up = sum(p for p in pairings if p > 0)
         facets += [(h, up), (tuple(-e for e in h), up - sum(pairings))]
     return tuple(facets)
+
+
+def _primitive(v) -> Tuple[int, ...]:
+    """The nonzero integer vector v over its gcd, up to sign: first nonzero
+    entry positive.  It names v's direction, or the hyperplane normal to v."""
+    q = gcd(*v)
+    if next(e for e in v if e) < 0:
+        q = -q
+    return tuple(e // q for e in v)
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +210,7 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     for i in range(len(free)):
         shadow = (tuple(g[j] for j in free[: i + 1]) for g in zonotope.generators)
         shadows.append(tuple(g for g in shadow if any(g)))
-        subsets = comb(len(shadows[i]), i)
+        subsets = comb(len(set(map(_primitive, shadows[i]))), i)
         if subsets > FACET_BOUND:
             raise EnumerationLimitError(
                 f"the facet search of scan level {i} would try "

@@ -234,7 +234,7 @@ def test_ehrhart_route_agreement_flag(capsys):
 
 
 def test_ehrhart_forest_verify_checks_the_generating_functions(capsys):
-    # A12 is past the subset bound of the independent-subset walk
+    # A12 is past the walk bound of the independent-subset walk
     for argv in (["ehrhart", "B", "3", "--verify"], ["ehrhart", "A", "12", "--verify"]):
         code, out = run(capsys, argv)
         assert code == 0
@@ -294,9 +294,11 @@ def test_census_limit_exit_code(capsys):
 def test_size_guards_exit_code(tmp_path, capsys):
     path = tmp_path / "z.json"
     path.write_text(json.dumps({"generators": [[1, 0], [0, 1]], "shift": [f"1/{PERIOD_BOUND + 1}", 0]}))
-    # 25 unit vectors of Z^8: the box scan's last level would try C(25, 7) subsets
+    # 25 directions of Z^8: the box scan's last level would try C(25, 7) subsets
     units = tmp_path / "units.json"
-    units.write_text(json.dumps({"generators": [[int(i == j % 8) for i in range(8)] for j in range(25)]}))
+    units.write_text(
+        json.dumps({"generators": [[int(i == j % 8) + j // 8 * int(i == (j + 1) % 8) for i in range(8)] for j in range(25)]})
+    )
     for argv, message in (
         (["ehrhart", "A", str(COORDINATE_BOUND + 1), "--route", "egf"], "coordinate bound"),
         (["ehrhart", "B", str(PARITY_BOUND + 1), "--route", "egf"], "parity bound"),
@@ -304,7 +306,7 @@ def test_size_guards_exit_code(tmp_path, capsys):
         (["roots", "A", "101"], "the A101 roots have 510050 entries, above the root entry bound"),
         (["zonotope", str(path)], "period bound"),
         (["zonotope", str(units), "--t", "1", "--verify"], "480700 generator subsets, above the facet bound"),
-        (["ehrhart", "A", "200", "--route", "generic"], "a 483-digit number of independent subsets"),
+        (["ehrhart", "A", "200", "--route", "generic"], "the A200 roots have 3980000 entries, above the root entry bound"),
     ):
         assert main(argv) == 3
         assert message in capsys.readouterr().err
@@ -313,7 +315,7 @@ def test_size_guards_exit_code(tmp_path, capsys):
 def test_output_guards_admit_their_bound_and_refuse_before_any_work(monkeypatch, capsys):
     # lowered bounds: B3 has 3 x 9 entries, A4 4 x 6 and D4 4 x 12
     monkeypatch.setattr(cli, "SEQUENCE_BOUND", 5)
-    monkeypatch.setattr(cli, "ROOT_ENTRY_BOUND", 27)
+    monkeypatch.setattr("coxeter_ehrhart.ehrhart.ROOT_ENTRY_BOUND", 27)
     assert main(["sequences", "tree", "5"]) == 0
     assert main(["roots", "B", "3"]) == 0
     assert main(["roots", "A", "4"]) == 0
@@ -323,7 +325,7 @@ def test_output_guards_admit_their_bound_and_refuse_before_any_work(monkeypatch,
         raise AssertionError("a refused request did some work")
 
     monkeypatch.setattr(cli, "component_counts", no_work)
-    monkeypatch.setattr(cli, "positive_roots", no_work)
+    monkeypatch.setattr("coxeter_ehrhart.ehrhart.positive_roots", no_work)
     for argv, message in (
         (["sequences", "tree", "6"], "sequences up to n = 6 are above the sequence bound of 5"),
         (["roots", "B", "4"], "the B4 roots have 64 entries, above the root entry bound of 27"),

@@ -607,12 +607,15 @@ def test_walk_steps_only_above_four_rows(monkeypatch):
     assert rows_seen and min(rows_seen) > 4, sorted(set(rows_seen))
 
 
-def test_generic_walk_rank_two_stays_within_pairs():
-    # 2,235 directions (1, k) in Z^2 are just admitted by the subset bound.
-    # The padded root sums their C(2235, 2) pairs as bases and forms none of
-    # the C(2235, 3) ~ 1.9e9 coplanar triples.
+def test_generic_walk_rank_two_stays_within_pairs(monkeypatch):
+    # 2,235 directions (1, k) in Z^2: the padded root is charged its
+    # C(2235, 2) pairs, which it sums as bases, and forms none of the
+    # C(2235, 3) ~ 1.9e9 coplanar triples.  A bound one lower refuses it
+    # before any pair.
     n = 2235
-    assert sum(comb(n, k) for k in range(3)) <= ehrhart.SUBSET_BOUND
+    pairs = comb(n, 2)
+    assert pairs <= ehrhart.WALK_BOUND
+    monkeypatch.setattr(ehrhart, "WALK_BOUND", pairs)
     zonotope = ZonotopeSpec.make([(1, k) for k in range(n)], (0, 0))
     start = time.process_time()
     qp = ehrhart_almost_integral(zonotope)
@@ -620,6 +623,9 @@ def test_generic_walk_rank_two_stays_within_pairs():
     # the pair (1, i), (1, j) has det j - i, and sum_{i < j} (j - i) = C(n + 1, 3)
     assert qp == QuasiPolynomial.from_residue_polys([[1, n, comb(n + 1, 3)]])
     assert elapsed < 5, elapsed
+    monkeypatch.setattr(ehrhart, "WALK_BOUND", pairs - 1)
+    with pytest.raises(EnumerationLimitError, match=f" passed {pairs} units of work, "):
+        ehrhart_almost_integral(zonotope)
 
 
 def test_period_matches_integrality():
@@ -776,33 +782,42 @@ def test_load_zonotope_file(tmp_path):
     assert qp.constituents == ((1, 2, 2), (0, 2, 2))
 
 
-def test_generator_count_guard():
-    # the bound counts subsets up to the rank: 28 unit vectors allow 2^28
+def test_generator_count_guard(monkeypatch):
+    # 28 unit vectors allow 2^28 independent subsets and merge nowhere; a
+    # lowered bound refuses them as the real one does, only sooner
+    monkeypatch.setattr(ehrhart, "WALK_BOUND", 100_000)
     units = [tuple(int(i == j) for j in range(28)) for i in range(28)]
-    with pytest.raises(EnumerationLimitError):
+    with pytest.raises(EnumerationLimitError, match="above the walk bound of 100000$"):
         ehrhart_almost_integral(ZonotopeSpec.make(units))
     # while 29 parallel copies allow only the empty set and 29 singletons
     assert ehrhart_almost_integral(ZonotopeSpec.make([(1, 0)] * 29)).constituents == ((1, 29),)
 
 
-def test_subset_bound_counts_the_directions_the_walk_visits():
-    # the raw counts, sum_{k <= r} C(m, k), pass the bound; the walk merges
-    # parallel generators first, and the sum of each direction's copies is
+def test_subset_bound_counts_the_directions_the_walk_visits(monkeypatch):
+    # the walk merges parallel generators at its root and is charged for
+    # the directions: one pair at the padded root of the plane, three pairs
+    # and a triple in space, not the C(2400, 2) or C(1200, 3) pairs and
+    # triples of the raw generators; the sum of each direction's copies is
     # one generator of the same Minkowski sum
+    monkeypatch.setattr(ehrhart, "WALK_BOUND", 4)
     plane = ZonotopeSpec([(1, 0)] * 1200 + [(0, 1)] * 1200)
     space = ZonotopeSpec([(1, 0, 0)] * 400 + [(0, 1, 0)] * 400 + [(1, 1, 1)] * 400, (Fraction(1, 2), 0, 0))
     for spec in (plane, space):
-        assert sum(comb(len(spec.generators), k) for k in range(spec.dim + 1)) > ehrhart.SUBSET_BOUND
         copies = {g: spec.generators.count(g) for g in spec.generators}
         summed = ZonotopeSpec([tuple(n * e for e in g) for g, n in copies.items()], spec.shift)
         assert ehrhart_almost_integral(spec) == ehrhart_almost_integral(summed)
     qp = ehrhart_almost_integral(plane)
     assert qp == QuasiPolynomial.from_residue_polys([[1, 2400, 1_440_000]])
     assert [count_points(plane, t) for t in (1, 2)] == [qp.evaluate(1), qp.evaluate(2)] == [1_442_401, 5_764_801]
-    # a refusal names both counts once they differ
+    # a refusal names the generators, their rank and the walk's count: the
+    # root steps through 28 directions on 28 rows, 28 * 28 * 31 / 2 entries
+    # and 12 per step
     units = [tuple(int(i == j) for j in range(28)) for i in range(28)]
-    with pytest.raises(EnumerationLimitError, match="^29 generators in 28 directions of rank 28 allow up to 268435456 "):
+    with pytest.raises(EnumerationLimitError) as err:
         ehrhart_almost_integral(ZonotopeSpec(units + units[:1]))
+    assert str(err.value) == (
+        "the subset walk over 29 generators of rank 28 passed 12488 units of work, above the walk bound of 4"
+    )
 
 
 def test_period_and_coordinate_guards_admit_their_bound(monkeypatch):
@@ -863,30 +878,52 @@ def test_quasipolynomial_is_an_immutable_value():
             QuasiPolynomial(period, constituents)
 
 
-# The largest permutahedron of each family under the subset bound.
-_SUBSET_REACH = {"A": 8, "B": 6, "C": 6, "D": 6}
+# The largest permutahedron of each family under a walk bound lowered to
+# 100,000 units.
+_LOWERED_REACH = {"A": 7, "B": 5, "C": 5, "D": 6}
 
 
-@pytest.mark.parametrize("family", sorted(_SUBSET_REACH))
+@pytest.mark.parametrize("family", sorted(_LOWERED_REACH))
 def test_generic_route_guard_reads_the_walks_own_verdict(family, monkeypatch):
-    reach = _SUBSET_REACH[family]
+    # the generic route has no verdict of its own: it admits what the walk
+    # admits and refuses with the walk's message
+    monkeypatch.setattr(ehrhart, "WALK_BOUND", 100_000)
+    reach = _LOWERED_REACH[family]
     for n in range(1, reach + 2):
-        # the walk's verdict comes from the generators it is given and their
-        # rank; the early one from the closed form
+        # the root entry bound reads the closed-form root count
         gens = coxeter_zonotope(family, n).generators
         assert root_count_and_rank(family, n) == (len(gens), n - len(integer_kernel_basis(gens, n)))
-        try:
-            ehrhart._check_subsets(*root_count_and_rank(family, n))
-        except EnumerationLimitError:
-            assert n == reach + 1
-        else:
-            assert n <= reach
-    with pytest.raises(EnumerationLimitError, match="subset bound") as walk:
+    for n in range(1, reach + 1):
+        assert ehrhart_coxeter_generic(family, n) == ehrhart_coxeter(family, n)
+    with pytest.raises(EnumerationLimitError, match="above the walk bound of 100000$") as walk:
         ehrhart_almost_integral(coxeter_zonotope(family, reach + 1))
-    monkeypatch.setattr(ehrhart, "positive_roots", None)
-    with pytest.raises(EnumerationLimitError) as early:
+    with pytest.raises(EnumerationLimitError) as route:
         ehrhart_coxeter_generic(family, reach + 1)
-    assert str(early.value) == str(walk.value)
+    assert str(route.value) == str(walk.value)
+
+
+def test_walk_bound_admits_a9_and_d7_and_refuses_a10():
+    for family, n in (("A", 9), ("D", 7)):
+        assert ehrhart_coxeter_generic(family, n) == ehrhart_coxeter(family, n)
+    with pytest.raises(EnumerationLimitError) as err:
+        ehrhart_coxeter_generic("A", 10)
+    message = str(err.value)
+    work = int(message.split(" passed ")[1].split()[0])
+    assert work > ehrhart.WALK_BOUND
+    assert message == (
+        f"the subset walk over 45 generators of rank 9 passed {work} units of work, "
+        f"above the walk bound of {ehrhart.WALK_BOUND}"
+    )
+
+
+def test_generic_route_refuses_a200_before_any_root_is_built(monkeypatch):
+    def no_roots(*args):
+        raise AssertionError("a root was built")
+
+    monkeypatch.setattr(ehrhart, "positive_roots", no_roots)
+    with pytest.raises(EnumerationLimitError) as err:
+        ehrhart_coxeter_generic("A", 200)
+    assert str(err.value) == "the A200 roots have 3980000 entries, above the root entry bound of 500000"
 
 
 def test_refusals_give_long_numbers_as_digit_counts():

@@ -117,6 +117,9 @@ def test_count_agrees_with_membership_scan():
         # a congruence left with no coefficient fails at odd t, so the
         # count is 0 there; without that check it is 3 at t = 1
         ZonotopeSpec.make([(2, 4, 6, 2)], shift=(0, "1/2", 0, 0)),
+        # copies of g and -g: one direction for the facet search, but each
+        # copy moves the facets by its own length
+        ZonotopeSpec.make([(1, 1, 0), (-1, -1, 0), (1, 1, 0), (0, 1, 2), (0, -2, -4), (1, 0, 1)], shift=("1/2", 0, "1/3")),
     ]
     for spec in specs:
         for t in (1, 2, 3):
@@ -298,9 +301,10 @@ def test_facet_search_runs_no_row_reduction(monkeypatch):
 
 
 def test_facet_search_stops_at_a_dependent_prefix(monkeypatch):
-    # The same generators in two orders.  With -g right after g, the branch
-    # through both is dependent and stops before its leaves; with -g last,
-    # that pair is never a branch.  Everything else is the same work.
+    # The same generators in two orders, in Z^5.  With a + b right after a
+    # and b, the branch through all three is dependent and stops before its
+    # leaves; with a + b last, that triple is never a branch.  Everything
+    # else is the same work.  (g and -g are one direction, never a branch.)
     products = []
 
     def counted(a, b):
@@ -308,11 +312,12 @@ def test_facet_search_stops_at_a_dependent_prefix(monkeypatch):
         return a * b
 
     monkeypatch.setattr(oracle, "mul", counted)
-    g, rest = (1, 1, 0, 0), [(0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 1, 1), (0, 1, -1, 2)]
+    a, b, ab = (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 1, 0, 0, 0)
+    rest = [(0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 0, 0, 1), (1, 0, 1, 1, 1), (0, 1, -1, 2, 1)]
     work, found = [], []
-    for gens in ([g, (-1, -1, 0, 0)] + rest, [g] + rest + [(-1, -1, 0, 0)]):
+    for gens in ([a, b, ab] + rest, [a, b] + rest + [ab]):
         products.clear()
-        found.append(set(_facets.__wrapped__(tuple(gens), 4)))
+        found.append(set(_facets.__wrapped__(tuple(gens), 5)))
         work.append(len(products))
     assert found[0] == found[1]
     assert work[0] < work[1]
@@ -342,6 +347,14 @@ def test_count_matches_formula_under_large_integer_moves_of_the_shift():
         assert count_points(spec, t) == ehrhart_almost_integral(spec).evaluate(t)
 
     check()
+
+
+def test_facet_bound_counts_the_directions_of_each_level():
+    # 1,200 generators in three directions: C(1200, 2) raw pairs at the last
+    # level, above the facet bound, but only C(3, 2) pairs of directions
+    spec = ZonotopeSpec([(1, 0, 0)] * 400 + [(0, 1, 0)] * 400 + [(1, 1, 1)] * 400, (Fraction(1, 2), 0, 0))
+    assert math.comb(len(spec.generators), 2) > oracle.FACET_BOUND
+    assert count_points(spec, 1) == ehrhart_almost_integral(spec).evaluate(1)
 
 
 def test_facet_bound_refuses_before_any_facet_search(monkeypatch):
