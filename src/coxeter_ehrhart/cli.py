@@ -442,10 +442,8 @@ def cmd_roots(args) -> Tuple[Dict, bool]:
 
 
 def _positive_int(value: str) -> int:
-    try:  # the integer spellings of a zonotope file: a sign and ASCII digits
-        n = int(value) if "/" not in value and _RATIONAL_TEXT.fullmatch(value) else 0
-    except ValueError:
-        n = 0
+    # a sign and ASCII digits, as in a zonotope file; main has lifted the int-digit limit
+    n = int(value) if "/" not in value and _RATIONAL_TEXT.fullmatch(value) else 0
     if n < 1:
         raise ValueError("must be a positive integer")
     return n
@@ -518,13 +516,13 @@ VERBS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # print every digit: large counts pass the int-to-str digit limit that
-    # Python 3.10.7 and later apply by default (4300 digits)
-    set_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_digits is not None:
-        set_digits(0)
-    args = parse(sys.argv[1:] if argv is None else argv, VERBS, ABOUT)
+    # print every digit past the int-to-str limit of Python 3.10.7 and later
+    # (4300 digits by default); the caller's limit is back once main ends
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = parse(sys.argv[1:] if argv is None else argv, VERBS, ABOUT)
         doc, ok = args.handler(args)
     except (UsageError, ZonotopeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -532,8 +530,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EnumerationLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    emit(doc, args.format)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    else:
+        emit(doc, args.format)
+        return EXIT_OK if ok else EXIT_MISMATCH
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -30,12 +30,12 @@ The walk also refuses shift denominators above PERIOD_BOUND.
 from __future__ import annotations
 
 import json
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 from math import comb, gcd, lcm, log10
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import IntVector, RatVector, echelon, int_vector, kernel_step, rat_vector
+from .linalg import IntVector, RatVector, echelon, int_vector, rat_vector
 from .roots import _positive, is_half_integral, positive_roots, root_count_and_rank
 
 
@@ -198,7 +198,7 @@ def _directions(columns) -> Dict[IntVector, int]:
     direction up to sign, first nonzero entry positive, each with the summed
     content (gcd) of its columns."""
     lengths: Dict[IntVector, int] = {}
-    zero = (0,) * len(columns[0])
+    zero = (0,) * len(columns[0]) if columns else ()
     for col in columns:
         g = gcd(*col)
         if g:
@@ -228,16 +228,15 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     flat ``t*shift + span(W)`` meets Z^d exactly when ``D | t``, for
     ``D = c // gcd(g0, q)`` (``c // g0`` for the bases), so volumes are
     summed per ``|W|`` and gate ``gcd(g0, q)`` and spread over the residue
-    classes once at the end.  ``linalg.kernel_step`` runs the same
-    ``echelon`` on the column of one generator to extend the matrix by it,
-    or reports it dependent.  The child keeps that column, all 0, as its
-    first, so the root gets one leading zero column and the walk steps from
-    the second.  Only the root reduces q mod c: every gate is ``gcd(g0, .)``
-    of an integer linear form in q, and g0 divides c, so multiples of c
-    change no gate.  For the same reason, once g0 divides every q_i of a
-    node (from the root when c = 1, and wherever span(W) holds the shift up
-    to a lattice vector), every subset below it is at the full gate
-    ``c // g0``, and the walk stops computing gates there.
+    classes once at the end.  A node steps into each merged column, none 0,
+    by ``echelon`` on its rows cut to start there, width 1: the volume grows
+    by the pivot up to sign, and the other rows pair a saturated kernel of
+    the larger subset.  Only the root reduces q mod c: every gate is
+    ``gcd(g0, .)`` of an integer linear form in q, and g0 divides c, so
+    multiples of c change no gate.  For the same reason, once g0 divides
+    every q_i of a node (from the root when c = 1, and wherever span(W)
+    holds the shift up to a lattice vector), every subset below it is at
+    the full gate ``c // g0``, and the walk stops computing gates there.
 
     Before it steps, a node replaces the columns that are parallel up to
     sign by one, their primitive direction p times n, the sum of their
@@ -286,9 +285,9 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     basis, with ``nu = (0, 0, det)`` and q entry 0, summed at the full gate:
     the work stays within the pairs of directions.  Each node adds to one
     count, before its loops, the pairs, triples and bases it can score or the
-    entries its ``kernel_step`` calls slice and 12 per step, and the walk is
-    refused once the count passes WALK_BOUND; a shift denominator above
-    PERIOD_BOUND is refused before the walk.
+    entries its steps slice and 12 per step, and the walk is refused once
+    the count passes WALK_BOUND; a shift denominator above PERIOD_BOUND is
+    refused before the walk.
     """
     gens, d = zonotope.generators, zonotope.dim
     c = zonotope.shift_denominator
@@ -308,7 +307,7 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     zero6 = (0,) * 6
     work = 0
 
-    def walk(rows: Tuple, volume: int, gated: bool) -> None:
+    def walk(rows: Sequence, volume: int, gated: bool) -> None:
         nonlocal work
         size = top - len(rows)
         *cols, q = zip(*rows)
@@ -318,7 +317,7 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
         directions = list(_directions(cols).items())
         k = len(directions)
         if len(rows) > 4:
-            # step j slices len(rows) * (k + 2 - j) entries, and costs about 12 more
+            # step j slices len(rows) * (k + 1 - j) entries, and costs about 12 more
             work += len(rows) * k * (k + 3) // 2 + 12 * k
         else:
             # the pairs, triples (none at a padded root) and bases (at four rows) it can form
@@ -398,14 +397,13 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
             sums[r][g0] += volume * bases
         else:
             merged = (tuple([n * e for e in p]) for p, n in directions)
-            rows = tuple(zip(cols[0], *merged, q))
-            for j in range(1, k + 1):
-                step = kernel_step(rows, j)
-                if step is not None:
-                    factor, extended = step
-                    walk(extended, volume * factor, gated)
+            rows = tuple(zip(*merged, q))
+            for j in range(k):
+                tails = [row[j:] for row in rows]
+                echelon(tails, 1)
+                walk(tails[1:], volume * abs(tails[0][0]), gated)
 
-    root = tuple((0, *row[:m], row[m] % c) for row in rows[:r]) + ((0,) * (m + 2),) * pad
+    root = tuple((*row[:m], row[m] % c) for row in rows[:r]) + ((0,) * (m + 1),) * pad
     walk(root, 1, True)
     coeffs = [[0] * (d + 1) for _ in range(c)]
     for size, gates in enumerate(sums):
@@ -536,8 +534,16 @@ def parse_zonotope_document(text: str) -> ZonotopeSpec:
     entries are checked by ``ZonotopeSpec``, whose ``ValueError`` becomes
     a ZonotopeFormatError, as does a JSON integer past the int-digit limit.
     """
+    def fields(pairs) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            repeated = [name for name, count in Counter(name for name, _ in pairs).items() if count > 1]
+            raise ZonotopeFormatError(f"repeated fields: {', '.join(repeated)}")
+        return doc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=fields)
+    except ZonotopeFormatError:
+        raise
     except json.JSONDecodeError as exc:
         raise ZonotopeFormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:

@@ -154,24 +154,3 @@ def echelon(rows: List[Sequence[int]], width: int) -> int:
             fixed += 1
     return fixed
 
-
-def kernel_step(rows: Sequence[Sequence[int]], column: int) -> Optional[Tuple[int, Tuple[Sequence[int], ...]]]:
-    """Extend a subset W by the generator g behind ``column`` of the pairing rows.
-
-    ``rows[i]`` holds the pairings ``<f_i, g_j>`` of a saturated integer
-    basis f_1..f_k of ``span(W)^perp`` with the generators still to try, one
-    column per generator, and may carry more columns after them (the walk
-    in ``ehrhart`` carries the shift's pairings ``c*<f_i, shift>`` last).
-    ``echelon`` reduces the rows, cut to start at ``column``, on their first
-    column.  Rank 0 means that the column ``a_i = <f_i, g>`` is all 0, so g
-    lies in ``span(W)``, and the step returns None.  Otherwise it returns
-    ``(|pivot|, rows')``: pairing with a saturated kernel maps Z^d onto Z^k
-    with kernel ``Z^d ∩ span(W)``, so the relative volume grows by the
-    factor gcd(a), the pivot up to sign.  ``rows'``, the rows but the
-    pivot's, are the pairings of a saturated kernel of ``W + g``, from
-    ``column`` on: their first column is 0.  ``rows`` is left as it is.
-    """
-    tails = [row[column:] for row in rows]
-    if not echelon(tails, 1):
-        return None
-    return abs(tails[0][0]), tuple(tails[1:])

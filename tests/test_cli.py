@@ -499,7 +499,40 @@ def test_sequences_print_counts_past_the_digit_limit(capsys):
     # 1500**1498 has 4,758 digits, past the 4,300 that Python converts by default
     code, out = run(capsys, ["sequences", "tree", "1500", "--format", "json"])
     assert code == 0
-    assert json.loads(out)["rows"][-1]["egf"] == 1500**1498
+    # main gives the caller its digit limit back, so reading the answer here lifts it too
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out)["rows"][-1]["egf"] == 1500**1498
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_main_gives_the_int_digit_limit_back():
+    # main lifts the limit only while it parses and prints, on every way out
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["ehrhart", "B", "2"]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+        with pytest.raises(ValueError, match="limit"):
+            int("1" * 5000)
+        assert main(["ehrhart", "B", "20"]) == 3
+        assert sys.get_int_max_str_digits() == 4300
+        for argv in (["nonsense"], ["ehrhart", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert sys.get_int_max_str_digits() == 4300
+        # a caller that has lifted the limit keeps it lifted
+        sys.set_int_max_str_digits(0)
+        assert main(["ehrhart", "B", "2"]) == 0
+        assert sys.get_int_max_str_digits() == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_order_flag_is_rejected(capsys):

@@ -580,15 +580,16 @@ def test_walk_merges_parallel_columns_and_stops_gating_below_a_full_gate():
 
 def test_walk_steps_only_above_four_rows(monkeypatch):
     # A node of four rows scores every subset below it from minors, so the
-    # walk steps only from nodes of five rows or more.
+    # walk steps, by echelon on one column, only from nodes of five rows or more.
     rows_seen = []
-    step = ehrhart.kernel_step
+    reduce = ehrhart.echelon
 
-    def recording_step(rows, column):
-        rows_seen.append(len(rows))
-        return step(rows, column)
+    def recording_echelon(rows, width):
+        if width == 1:
+            rows_seen.append(len(rows))
+        return reduce(rows, width)
 
-    monkeypatch.setattr(ehrhart, "kernel_step", recording_step)
+    monkeypatch.setattr(ehrhart, "echelon", recording_echelon)
     assert ehrhart_almost_integral(coxeter_zonotope("D", 5)) == ehrhart_coxeter("D", 5)
     assert ehrhart_almost_integral(coxeter_zonotope("A", 6, "integral")) == ehrhart_coxeter("A", 6, "integral")
     rng = random.Random(3535)
@@ -672,6 +673,9 @@ def test_parse_zonotope_document_errors():
         "[1, 2]": "object",
         '{"shift": [1]}': "generators",
         '{"generators": [[1, 0]], "extra": 1}': "extra",
+        # the last copy of a repeated field would win: an unshifted zonotope, or other generators
+        '{"shift": ["1/2", 0], "generators": [[1, 0]], "shift": [0, 0]}': "repeated fields: shift",
+        '{"generators": [[1, 0]], "generators": [[2, 0]]}': "repeated fields: generators",
         '{"generators": [[1, "x"]]}': "generators[0]",
         '{"generators": [[1, 0], [1]]}': "generators[1]",
         '{"generators": [[0, 0]]}': "generators[0]",
@@ -931,6 +935,8 @@ def test_refusals_give_long_numbers_as_digit_counts():
         (10**15 - 1, "999999999999999"),
         (10**15, "of 16 digits"),
         (2**60, "of 19 digits"),
+        # the bit length says 17 digits, one more than it has
+        (2**53, "of 16 digits"),
         (10**5000 + 1, "of 5001 digits"),
     ):
         with pytest.raises(EnumerationLimitError) as err:

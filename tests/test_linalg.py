@@ -15,7 +15,6 @@ from coxeter_ehrhart.linalg import (
     echelon,
     int_vector,
     integer_kernel_basis,
-    kernel_step,
     rank,
     rat_vector,
 )
@@ -91,6 +90,12 @@ def test_an_entry_past_the_digit_limit_is_named_by_its_size():
         message = str(raised.value)
         assert "Fraction of about 701 digits" in message
         assert len(message) < 200
+        # any other type shows by its name alone
+        with pytest.raises(ValueError) as raised:
+            ZonotopeSpec([([10**700], 0)])
+        assert str(raised.value) == (
+            "non-integer entry list too long to show in generators[0]: expected integer entries"
+        )
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -293,19 +298,21 @@ def test_kernel_step_folds_to_volume_and_saturated_kernel():
         # pairings, unreduced, ride last
         identity = [tuple(int(i == j) for j in range(d)) for i in range(d)]
         rows = [[*col, int(c * s)] for col, s in zip(zip(*(vectors + identity)), shift)]
-        echelon, chosen, volume, offset = IntegerEchelon(d), [], 1, 0
+        independent, chosen, volume, offset = IntegerEchelon(d), [], 1, 0
         for i, v in enumerate(vectors):
             before = [list(row) for row in rows]
-            step = kernel_step(rows, i - offset)
+            # the walk's step: echelon on the rows cut to start at the column, on it alone
+            tails = [row[i - offset :] for row in rows]
+            pivots = echelon(tails, 1)
             # the walk steps every column of one node from the same rows
             assert [list(row) for row in rows] == before
-            extended = echelon.try_add(v)
-            assert (step is None) == (extended is None)
-            if step is None:
+            extended = independent.try_add(v)
+            assert (pivots == 0) == (extended is None)
+            if not pivots:
                 continue
-            factor, rows = step
+            factor, rows = abs(tails[0][0]), tails[1:]
             # the child starts at the stepped column, which is all 0 there
-            echelon, volume, offset = extended, volume * factor, i
+            independent, volume, offset = extended, volume * factor, i
             assert not any(row[0] for row in rows)
             chosen.append(v)
             assert volume == relative_volume(chosen)
@@ -363,29 +370,30 @@ def test_kernel_step_carries_the_kernel_pairings_with_later_generators():
             assert all(len(row) == len(gens) - offset + 1 for row in rows)
             for j, g in enumerate(gens[offset:]):
                 column = [row[j] for row in rows]
-                independent = echelon.try_add(g) is not None
-                assert independent == any(column)
-                if independent:
+                extends = independent.try_add(g) is not None
+                assert extends == any(column)
+                if extends:
                     assert gcd(*column) * volume == relative_volume(chosen + [g])
             pairings = (int(c * dot(f, shift)) % c for f in integer_kernel_basis(chosen, dim=d))
             assert c // gcd(c, *(row[-1] % c for row in rows)) == c // gcd(c, *pairings)
 
         # with no generators, d rows of the residue alone
         rows = [[*(g[i] for g in gens), int(c * s)] for i, s in enumerate(shift)]
-        echelon, chosen, volume, offset = IntegerEchelon(d), [], 1, 0
+        independent, chosen, volume, offset = IntegerEchelon(d), [], 1, 0
         check_rows()
         for i, g in enumerate(gens):
             if not tried[i]:
                 continue
             before = [list(row) for row in rows]
-            step = kernel_step(rows, i - offset)
+            tails = [row[i - offset :] for row in rows]
+            pivots = echelon(tails, 1)
             assert [list(row) for row in rows] == before
-            extended = echelon.try_add(g)
-            assert (step is None) == (extended is None)
-            if step is None:
+            extended = independent.try_add(g)
+            assert (pivots == 0) == (extended is None)
+            if not pivots:
                 continue
-            factor, rows = step
-            echelon, volume, offset = extended, volume * factor, i
+            factor, rows = abs(tails[0][0]), tails[1:]
+            independent, volume, offset = extended, volume * factor, i
             chosen.append(g)
             assert volume == relative_volume(chosen)
             check_rows()
