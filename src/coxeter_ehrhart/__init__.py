@@ -37,9 +37,7 @@ from .ehrhart import (
     parse_zonotope_document,
 )
 from .linalg import (
-    dot,
     int_vector,
-    integer_kernel_basis,
     rank,
     rat_vector,
 )
@@ -71,12 +69,10 @@ __all__ = [
     "component_counts",
     "count_points",
     "coxeter_zonotope",
-    "dot",
     "egf_ehrhart_quasipolynomial",
     "ehrhart_almost_integral",
     "ehrhart_coxeter",
     "int_vector",
-    "integer_kernel_basis",
     "is_integral",
     "load_zonotope_file",
     "parse_zonotope_document",

@@ -158,10 +158,6 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period constituents")):
                 return QuasiPolynomial(p, tuple(padded[:p]))
         raise AssertionError("unreachable: the full period always folds")
 
-    @property
-    def degree(self) -> int:
-        return len(self.constituents[0]) - 1
-
     def constituent_for(self, t: int) -> Tuple[int, ...]:
         _positive(t, "dilation factor")
         return self.constituents[t % self.period]

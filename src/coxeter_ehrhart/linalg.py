@@ -67,12 +67,6 @@ def rat_vector(entries: Iterable, name: str = "rational vector") -> RatVector:
     return tuple(out)
 
 
-def dot(u: Sequence, v: Sequence):
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
-
-
 def common_dim(vectors: Sequence[Sequence], dim: Optional[int] = None) -> int:
     """Shared length of the given vectors, validated against ``dim`` if set."""
     for v in vectors:
@@ -96,30 +90,6 @@ def rank(vectors: Sequence[Sequence[int]], dim: Optional[int] = None) -> int:
     if not vecs:
         return 0
     return echelon(vecs, common_dim(vecs, dim))
-
-
-def integer_kernel_basis(vectors: Sequence[Sequence[int]], dim: Optional[int] = None) -> List[IntVector]:
-    """Lattice basis of all integer vectors orthogonal to every input.
-
-    The returned basis generates the full intersection lattice
-    ``Z^d ∩ span(vectors)^perp`` (it is saturated): the basis vectors are
-    columns of a unimodular transform that column-eliminates the input
-    matrix, so any integer vector orthogonal to the inputs is an integer
-    combination of them.  ``dim`` is required when ``vectors`` is empty.
-    """
-    vecs = [int_vector(v) for v in vectors]
-    d = common_dim(vecs, dim)
-    k = len(vecs)
-    # column j of the input matrix, then column j of the transform
-    rows = [[v[j] for v in vecs] + [int(i == j) for i in range(d)] for j in range(d)]
-    basis = []
-    for row in rows[echelon(rows, k) :]:
-        col = row[k:]
-        lead = next(e for e in col if e)
-        if lead < 0:
-            col = [-e for e in col]
-        basis.append(tuple(col))
-    return basis
 
 
 def echelon(rows: List[Sequence[int]], width: int) -> int:

@@ -47,10 +47,6 @@ class PositiveRootSet(namedtuple("PositiveRootSet", "family n roots shift")):
     roots: Tuple[IntVector, ...]
     shift: RatVector
 
-    @property
-    def rank(self) -> int:
-        return root_count_and_rank(self.family, self.n)[1]
-
 
 def standard_shift(family: str, n: int) -> RatVector:
     """Translation part of the standard permutahedron, reduced mod Z^n.

@@ -2,7 +2,8 @@
 
 Besides the small enumerators, this module holds the direct reference
 paths that the package's walks are checked against: the integer echelon
-behind the rank and independence references, the subset stream and
+behind the rank and independence references, the saturated integer
+kernel (``integer_kernel_basis``) and ``dot``, the subset stream and
 the gcd of maximal minors behind the generic route, the per-subset lattice
 test, the rational point membership test behind the oracle's line scan
 (``zonotope_contains``, with its own facet search ``_geometry`` over the
@@ -27,9 +28,8 @@ from coxeter_ehrhart.ehrhart import QuasiPolynomial, ZonotopeSpec
 from coxeter_ehrhart.linalg import (
     IntVector,
     common_dim,
-    dot,
+    echelon,
     int_vector,
-    integer_kernel_basis,
     rank,
     rat_vector,
 )
@@ -48,6 +48,36 @@ from signed_graphs_reference import (
     negative_loop,
     positive_edge,
 )
+
+
+def dot(u: Sequence, v: Sequence):
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum(a * b for a, b in zip(u, v))
+
+
+def integer_kernel_basis(vectors: Sequence[Sequence[int]], dim: Optional[int] = None) -> List[IntVector]:
+    """Lattice basis of all integer vectors orthogonal to every input.
+
+    The returned basis generates the full intersection lattice
+    ``Z^d ∩ span(vectors)^perp`` (it is saturated): the basis vectors are
+    columns of a unimodular transform that column-eliminates the input
+    matrix, so any integer vector orthogonal to the inputs is an integer
+    combination of them.  ``dim`` is required when ``vectors`` is empty.
+    """
+    vecs = [int_vector(v) for v in vectors]
+    d = common_dim(vecs, dim)
+    k = len(vecs)
+    # column j of the input matrix, then column j of the transform
+    rows = [[v[j] for v in vecs] + [int(i == j) for i in range(d)] for j in range(d)]
+    basis = []
+    for row in rows[echelon(rows, k) :]:
+        col = row[k:]
+        lead = next(e for e in col if e)
+        if lead < 0:
+            col = [-e for e in col]
+        basis.append(tuple(col))
+    return basis
 
 
 def _content(entries: Sequence[int]) -> int:
@@ -119,10 +149,10 @@ class IntegerEchelon:
 
 def echelon_rank(vectors: Sequence[Sequence[int]], dim: int) -> int:
     """Dimension of the rational span by :class:`IntegerEchelon`, not by the kernel."""
-    echelon = IntegerEchelon(dim)
+    reduced = IntegerEchelon(dim)
     for v in vectors:
-        echelon = echelon.try_add(v) or echelon
-    return echelon.rank
+        reduced = reduced.try_add(v) or reduced
+    return reduced.rank
 
 
 def hermite_form(rows: Sequence[Sequence[int]], width: int) -> List[Tuple[int, ...]]:
@@ -250,10 +280,10 @@ def independent_subsets(generators: Sequence[Sequence[int]], dim: Optional[int] 
         return
     d = common_dim(gens, dim)
 
-    def walk(start: int, chosen: List[IntVector], echelon: IntegerEchelon):
+    def walk(start: int, chosen: List[IntVector], reduced: IntegerEchelon):
         yield tuple(chosen)
         for i in range(start, len(gens)):
-            extended = echelon.try_add(gens[i])
+            extended = reduced.try_add(gens[i])
             if extended is not None:
                 chosen.append(gens[i])
                 yield from walk(i + 1, chosen, extended)

@@ -11,10 +11,8 @@ import pytest
 
 from coxeter_ehrhart.ehrhart import ZonotopeFormatError, ZonotopeSpec, parse_zonotope_document
 from coxeter_ehrhart.linalg import (
-    dot,
     echelon,
     int_vector,
-    integer_kernel_basis,
     rank,
     rat_vector,
 )
@@ -23,8 +21,10 @@ from helpers import (
     chi,
     count_parallelepiped_points,
     determinant,
+    dot,
     echelon_rank,
     hermite_form,
+    integer_kernel_basis,
     relative_volume,
     zonotope_contains,
 )

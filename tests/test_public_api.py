@@ -25,12 +25,10 @@ def test_public_names():
         "component_counts",
         "count_points",
         "coxeter_zonotope",
-        "dot",
         "egf_ehrhart_quasipolynomial",
         "ehrhart_almost_integral",
         "ehrhart_coxeter",
         "int_vector",
-        "integer_kernel_basis",
         "is_integral",
         "load_zonotope_file",
         "parse_zonotope_document",

@@ -41,10 +41,10 @@ def test_roots_are_distinct_integer_vectors():
 
 def test_rank_of_each_configuration():
     for n in range(1, 7):
-        assert positive_roots("A", n).rank == n - 1
-        assert positive_roots("B", n).rank == n
-        assert positive_roots("C", n).rank == n
-        assert positive_roots("D", n).rank == (0 if n == 1 else n)
+        assert root_count_and_rank("A", n)[1] == n - 1
+        assert root_count_and_rank("B", n)[1] == n
+        assert root_count_and_rank("C", n)[1] == n
+        assert root_count_and_rank("D", n)[1] == (0 if n == 1 else n)
 
 
 def test_integrality_pattern():
@@ -123,7 +123,6 @@ def test_roots_span_check_against_linalg_rank():
     for family in FAMILIES:
         for n in range(1, 6):
             rs = positive_roots(family, n)
-            assert rs.rank == rank(rs.roots, dim=n)
             assert root_count_and_rank(family, n) == (len(rs.roots), rank(rs.roots, dim=n))
 
 
@@ -131,6 +130,6 @@ def test_positive_root_set_is_an_immutable_value():
     rs = positive_roots("B", 2)
     assert rs == positive_roots("B", 2) and hash(rs) == hash(positive_roots("B", 2))
     assert rs != positive_roots("C", 2)
-    assert (rs.family, rs.n, rs.rank, rs.shift) == ("B", 2, 2, (Fraction(1, 2), Fraction(1, 2)))
+    assert (rs.family, rs.n, rs.shift) == ("B", 2, (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(AttributeError):
         rs.roots = ()
