@@ -163,23 +163,23 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
     max(g_i, 0)``; that bounding box gives each coordinate its range, which
     orders the coordinates and sizes the scan.
 
-    One pass over the generators' coordinate rows (:func:`_solve_dependent`)
-    keeps ``rank`` free coordinates, taking the narrowest ranges first, and
-    solves each of the others from its fundamental circuit as an integer
-    affine function of the free ones over one common denominator, so only
-    free coordinates are scanned.  The projection of
-    the dilate onto the free coordinates is one-to-one, and scan level i
-    runs over the lattice points of its projection onto the first i+1 of
-    them, bounded by that projection's :func:`_facets`.  Integrality of the
-    dependent coordinates is a system of congruences modulo the common
-    denominator, echeloned once together with the denominator times each
-    unit vector, the free columns taken from the last back: each level
-    carries one congruence, on its own coordinate, whose coefficient there
-    divides the denominator, and a congruence with no coefficient left
-    decides the count by its constant.  So each level runs over one
-    arithmetic progression between its facet bounds.  The outer levels step
-    through it; the last free coordinate, the widest, is the line, which
-    adds its number of terms.
+    One pass of :func:`echelon` over the generators' coordinate rows
+    (:func:`_solve_dependent`) keeps ``rank`` free coordinates, taking the
+    narrowest ranges first, and solves each of the others from its
+    fundamental circuit as an integer affine function of the free ones over
+    one common denominator, so only free coordinates are scanned.  The
+    projection of the dilate onto the free coordinates is one-to-one, and
+    scan level i runs over the lattice points of its projection onto the
+    first i+1 of them, bounded by that projection's :func:`_facets`.
+    Integrality of the dependent coordinates is a system of congruences
+    modulo the common denominator, echeloned once together with the
+    denominator times each unit vector, the free columns taken from the last
+    back: each level carries one congruence, on its own coordinate, whose
+    coefficient there divides the denominator, and a congruence with no
+    coefficient left decides the count by its constant.  So each level runs
+    over one arithmetic progression between its facet bounds.  The outer
+    levels step through it; the last free coordinate, the widest, is the
+    line, which adds its number of terms, computed from its ends and step.
     All arithmetic is exact ``int``: with c the shift denominator, t*shift
     is an integer vector over c, so the bounding box and the facet
     right-hand sides are floor divisions by c.  The tests check the count
@@ -269,11 +269,11 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
         ups, downs, used, a, n, step = levels[level]
         hi = min([v // u for v, u in zip(values, ups)])
         lo = max([-(v // u) for v, u in zip(values[len(ups) :], downs)])
-        progression = range(lo + (values[used] // a - lo) % n, hi + 1, n)
+        first = lo + (values[used] // a - lo) % n
         if level == last:
-            return len(progression)
+            return max(0, (hi - first) // n + 1)
         values = values[used + 1 :]
-        return sum(scan(level + 1, [v - s * y for v, s in zip(values, step)]) for y in progression)
+        return sum(scan(level + 1, [v - s * y for v, s in zip(values, step)]) for y in range(first, hi + 1, n))
 
     return scan(0, start)
 
@@ -281,17 +281,19 @@ def count_points(zonotope: ZonotopeSpec, t: int) -> int:
 def _solve_dependent(generators, widths, target, c):
     """Choose the free coordinates and solve the affine hull for the others.
 
-    One fraction-free pass takes the coordinate rows ``[g[i] for g in
-    generators] + e_i`` from the narrowest range up, ties by the larger
-    index first, and reduces each against the rows kept so far, kept
-    primitive and in echelon form on the generator columns.  A row left
-    nonzero there is kept, and its coordinate is free: the free ones are
-    the greedy basis of the rows' matroid, the one with the smallest
-    product of ranges.  A row left zero is a fundamental circuit: its unit
-    part f pairs every generator to 0, so every point x of the dilate has
-    ``<f, x> = <f, target> / c``, and f holds its own coordinate and free
-    ones only, so it solves that dependent coordinate x_j.  The last
-    coordinate kept, the widest free one, is the line.
+    The coordinate rows ``[g[i] for g in generators] + e_i`` are taken from
+    the narrowest range up, ties by the larger index first, each echeloned
+    on the generator columns with the rows kept so far.  If the rank grows,
+    the coordinate is free and the reduced rows are kept: the free ones are
+    the greedy basis of the rows' matroid, the one with the smallest product
+    of ranges.  Otherwise the last row, left zero there, is a fundamental
+    circuit, and the kept rows stay, since the reduced ones would carry its
+    unit vector into later circuits.  Its unit part f, a row of a unimodular
+    image of unit vectors, is primitive and pairs every generator to 0, so
+    every point x of the dilate has ``<f, x> = <f, target> / c``; f holds
+    its own coordinate and free ones only, so it solves that dependent
+    coordinate x_j.  The last coordinate kept, the widest free one, is the
+    line.
 
     Returns ``(free, den, rows)``, ``free`` the outer coordinates, widest
     first and ties by index, then the line, with ``den * x_J[i] = sum_k
@@ -302,19 +304,12 @@ def _solve_dependent(generators, widths, target, c):
     d, m = len(widths), len(generators)
     kept, free, circuits = [], [], []
     for i in sorted(reversed(range(d)), key=widths.__getitem__):
-        row = [g[i] for g in generators] + [int(i == j) for j in range(d)]
-        for col, pivot in kept:
-            b = row[col]
-            if b:
-                row = [pivot[col] * x - b * y for x, y in zip(row, pivot)]
-                q = gcd(*row)
-                row = [x // q for x in row]
-        col = next((j for j in range(m) if row[j]), None)
-        if col is None:
-            circuits.append((i, row[m:]))
-        else:
-            kept.append((col, row))
+        rows = kept + [[g[i] for g in generators] + [int(i == j) for j in range(d)]]
+        if echelon(rows, m) > len(kept):
+            kept = rows
             free.append(i)
+        else:
+            circuits.append((i, rows[-1][m:]))
     free = free[-2::-1] + free[-1:]  # the outer coordinates, then the line
     # f reads f_j*x_j + sum_k f_k*x_k = r/c: x_j = (r - c*sum_k f_k*x_k) / (c*f_j)
     fractions = []

@@ -423,6 +423,16 @@ def test_zonotope_shifted_unit_segment(tmp_path, capsys):
     assert "ehr(2) = 3" in out
 
 
+def test_zonotope_verifies_a_line_of_more_points_than_a_c_size(tmp_path, capsys):
+    # the box scan counts its last level's progression arithmetically, so a
+    # line past sys.maxsize points is counted, not an OverflowError
+    path = tmp_path / "segment.json"
+    path.write_text('{"generators": [[3]], "shift": ["1/2"]}')
+    code, out = run(capsys, ["zonotope", str(path), "--t", "100000000000000000000", "--verify"])
+    assert code == 0
+    assert "ehr(100000000000000000000) = 300000000000000000001   oracle 300000000000000000001   match" in out
+
+
 def test_zonotope_rank_two_examples(tmp_path, capsys):
     # the rank-two permutahedron of the fourth family, via a plain file
     path = tmp_path / "d2.json"

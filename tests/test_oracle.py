@@ -206,6 +206,9 @@ def test_count_matches_formula_in_dimensions_four_and_five():
     @hypothesis.given(zonotopes(), st.integers(1, 3))
     # rank 2 in Z^4: the outer level and the line each step by 2
     @hypothesis.example(ZonotopeSpec.make([(-1, -1, 2, 0), (1, -2, 0, 2)]), 2)
+    # rank 2 in Z^5: the rows kept after the first dependent coordinate must
+    # not carry its unit vector, or the next circuit solves two coordinates
+    @hypothesis.example(ZonotopeSpec.make([(0, 0, 2, 0, 1), (0, 2, 0, 3, 2), (0, -2, 2, -3, -1)]), 1)
     def check(spec, t):
         expected = ehrhart_almost_integral(spec).evaluate(t)
         assert count_points(spec, t) == expected
@@ -388,6 +391,12 @@ def test_scan_bound_refuses_before_the_scan(monkeypatch):
 def test_large_boxes_with_little_work_are_counted(spec, t):
     # bounding boxes of 11,390,625 and about 2 * 10^36 points
     assert count_points(spec, t) == ehrhart_almost_integral(spec).evaluate(t)
+
+
+def test_a_line_of_more_points_than_a_c_size_is_counted():
+    # the last level's progression is counted arithmetically, not by len(range)
+    spec = ZonotopeSpec([(2**70,)])
+    assert count_points(spec, 1) == 2**70 + 1 == ehrhart_almost_integral(spec).evaluate(1)
 
 
 def test_orbit_sum_equals_the_box_scan_on_every_family():
