@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm, log10
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linalg import IntVector, RatVector, echelon, int_vector, rat_vector
+from .linalg import IntVector, RatVector, _directions, echelon, int_vector, rat_vector
 from .roots import _positive, is_half_integral, positive_roots, root_count_and_rank
 
 
@@ -189,22 +189,6 @@ def _readable(number: int, long_form: str) -> str:
     return long_form.format(digits)
 
 
-def _directions(columns) -> Dict[IntVector, int]:
-    """The nonzero columns of a list of equal-length tuples by primitive
-    direction up to sign, first nonzero entry positive, each with the summed
-    content (gcd) of its columns."""
-    lengths: Dict[IntVector, int] = {}
-    zero = (0,) * len(columns[0]) if columns else ()
-    for col in columns:
-        g = gcd(*col)
-        if g:
-            if col < zero:  # the first nonzero entry is negative
-                g = -g
-            p = col if g == 1 else tuple([e // g for e in col])
-            lengths[p] = lengths.get(p, 0) + abs(g)
-    return lengths
-
-
 def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
     """Ehrhart quasipolynomial of a shifted integer zonotope.
 
@@ -333,7 +317,9 @@ def ehrhart_almost_integral(zonotope: ZonotopeSpec) -> QuasiPolynomial:
                 on = g != g0
                 ones[g] += volume * n
                 # plane with p, a primitive bivector up to sign -> [summed
-                # n_b * h, one member b, its h], h = b's content modulo p
+                # n_b * h, one member b, its h], h = b's content modulo p.
+                # The key is _directions' rule written out, its one inline
+                # copy: a call per pair would sit in the walk's hottest loop.
                 planes = {}
                 for b, k in directions[i + 1 :]:
                     b0, b1, b2, b3 = b

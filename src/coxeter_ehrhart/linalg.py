@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import log10
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import gcd, log10
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
 RatVector = Tuple[Fraction, ...]
@@ -124,3 +124,20 @@ def echelon(rows: List[Sequence[int]], width: int) -> int:
             fixed += 1
     return fixed
 
+
+def _directions(columns) -> Dict[IntVector, int]:
+    """The nonzero columns of a list of equal-length int tuples by primitive
+    direction up to sign, first nonzero entry positive, each with the summed
+    content (gcd) of its columns, in first-seen order: the package's one
+    canonical direction, read by the subset walk's merge and by the box
+    scan's facet search and facet bound."""
+    lengths: Dict[IntVector, int] = {}
+    zero = (0,) * len(columns[0]) if columns else ()
+    for col in columns:
+        g = gcd(*col)
+        if g:
+            if col < zero:  # the first nonzero entry is negative
+                g = -g
+            p = col if g == 1 else tuple([e // g for e in col])
+            lengths[p] = lengths.get(p, 0) + abs(g)
+    return lengths

@@ -11,6 +11,7 @@ import pytest
 
 from coxeter_ehrhart.ehrhart import ZonotopeFormatError, ZonotopeSpec, parse_zonotope_document
 from coxeter_ehrhart.linalg import (
+    _directions,
     echelon,
     int_vector,
     rank,
@@ -262,6 +263,44 @@ def test_echelon_reduces_the_rows_it_is_given_on_its_width():
         # reduced rows are new lists; the row objects passed in are unchanged
         assert given == copies
         assert len(rows) == len(given)
+
+
+def test_directions_match_a_reference_canonical_form():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def reference(columns):
+        # divide by the gcd, negate when the first nonzero entry is negative,
+        # sum the contents; zero columns are dropped, keys in first-seen order
+        out = {}
+        for col in columns:
+            g = gcd(*col)
+            if g:
+                p = [e // g for e in col]
+                if next(e for e in p if e) < 0:
+                    p = [-e for e in p]
+                out[tuple(p)] = out.get(tuple(p), 0) + g
+        return out
+
+    @st.composite
+    def column_lists(draw):
+        d = draw(st.integers(1, 4))
+        base = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=6))
+        # negations, multiples (0 among them) and repeats of the columns drawn
+        scaled = [
+            tuple(k * e for e in draw(st.sampled_from(base)))
+            for k in draw(st.lists(st.sampled_from((1, -1, 2, -2, 3, 0)), max_size=6 if base else 0))
+        ]
+        return draw(st.permutations(base + scaled))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(column_lists())
+    @hypothesis.example([])
+    @hypothesis.example([(0, 2, -4), (0, 0, 0), (3, 0, 1), (0, -1, 2)])
+    def check(columns):
+        assert list(_directions(columns).items()) == list(reference(columns).items())
+
+    check()
 
 
 def test_kernel_basis_orthogonal_and_saturated():

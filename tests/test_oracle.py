@@ -324,6 +324,30 @@ def test_facet_search_stops_at_a_dependent_prefix(monkeypatch):
     assert work[0] < work[1]
 
 
+def test_facet_search_skips_a_sibling_of_an_earlier_flat(monkeypatch):
+    # Directions a, b, c = a + b, e3, e4, f in Z^4; one row-by-g product is
+    # d = 4 mul calls.  The root (4 rows) tries a, b, c, e3: 4 * 16 = 64.
+    # The second level (6 rows) tries 4 + 3 + 2 + 1 children: 10 * 24 = 240.
+    # Under a, the child a ^ c spans a ^ b's plane and is skipped, so 9
+    # nodes reach the last level (4 rows), where a ^ b, a ^ e3, a ^ e4,
+    # b ^ c, b ^ e3, b ^ e4, c ^ e3, c ^ e4 and e3 ^ e4 try the 4, 2, 1, 3,
+    # 2, 1, 2, 1 and 1 directions after them: 17 * 16 = 272.  The 10
+    # normals pair with the 6 generators: 10 * 24 = 240.  In all 816;
+    # growing a ^ c too would add its 3 leaves, 48 more.
+    products = []
+
+    def counted(a, b):
+        products.append(None)
+        return a * b
+
+    monkeypatch.setattr(oracle, "mul", counted)
+    gens = ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))
+    facets = _facets.__wrapped__(gens, 4)
+    assert len(products) == 816
+    _, reference = _geometry(ZonotopeSpec.make(gens, dim=4))
+    assert set(facets) == set(reference)
+
+
 def test_count_matches_formula_under_large_integer_moves_of_the_shift():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
